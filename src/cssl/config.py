@@ -99,8 +99,6 @@ def _require(mapping: dict, context: str, known: set[str]) -> None:
 
 def _get(mapping: dict, key: str, kind, default, context: str):
     if key not in mapping or mapping[key] is None:
-        if key == "lambda_pnr":
-            return None
         return default
     value = mapping[key]
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
@@ -148,7 +146,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
             "samples_per_class", "dataset"),
         radius=_positive(_get(d, "radius", float, 1.0, "dataset"),
                          "radius", "dataset"),
-        sigma=_get(d, "sigma", float, 0.5, "dataset"),
+        sigma=_get(d, "sigma", float, 2.0, "dataset"),
     )
     if dataset.sigma < 0:
         raise ConfigError("dataset.sigma: must be non-negative")

@@ -39,7 +39,6 @@ from .model import (
     FrozenStack,
     ForwardResult,
     OptimizerState,
-    StackGrads,
     TargetNetwork,
     backward,
     ema_update,
@@ -138,8 +137,8 @@ class AugmentConfig:
         lo, hi = self.scale_range
         if not (0.0 < lo <= hi):
             raise ValueError("scale_range must satisfy 0 < lo <= hi")
-        if not (0.0 <= self.dropout_p < 1.0) and self.dropout_p != 1.0:
-            raise ValueError("dropout_p must be in [0, 1]")
+        if not (0.0 <= self.dropout_p < 1.0):
+            raise ValueError("dropout_p must be in [0, 1)")
         if self.noise_std < 0:
             raise ValueError("noise_std must be non-negative")
 
@@ -252,19 +251,6 @@ def build_domain_il(ds: LabeledDataset, T: int, seed: int,
     return TaskStream(Scenario.DOMAIN_IL, tasks)
 
 
-def domain_transforms(ds: LabeledDataset, T: int, seed: int,
-                      bias_scale: float = 1.0
-                      ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The (rotation, bias) pair of every task; task 1 is (identity, zero)."""
-    out = [(np.eye(ds.input_dim), np.zeros(ds.input_dim))]
-    root = Rng(seed)
-    for k in range(1, T):
-        rng = root.derive(f"domain-{k}")
-        out.append((random_orthogonal(rng, ds.input_dim),
-                    rng.gaussian(ds.input_dim, 0.0, bias_scale)))
-    return out
-
-
 def _one_view(x: np.ndarray, cfg: AugmentConfig, rng: Rng) -> np.ndarray:
     n, d = x.shape
     lo, hi = cfg.scale_range
@@ -345,7 +331,7 @@ def encode_views(stack: EncoderStack, xA: np.ndarray, xB: np.ndarray,
 
 
 def backprop_views(stack: EncoderStack, enc: ViewEncodings, cfg: PnrConfig,
-                   res: LossResult) -> StackGrads:
+                   res: LossResult) -> EncoderStack:
     """Chain loss gradients through normalization and the stack parameters."""
     normalized = cfg.method in CONTRASTIVE_METHODS or cfg.method == Method.BYOL
     grads = None
@@ -364,7 +350,7 @@ def backprop_views(stack: EncoderStack, enc: ViewEncodings, cfg: PnrConfig,
         if grads is None:
             grads = part
         else:
-            grads.add_(part)
+            grads.flat += part.flat
     if grads is None:
         raise ValueError("loss produced no gradients")
     return grads

@@ -43,7 +43,7 @@ from .errors import (
     VersionMismatch,
 )
 from .evaluate import AccuracyMatrix
-from .model import EncoderStack, MlpParams
+from .model import EncoderStack, MlpParams, stack_bytes
 from .numerics import Rng, fnv1a64
 
 DATASET_MAGIC = b"CSSLDAT\0"
@@ -154,18 +154,8 @@ def load_dataset(path: str) -> LabeledDataset:
     return LabeledDataset(x, y, domain_id=None if domain == _NO_DOMAIN else domain)
 
 
-def _mlp_payload(p: MlpParams) -> bytes:
-    chunks = [struct.pack("<I", len(p.weights))]
-    for w, b in zip(p.weights, p.biases):
-        chunks.append(struct.pack("<II", w.shape[0], w.shape[1]))
-        chunks.append(w.astype("<f8").tobytes())
-        chunks.append(b.astype("<f8").tobytes())
-    return b"".join(chunks)
-
-
 def save_checkpoint(stack: EncoderStack, path: str) -> None:
-    payload = (_mlp_payload(stack.encoder) + _mlp_payload(stack.projector)
-               + _mlp_payload(stack.predictor))
+    payload = stack_bytes(stack)
     data = (CHECKPOINT_MAGIC + struct.pack("<I", FORMAT_VERSION) + payload
             + struct.pack("<Q", fnv1a64(payload)))
     _atomic_write(path, data)
@@ -178,11 +168,9 @@ def _read_mlp(r: _Reader) -> MlpParams:
     weights, biases = [], []
     for _ in range(n_layers):
         out_dim, in_dim = r.u32(), r.u32()
-        w = np.frombuffer(r.take(out_dim * in_dim * 8),
-                          dtype="<f8").reshape(out_dim, in_dim).copy()
-        b = np.frombuffer(r.take(out_dim * 8), dtype="<f8").copy()
-        weights.append(w)
-        biases.append(b)
+        weights.append(np.frombuffer(r.take(out_dim * in_dim * 8),
+                                     dtype="<f8").reshape(out_dim, in_dim))
+        biases.append(np.frombuffer(r.take(out_dim * 8), dtype="<f8"))
     return MlpParams(weights, biases)
 
 

@@ -55,7 +55,3 @@ class EmbeddingQueue:
         """len x dim copy, oldest first; empty (0, dim) matrix when empty."""
         idx = (self._start + np.arange(self._len)) % self.capacity
         return self._buf[idx].copy()
-
-    def clear(self) -> None:
-        self._start = 0
-        self._len = 0

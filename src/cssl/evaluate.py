@@ -121,25 +121,6 @@ def linear_probe(features: np.ndarray, labels: np.ndarray, cfg: ProbeConfig,
     return float(np.mean(pred == y_ho))
 
 
-def knn_probe(features: np.ndarray, labels: np.ndarray, k: int = 5,
-              exclude_self: bool = True) -> float:
-    """Leave-one-out k-nearest-neighbor accuracy under cosine similarity."""
-    labels = np.asarray(labels, dtype=np.int64)
-    norms = np.linalg.norm(features, axis=1, keepdims=True)
-    norms = np.where(norms <= 1e-12, 1.0, norms)
-    z = features / norms
-    sim = z @ z.T
-    if exclude_self:
-        np.fill_diagonal(sim, -np.inf)
-    nn = np.argsort(-sim, axis=1, kind="stable")[:, :k]
-    votes = labels[nn]
-    preds = np.empty(labels.shape[0], dtype=np.int64)
-    for i in range(labels.shape[0]):
-        vals, counts = np.unique(votes[i], return_counts=True)
-        preds[i] = vals[np.argmax(counts)]
-    return float(np.mean(preds == labels))
-
-
 def fill_accuracy_matrix(checkpoints: list[EncoderStack],
                          ft_checkpoints: list[EncoderStack] | None,
                          stream: TaskStream, cfg: ProbeConfig,

@@ -44,14 +44,7 @@ from .losses import (
     vicreg_loss,
     vicreg_pnr_l2,
 )
-from .model import (
-    TargetNetwork,
-    flat_grads,
-    get_flat_params,
-    init_stack,
-    set_flat_params,
-    snapshot_frozen,
-)
+from .model import TargetNetwork, init_stack, snapshot_frozen
 from .numerics import Rng, finite_difference_gradient, row_l2_normalize
 
 FD_EPS = 1e-5
@@ -290,19 +283,18 @@ def check_param_gradients(trials: int = 4, seed: int = 515
                                extra_neg_cur=extra_cur,
                                extra_neg_prev=extra_prev)
             res = total_loss(enc.views, cfg, norm_tol=None)
-            analytic = flat_grads(backprop_views(stack, enc, cfg, res))
+            analytic = backprop_views(stack, enc, cfg, res).flat
 
-            theta0 = get_flat_params(stack)
-            fd = np.zeros_like(theta0)
-            for idx in range(theta0.size):
+            theta = stack.flat
+            fd = np.zeros_like(theta)
+            for idx in range(theta.size):
+                theta0 = theta[idx]
                 acc = 0.0
                 for sign in (+1.0, -1.0):
-                    theta = theta0.copy()
-                    theta[idx] += sign * FD_EPS
-                    set_flat_params(stack, theta)
+                    theta[idx] = theta0 + sign * FD_EPS
                     acc += sign * loss_value()
+                theta[idx] = theta0
                 fd[idx] = acc / (2.0 * FD_EPS)
-            set_flat_params(stack, theta0)
             worst = max(worst, rel_err(analytic, fd))
             done += 1
         reports.append(CheckReport(f"params/{method}", trials, worst,

@@ -7,13 +7,16 @@ except the last of each MLP; the subgradient at exactly zero is zero.
 
 from __future__ import annotations
 
-import copy
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BadDims, ShapeMismatch
 from .numerics import Rng, check_finite
+
+# Layer shapes (out, in) per MLP; with a flat vector it fixes every view.
+Layout = tuple[tuple[tuple[int, int], ...], ...]
 
 
 @dataclass
@@ -23,19 +26,6 @@ class MlpParams:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
 
-    def __post_init__(self):
-        if len(self.weights) != len(self.biases) or not self.weights:
-            raise BadDims("weights/biases length mismatch or empty MLP")
-        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
-                raise BadDims(f"layer {k}: weight {w.shape} vs bias {b.shape}")
-            if k > 0 and w.shape[1] != self.weights[k - 1].shape[0]:
-                raise BadDims(
-                    f"layer {k}: in dim {w.shape[1]} != previous out "
-                    f"{self.weights[k - 1].shape[0]}")
-            check_finite(w, f"layer {k} weight")
-            check_finite(b, f"layer {k} bias")
-
     @property
     def in_dim(self) -> int:
         return self.weights[0].shape[1]
@@ -44,34 +34,79 @@ class MlpParams:
     def out_dim(self) -> int:
         return self.weights[-1].shape[0]
 
-    def clone(self) -> "MlpParams":
-        return MlpParams([w.copy() for w in self.weights],
-                         [b.copy() for b in self.biases])
+
+def _check_mlp(p: MlpParams, name: str) -> None:
+    if len(p.weights) != len(p.biases) or not p.weights:
+        raise BadDims(f"{name}: weights/biases length mismatch or empty MLP")
+    for k, (w, b) in enumerate(zip(p.weights, p.biases)):
+        if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
+            raise BadDims(f"{name} layer {k}: weight {w.shape} vs bias {b.shape}")
+        if k > 0 and w.shape[1] != p.weights[k - 1].shape[0]:
+            raise BadDims(
+                f"{name} layer {k}: in dim {w.shape[1]} != previous out "
+                f"{p.weights[k - 1].shape[0]}")
+        check_finite(w, f"{name} layer {k} weight")
+        check_finite(b, f"{name} layer {k} bias")
 
 
-@dataclass
+def _views(flat: np.ndarray, layout: Layout) -> list[MlpParams]:
+    """Per-layer views into ``flat``: MLP by MLP, layer by layer, the weight
+    (row-major) and then the bias."""
+    mlps, pos = [], 0
+    for shapes in layout:
+        weights, biases = [], []
+        for out_dim, in_dim in shapes:
+            weights.append(flat[pos:pos + out_dim * in_dim].reshape(out_dim, in_dim))
+            pos += out_dim * in_dim
+            biases.append(flat[pos:pos + out_dim])
+            pos += out_dim
+        mlps.append(MlpParams(weights, biases))
+    return mlps
+
+
 class EncoderStack:
     """Online network: encoder h, projector m, predictor g.
+
+    Every parameter lives in one contiguous float64 vector ``flat`` (encoder,
+    projector, predictor; see :func:`_views` for the order within an MLP);
+    ``encoder``, ``projector`` and ``predictor`` hold per-layer views into it.
+    Gradients, momentum buffers and snapshots are stacks of the same layout,
+    so updates between them are single vector operations.
 
     The predictor maps projection space onto itself (square input/output).
     """
 
-    encoder: MlpParams
-    projector: MlpParams
-    predictor: MlpParams
-
-    def __post_init__(self):
-        if self.projector.in_dim != self.encoder.out_dim:
+    def __init__(self, encoder: MlpParams, projector: MlpParams,
+                 predictor: MlpParams):
+        """Validates outside parameters and copies them into a new vector."""
+        mlps = (encoder, projector, predictor)
+        for name, p in zip(("encoder", "projector", "predictor"), mlps):
+            _check_mlp(p, name)
+        if projector.in_dim != encoder.out_dim:
             raise BadDims("projector input does not chain with encoder output")
-        d = self.projector.out_dim
-        if self.predictor.in_dim != d or self.predictor.out_dim != d:
+        d = projector.out_dim
+        if predictor.in_dim != d or predictor.out_dim != d:
             raise BadDims(
                 f"predictor must map projection space ({d}) to itself, got "
-                f"{self.predictor.in_dim} -> {self.predictor.out_dim}")
+                f"{predictor.in_dim} -> {predictor.out_dim}")
+        self._bind(tuple(tuple(w.shape for w in p.weights) for p in mlps),
+                   np.concatenate([a.ravel() for p in mlps
+                                   for w, b in zip(p.weights, p.biases)
+                                   for a in (w, b)], dtype=np.float64))
+
+    def _bind(self, layout: Layout, flat: np.ndarray) -> None:
+        self.layout = layout
+        self.flat = flat
+        self.encoder, self.projector, self.predictor = _views(flat, layout)
+
+    def like(self, flat: np.ndarray) -> "EncoderStack":
+        """A stack of this layout over ``flat``; no copy, no validation."""
+        other = EncoderStack.__new__(EncoderStack)
+        other._bind(self.layout, flat)
+        return other
 
     def clone(self) -> "EncoderStack":
-        return EncoderStack(self.encoder.clone(), self.projector.clone(),
-                            self.predictor.clone())
+        return self.like(self.flat.copy())
 
 
 # A frozen snapshot is structurally an EncoderStack; the alias documents intent.
@@ -79,66 +114,45 @@ FrozenStack = EncoderStack
 
 
 @dataclass
-class MlpGrads:
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-    def add_(self, other: "MlpGrads") -> None:
-        for w, ow in zip(self.weights, other.weights):
-            w += ow
-        for b, ob in zip(self.biases, other.biases):
-            b += ob
-
-
-@dataclass
-class StackGrads:
-    encoder: MlpGrads
-    projector: MlpGrads
-    predictor: MlpGrads
-
-    def add_(self, other: "StackGrads") -> None:
-        self.encoder.add_(other.encoder)
-        self.projector.add_(other.projector)
-        self.predictor.add_(other.predictor)
-
-
-def zero_grads_like(stack: EncoderStack) -> StackGrads:
-    def z(p: MlpParams) -> MlpGrads:
-        return MlpGrads([np.zeros_like(w) for w in p.weights],
-                        [np.zeros_like(b) for b in p.biases])
-    return StackGrads(z(stack.encoder), z(stack.projector), z(stack.predictor))
-
-
-@dataclass
 class OptimizerState:
-    """SGD with momentum and weight decay; buffers mirror parameter shapes."""
+    """SGD with momentum and weight decay; the buffer is a stack of the
+    parameters' layout."""
 
     lr: float
     momentum: float
     weight_decay: float
-    buffers: StackGrads
+    buffers: EncoderStack
 
     @classmethod
     def for_stack(cls, stack: EncoderStack, lr: float, momentum: float = 0.9,
                   weight_decay: float = 0.0) -> "OptimizerState":
         if lr < 0:
             raise ValueError("lr must be non-negative")
-        return cls(lr, momentum, weight_decay, zero_grads_like(stack))
+        return cls(lr, momentum, weight_decay,
+                   stack.like(np.zeros_like(stack.flat)))
 
 
 @dataclass
 class TargetNetwork:
-    """EMA shadow of encoder + projector; the predictor stays online-only."""
+    """EMA shadow of encoder + projector; the predictor stays online-only.
 
-    encoder: MlpParams
-    projector: MlpParams
+    ``flat`` has the online stack's layout cut after the projector, so it
+    mirrors a prefix of the online vector.
+    """
+
+    layout: Layout
+    flat: np.ndarray
     ema_momentum: float
+
+    def __post_init__(self):
+        self.encoder, self.projector = _views(self.flat, self.layout)
 
     @classmethod
     def from_online(cls, stack: EncoderStack, ema_momentum: float) -> "TargetNetwork":
         if not 0.0 <= ema_momentum < 1.0:
             raise ValueError("ema_momentum must be in [0, 1)")
-        return cls(stack.encoder.clone(), stack.projector.clone(), ema_momentum)
+        n = sum(o * i + o for shapes in stack.layout[:2] for o, i in shapes)
+        return cls(stack.layout[:2], stack.flat[:n].copy(), ema_momentum)
 
 
 def init_mlp(rng: Rng, dims: list[int]) -> MlpParams:
@@ -179,20 +193,20 @@ def mlp_forward(p: MlpParams, x: np.ndarray, cache: list | None = None) -> np.nd
     return out
 
 
-def mlp_backward(p: MlpParams, cache: list, grad_out: np.ndarray
-                 ) -> tuple[MlpGrads, np.ndarray]:
-    """Exact reverse-mode gradients given d(loss)/d(output) and the forward cache."""
-    gw: list[np.ndarray] = [None] * len(p.weights)  # type: ignore[list-item]
-    gb: list[np.ndarray] = [None] * len(p.biases)   # type: ignore[list-item]
+def mlp_backward(p: MlpParams, cache: list, grad_out: np.ndarray,
+                 grads: MlpParams) -> np.ndarray:
+    """Exact reverse-mode gradients given d(loss)/d(output) and the forward
+    cache. Writes the parameter gradients into ``grads`` (same shapes as
+    ``p``) and returns d(loss)/d(input)."""
     last = len(p.weights) - 1
     g = grad_out
     for k in range(last, -1, -1):
         inp, pre = cache[k]
         g_pre = g if k == last else g * (pre > 0.0)
-        gw[k] = g_pre.T @ inp
-        gb[k] = g_pre.sum(axis=0)
+        np.matmul(g_pre.T, inp, out=grads.weights[k])
+        g_pre.sum(axis=0, out=grads.biases[k])
         g = g_pre @ p.weights[k]
-    return MlpGrads(gw, gb), g
+    return g
 
 
 @dataclass
@@ -226,8 +240,9 @@ def forward(stack: EncoderStack, x: np.ndarray, want_pred: bool = False
 def backward(stack: EncoderStack, x: np.ndarray,
              grad_proj: np.ndarray | None,
              grad_pred: np.ndarray | None = None,
-             fwd: ForwardResult | None = None) -> StackGrads:
-    """Parameter gradients given embedding-space gradients.
+             fwd: ForwardResult | None = None) -> EncoderStack:
+    """Parameter gradients given embedding-space gradients, as a stack of
+    ``stack``'s layout.
 
     ``grad_proj`` is d(loss)/d(projection), ``grad_pred`` d(loss)/d(predictor
     output); either may be None. Recomputes the forward pass when no cached
@@ -238,66 +253,43 @@ def backward(stack: EncoderStack, x: np.ndarray,
     if grad_pred is not None and "predictor" not in fwd._caches:
         raise ShapeMismatch("grad_pred given but forward ran without predictor")
 
+    grads = stack.like(np.zeros_like(stack.flat))
     total_grad_proj = np.zeros_like(fwd.proj)
     if grad_pred is not None:
         if grad_pred.shape != fwd.pred.shape:  # type: ignore[union-attr]
             raise ShapeMismatch("grad_pred shape mismatch")
-        pred_grads, g_into_proj = mlp_backward(
-            stack.predictor, fwd._caches["predictor"], grad_pred)
-        total_grad_proj += g_into_proj
-    else:
-        pred_grads = MlpGrads(
-            [np.zeros_like(w) for w in stack.predictor.weights],
-            [np.zeros_like(b) for b in stack.predictor.biases])
+        total_grad_proj += mlp_backward(
+            stack.predictor, fwd._caches["predictor"], grad_pred,
+            grads.predictor)
     if grad_proj is not None:
         if grad_proj.shape != fwd.proj.shape:
             raise ShapeMismatch("grad_proj shape mismatch")
         total_grad_proj += grad_proj
 
-    proj_grads, g_into_feat = mlp_backward(
-        stack.projector, fwd._caches["projector"], total_grad_proj)
-    enc_grads, _ = mlp_backward(stack.encoder, fwd._caches["encoder"], g_into_feat)
-    return StackGrads(enc_grads, proj_grads, pred_grads)
+    g_into_feat = mlp_backward(stack.projector, fwd._caches["projector"],
+                               total_grad_proj, grads.projector)
+    mlp_backward(stack.encoder, fwd._caches["encoder"], g_into_feat,
+                 grads.encoder)
+    return grads
 
 
-def _sgd_mlp(p: MlpParams, g: MlpGrads, buf: MlpGrads,
-             lr: float, momentum: float, weight_decay: float) -> None:
-    for w, gw, vw in zip(p.weights, g.weights, buf.weights):
-        vw *= momentum
-        vw += gw + weight_decay * w
-        w -= lr * vw
-    for b, gb, vb in zip(p.biases, g.biases, buf.biases):
-        vb *= momentum
-        vb += gb + weight_decay * b
-        b -= lr * vb
-
-
-def sgd_step(stack: EncoderStack, grads: StackGrads, opt: OptimizerState) -> EncoderStack:
+def sgd_step(stack: EncoderStack, grads: EncoderStack,
+             opt: OptimizerState) -> EncoderStack:
     """v <- momentum*v + grad + wd*param; param <- param - lr*v. In place."""
-    _sgd_mlp(stack.encoder, grads.encoder, opt.buffers.encoder,
-             opt.lr, opt.momentum, opt.weight_decay)
-    _sgd_mlp(stack.projector, grads.projector, opt.buffers.projector,
-             opt.lr, opt.momentum, opt.weight_decay)
-    _sgd_mlp(stack.predictor, grads.predictor, opt.buffers.predictor,
-             opt.lr, opt.momentum, opt.weight_decay)
+    v = opt.buffers.flat
+    v *= opt.momentum
+    v += grads.flat + opt.weight_decay * stack.flat
+    stack.flat -= opt.lr * v
     return stack
 
 
 def ema_update(target: TargetNetwork, online: EncoderStack) -> TargetNetwork:
     """target <- m*target + (1-m)*online for encoder and projector params."""
+    if target.layout != online.layout[:2]:
+        raise ShapeMismatch("target/online layouts differ")
     m = target.ema_momentum
-    for tp, op in ((target.encoder, online.encoder),
-                   (target.projector, online.projector)):
-        if len(tp.weights) != len(op.weights):
-            raise ShapeMismatch("target/online layer counts differ")
-        for tw, ow in zip(tp.weights, op.weights):
-            if tw.shape != ow.shape:
-                raise ShapeMismatch("target/online weight shapes differ")
-            tw *= m
-            tw += (1.0 - m) * ow
-        for tb, ob in zip(tp.biases, op.biases):
-            tb *= m
-            tb += (1.0 - m) * ob
+    target.flat *= m
+    target.flat += (1.0 - m) * online.flat[:target.flat.size]
     return target
 
 
@@ -307,56 +299,24 @@ def target_forward(target: TargetNetwork, x: np.ndarray) -> np.ndarray:
 
 
 def snapshot_frozen(stack: EncoderStack) -> FrozenStack:
-    """Deep copy; later training of the live stack never touches the snapshot."""
-    return copy.deepcopy(stack)
+    """Independent copy; later training of the live stack never touches it."""
+    return stack.clone()
 
 
 def stack_bytes(stack: EncoderStack) -> bytes:
-    """Canonical byte serialization (shape table + raw little-endian floats).
+    """Canonical byte serialization: per MLP a u32 layer count, then per
+    layer u32 out, u32 in and the weight and bias as little-endian doubles.
 
-    Used for isolation checks and determinism hashing; the on-disk checkpoint
-    format in :mod:`cssl.datastore` embeds the same payload.
+    This is the checkpoint payload of :mod:`cssl.datastore`; tests also use
+    it for isolation checks and determinism hashing.
     """
     chunks: list[bytes] = []
-    for mlp in (stack.encoder, stack.projector, stack.predictor):
-        chunks.append(np.uint32(len(mlp.weights)).tobytes())
-        for w, b in zip(mlp.weights, mlp.biases):
-            chunks.append(np.uint32(w.shape[0]).tobytes())
-            chunks.append(np.uint32(w.shape[1]).tobytes())
-            chunks.append(w.astype("<f8").tobytes())
-            chunks.append(b.astype("<f8").tobytes())
-    return b"".join(chunks)
-
-
-def get_flat_params(stack: EncoderStack) -> np.ndarray:
-    """All parameters as one vector (encoder, projector, predictor order)."""
-    parts = []
-    for mlp in (stack.encoder, stack.projector, stack.predictor):
-        for w, b in zip(mlp.weights, mlp.biases):
-            parts.append(w.ravel())
-            parts.append(b.ravel())
-    return np.concatenate(parts)
-
-
-def set_flat_params(stack: EncoderStack, vec: np.ndarray) -> None:
-    """Inverse of :func:`get_flat_params`; writes into the existing arrays."""
     pos = 0
-    for mlp in (stack.encoder, stack.projector, stack.predictor):
-        for w, b in zip(mlp.weights, mlp.biases):
-            n = w.size
-            w[...] = vec[pos:pos + n].reshape(w.shape)
+    for shapes in stack.layout:
+        chunks.append(struct.pack("<I", len(shapes)))
+        for out_dim, in_dim in shapes:
+            n = out_dim * in_dim + out_dim
+            chunks.append(struct.pack("<II", out_dim, in_dim))
+            chunks.append(stack.flat[pos:pos + n].astype("<f8").tobytes())
             pos += n
-            n = b.size
-            b[...] = vec[pos:pos + n]
-            pos += n
-    if pos != vec.size:
-        raise ShapeMismatch(f"flat vector length {vec.size}, stack needs {pos}")
-
-
-def flat_grads(grads: StackGrads) -> np.ndarray:
-    parts = []
-    for mlp in (grads.encoder, grads.projector, grads.predictor):
-        for w, b in zip(mlp.weights, mlp.biases):
-            parts.append(w.ravel())
-            parts.append(b.ravel())
-    return np.concatenate(parts)
+    return b"".join(chunks)

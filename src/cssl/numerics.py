@@ -78,25 +78,6 @@ def row_l2_normalize_backward(raw: np.ndarray, grad_normalized: np.ndarray) -> n
     return (grad_normalized - y * inner) / norms
 
 
-def pairwise_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """All pairwise dot products: out[i, j] = a[i] . b[j]."""
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise ShapeMismatch(f"pairwise_dot: {a.shape} vs {b.shape}")
-    return a @ b.T
-
-
-def logsumexp(v) -> float:
-    """log(sum(exp(v))) with max-shift; exact for a single element."""
-    v = np.asarray(v, dtype=np.float64).ravel()
-    if v.size == 0:
-        raise EmptyInput("logsumexp of empty vector")
-    check_finite(v, "logsumexp input")
-    if v.size == 1:
-        return float(v[0])
-    m = float(np.max(v))
-    return m + float(np.log(np.sum(np.exp(v - m))))
-
-
 def logsumexp_rows(m: np.ndarray) -> np.ndarray:
     """Row-wise logsumexp for matrices; tolerates -inf entries (masked columns)."""
     if m.shape[1] == 0:

@@ -8,7 +8,12 @@ import pytest
 import yaml
 
 from cssl.cli import cli_main
-from cssl.config import DEFAULT_CONFIG_YAML, load_config, parse_config
+from cssl.config import (
+    DEFAULT_CONFIG_YAML,
+    ExperimentConfig,
+    load_config,
+    parse_config,
+)
 from cssl.errors import ConfigError
 
 FAST_CONFIG = """\
@@ -38,6 +43,7 @@ class TestConfigParsing:
         cfg = parse_config({})
         assert cfg.scenario == "class_il"
         assert cfg.train.epochs_per_task == 100
+        assert cfg == ExperimentConfig()
 
     @pytest.mark.parametrize("patch,field", [
         ({"scenario": "bogus"}, "scenario"),
@@ -57,6 +63,7 @@ class TestConfigParsing:
         ({"probe": {"train_fraction": 1.5}}, "probe"),
         ({"typo_section": {}}, "typo_section"),
         ({"loss": {"lambda_cassle": -3.0}}, "loss"),
+        ({"augment": {"dropout_p": 1.0}}, "augment"),
     ])
     def test_invalid_fields_named(self, patch, field):
         raw = yaml.safe_load(DEFAULT_CONFIG_YAML)

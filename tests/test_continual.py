@@ -13,7 +13,7 @@ from cssl.continual import (
     build_class_il,
     build_data_il,
     build_domain_il,
-    domain_transforms,
+    random_orthogonal,
     run_sequence,
     train_task,
     two_views,
@@ -99,12 +99,12 @@ class TestDomainIl:
         np.testing.assert_array_equal(stream.tasks[0].y, ds.y)
 
     def test_rotations_orthogonal_and_norm_preserving(self):
-        ds = toy_dataset()
-        transforms = domain_transforms(ds, 4, seed=11)
-        x = Rng(2).gaussian_matrix(5, ds.input_dim)
-        for rot, _bias in transforms:
+        d = toy_dataset().input_dim
+        x = Rng(2).gaussian_matrix(5, d)
+        for k in range(1, 4):
+            rot = random_orthogonal(Rng(11).derive(f"domain-{k}"), d)
             gram = rot.T @ rot
-            assert np.max(np.abs(gram - np.eye(ds.input_dim))) < 1e-10
+            assert np.max(np.abs(gram - np.eye(d))) < 1e-10
             before = np.linalg.norm(x, axis=1)
             after = np.linalg.norm(x @ rot.T, axis=1)
             assert np.max(np.abs(before - after)) < 1e-12
@@ -138,10 +138,10 @@ class TestTwoViews:
         xa, xb = two_views(x, AugmentConfig(0.3, 0.0, (1.0, 1.0)), Rng(7))
         assert np.max(np.abs(xa - xb)) > 1e-6
 
-    def test_full_dropout_zeroes_everything(self):
-        x = Rng(1).gaussian_matrix(4, 6)
-        xa, xb = two_views(x, AugmentConfig(0.0, 1.0, (1.0, 1.0)), Rng(7))
-        assert np.all(xa == 0.0) and np.all(xb == 0.0)
+    def test_full_dropout_rejected(self):
+        # dropout_p = 1 would zero every coordinate; normalization then fails.
+        with pytest.raises(ValueError, match="dropout_p"):
+            AugmentConfig(0.0, 1.0, (1.0, 1.0))
 
 
 class TestTrainTask:

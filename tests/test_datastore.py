@@ -1,5 +1,7 @@
 """Synthetic generation, binary round-trips, checksums, report writers."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,8 @@ from cssl.datastore import (
     save_dataset,
 )
 from cssl.errors import BadMagic, ChecksumFail, RejectionExhausted, TruncatedFile
-from cssl.evaluate import AccuracyMatrix
-from cssl.model import init_stack, stack_bytes
+from cssl.evaluate import AccuracyMatrix, ProbeConfig, linear_probe
+from cssl.model import EncoderStack, MlpParams, init_stack, stack_bytes
 from cssl.numerics import Rng
 
 
@@ -49,9 +51,8 @@ class TestGenSynthetic:
             gen_synthetic(500, 2, 1, 1.0, 0.0, seed=1)
 
     def test_separability_oracle(self):
-        from cssl.evaluate import knn_probe
         ds = gen_synthetic(10, 32, 200, 1.0, 0.3, seed=42)
-        assert knn_probe(ds.x, ds.y, k=1) >= 0.95
+        assert linear_probe(ds.x, ds.y, ProbeConfig(), Rng(1)) >= 0.95
 
 
 class TestDatasetFile:
@@ -104,6 +105,26 @@ class TestCheckpointFile:
         path2 = tmp_path / "s2.ckpt"
         save_checkpoint(loaded, str(path2))
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_format_pinned(self, tmp_path):
+        # Exactly representable values, so the bytes need no platform libm.
+        def mlp(weights, biases):
+            return MlpParams([np.array(w, dtype=np.float64) for w in weights],
+                             [np.array(b, dtype=np.float64) for b in biases])
+
+        stack = EncoderStack(
+            mlp([[[1, 2], [3, 4], [5, 6]], [[1, 0, -1]]], [[0.5, -0.5, 0], [2]]),
+            mlp([[[3]]], [[-1]]),
+            mlp([[[0.25]]], [[0]]))
+        path = tmp_path / "pin.ckpt"
+        save_checkpoint(stack, str(path))
+        raw = path.read_bytes()
+        assert len(raw) == 200
+        assert hashlib.sha256(raw).hexdigest() == (
+            "cf909a038e919401b94717730b359f4c99b091b291614cd6648b1236cb5f6598")
+        path2 = tmp_path / "pin2.ckpt"
+        save_checkpoint(load_checkpoint(str(path)), str(path2))
+        assert path2.read_bytes() == raw
 
     def test_corruption_detected(self, tmp_path):
         stack = init_stack(Rng(4), [4, 4], [4, 4], [4, 4])

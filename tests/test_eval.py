@@ -17,7 +17,6 @@ from cssl.evaluate import (
     ProbeConfig,
     avg_accuracy,
     fill_accuracy_matrix,
-    knn_probe,
     linear_probe,
     plasticity,
     stability,
@@ -77,20 +76,9 @@ class TestLinearProbe:
         b = linear_probe(x[:, perm], y, ProbeConfig(), Rng(8))
         assert a == b
 
-
-class TestKnnProbe:
-    def test_perfect_on_separated(self):
-        # angularly separated clusters (cosine metric needs off-origin blobs)
-        rng = Rng(3)
-        a = rng.gaussian_matrix(100, 2) * 0.5 + np.array([8.0, 0.0])
-        b = rng.gaussian_matrix(100, 2) * 0.5 + np.array([0.0, 8.0])
-        x = np.vstack([a, b])
-        y = np.array([0] * 100 + [1] * 100)
-        assert knn_probe(x, y, k=5) >= 0.99
-
     def test_generator_separability_example(self):
         ds = gen_synthetic(10, 32, 200, 1.0, 0.3, seed=42)
-        assert knn_probe(ds.x, ds.y, k=1) >= 0.95
+        assert linear_probe(ds.x, ds.y, ProbeConfig(), Rng(1)) >= 0.95
 
 
 class TestAccuracyMatrix:

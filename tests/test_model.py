@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from cssl.errors import BadDims
+from cssl.errors import BadDims, NonFiniteEvaluation
 from cssl.model import (
     EncoderStack,
     MlpParams,
@@ -13,17 +13,13 @@ from cssl.model import (
     TargetNetwork,
     backward,
     ema_update,
-    flat_grads,
     forward,
-    get_flat_params,
     init_mlp,
     init_stack,
-    set_flat_params,
     sgd_step,
     snapshot_frozen,
     stack_bytes,
     target_forward,
-    zero_grads_like,
 )
 from cssl.numerics import Rng, finite_difference_gradient
 
@@ -32,6 +28,16 @@ DIMS = ([8, 16, 8], [8, 8], [8, 8])
 
 def small_stack(seed=1):
     return init_stack(Rng(seed), *DIMS)
+
+
+def zeros_like(stack):
+    return stack.like(np.zeros_like(stack.flat))
+
+
+def scalar_stack(w):
+    """1-d encoder weight ``w``; identity projector and predictor."""
+    one = MlpParams([np.eye(1)], [np.zeros(1)])
+    return EncoderStack(MlpParams([np.array([[w]])], [np.zeros(1)]), one, one)
 
 
 class TestInit:
@@ -46,6 +52,12 @@ class TestInit:
     def test_chain_violation(self):
         with pytest.raises(BadDims):
             init_stack(Rng(1), [8, 16, 8], [4, 8], [8, 8])
+
+    def test_non_finite_rejected(self):
+        bad = MlpParams([np.array([[np.nan]])], [np.zeros(1)])
+        one = MlpParams([np.eye(1)], [np.zeros(1)])
+        with pytest.raises(NonFiniteEvaluation):
+            EncoderStack(bad, one, one)
 
     def test_he_variance(self):
         p = init_mlp(Rng(3), [100, 100])
@@ -67,7 +79,7 @@ class TestForward:
 
     def test_identity_single_layers(self):
         eye = MlpParams([np.eye(8)], [np.zeros(8)])
-        stack = EncoderStack(eye.clone(), eye.clone(), eye.clone())
+        stack = EncoderStack(eye, eye, eye)
         x = Rng(4).gaussian_matrix(5, 8)
         out = forward(stack, x, want_pred=True)
         np.testing.assert_array_equal(out.proj, x)
@@ -113,7 +125,8 @@ class TestBackward:
         stack = small_stack(11)
         x = Rng(12).gaussian_matrix(4, 8)
         g = backward(stack, x, np.zeros((4, 8)), np.zeros((4, 8)))
-        assert np.all(flat_grads(g) == 0.0)
+        assert g.layout == stack.layout
+        assert np.all(g.flat == 0.0)
 
     def test_single_linear_layer_structure(self):
         # proj = W x: dL/dW = G^T x for upstream G, hand-checked on 2x2.
@@ -138,31 +151,29 @@ class TestBackward:
         x = Rng(15).gaussian_matrix(4, 8)
 
         def loss_of_params(theta):
-            set_flat_params(stack, theta)
+            stack.flat[...] = theta
             out = forward(stack, x, want_pred=True)
             return float(np.sum((out.pred - frozen_target) ** 2)
                          + np.sum(out.proj ** 2))
 
-        theta0 = get_flat_params(stack)
+        theta0 = stack.flat.copy()
         fd = finite_difference_gradient(
             lambda v: loss_of_params(v.ravel()), theta0.reshape(1, -1))
-        set_flat_params(stack, theta0)
+        stack.flat[...] = theta0
         out = forward(stack, x, want_pred=True)
         grads = backward(stack, x, 2.0 * out.proj,
                          2.0 * (out.pred - frozen_target), fwd=out)
-        analytic = flat_grads(grads)
+        analytic = grads.flat
         scale = max(float(np.max(np.abs(fd))), 1e-10)
         assert float(np.max(np.abs(analytic - fd.ravel()))) / scale < 1e-6
 
 
 class TestSgd:
     def test_basic_step(self):
-        enc = MlpParams([np.zeros((1, 1))], [np.zeros(1)])
-        stack = EncoderStack(enc, MlpParams([np.eye(1)], [np.zeros(1)]),
-                             MlpParams([np.eye(1)], [np.zeros(1)]))
+        stack = scalar_stack(0.0)
         opt = OptimizerState.for_stack(stack, lr=0.1, momentum=0.0,
                                        weight_decay=0.0)
-        g = zero_grads_like(stack)
+        g = zeros_like(stack)
         g.encoder.weights[0][...] = 1.0
         sgd_step(stack, g, opt)
         assert stack.encoder.weights[0][0, 0] == pytest.approx(-0.1)
@@ -173,18 +184,16 @@ class TestSgd:
         opt = OptimizerState.for_stack(stack, lr=0.5, momentum=0.9,
                                        weight_decay=0.0)
         for _ in range(3):
-            sgd_step(stack, zero_grads_like(stack), opt)
+            sgd_step(stack, zeros_like(stack), opt)
         assert stack_bytes(stack) == before
 
     def test_momentum_matches_scalar_recurrence(self):
-        enc = MlpParams([np.array([[2.0]])], [np.zeros(1)])
-        stack = EncoderStack(enc, MlpParams([np.eye(1)], [np.zeros(1)]),
-                             MlpParams([np.eye(1)], [np.zeros(1)]))
+        stack = scalar_stack(2.0)
         lr, mom, wd, grad = 0.1, 0.9, 0.01, 0.7
         opt = OptimizerState.for_stack(stack, lr, mom, wd)
         p, v = 2.0, 0.0
         for _ in range(2):
-            g = zero_grads_like(stack)
+            g = zeros_like(stack)
             g.encoder.weights[0][...] = grad
             sgd_step(stack, g, opt)
             v = mom * v + grad + wd * p
@@ -194,17 +203,17 @@ class TestSgd:
 
 class TestEma:
     def test_m_zero_copies_online(self):
-        online, shadow = small_stack(17), small_stack(18)
-        target = TargetNetwork(shadow.encoder, shadow.projector, 0.0)
+        online = small_stack(17)
+        target = TargetNetwork.from_online(small_stack(18), 0.0)
         ema_update(target, online)
         np.testing.assert_array_equal(target.encoder.weights[0],
                                       online.encoder.weights[0])
 
     def test_m_one_would_freeze(self):
         # ema_momentum must be < 1 at construction; emulate via manual value
-        online, shadow = small_stack(19), small_stack(20)
-        before = [w.copy() for w in shadow.encoder.weights]
-        target = TargetNetwork(shadow.encoder, shadow.projector, 0.0)
+        online = small_stack(19)
+        target = TargetNetwork.from_online(small_stack(20), 0.0)
+        before = [w.copy() for w in target.encoder.weights]
         target.ema_momentum = 1.0
         ema_update(target, online)
         for w0, w1 in zip(before, target.encoder.weights):
@@ -260,9 +269,24 @@ class TestSnapshot:
         snap = snapshot_frozen(stack)
         # train the live stack, then replay through the snapshot
         opt = OptimizerState.for_stack(stack, 0.2, 0.9, 0.0)
-        g = zero_grads_like(stack)
+        g = zeros_like(stack)
         for w in g.encoder.weights:
             w[...] = 0.3
         sgd_step(stack, g, opt)
         np.testing.assert_array_equal(forward(snap, x, want_pred=True).pred,
                                       want)
+
+    def test_views_share_the_flat_vector_and_copies_share_nothing(self):
+        stack = small_stack(32)
+        stack.encoder.weights[0][1, 2] = 7.5  # the first weight is 16 x 8
+        assert stack.flat[1 * 8 + 2] == 7.5
+        stack.predictor.biases[-1][-1] = -2.5
+        assert stack.flat[-1] == -2.5
+        for other in (snapshot_frozen(stack), stack.clone(),
+                      TargetNetwork.from_online(stack, 0.9)):
+            assert not np.shares_memory(other.flat, stack.flat)
+            for mine, theirs in zip((other.encoder, other.projector),
+                                    (stack.encoder, stack.projector)):
+                for a, b in zip(mine.weights + mine.biases,
+                                theirs.weights + theirs.biases):
+                    assert not np.shares_memory(a, b)

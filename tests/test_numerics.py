@@ -1,4 +1,4 @@
-"""Numerics module: normalization, dots, logsumexp, FD oracle, RNG."""
+"""Numerics module: normalization, logsumexp, FD oracle, RNG."""
 
 import numpy as np
 import pytest
@@ -11,8 +11,7 @@ from cssl.numerics import (
     as_matrix,
     finite_difference_gradient,
     fnv1a64,
-    logsumexp,
-    pairwise_dot,
+    logsumexp_rows,
     row_l2_normalize,
     row_l2_normalize_backward,
     row_norms,
@@ -67,58 +66,32 @@ class TestRowNormalize:
         assert np.max(np.abs(analytic - fd)) < 1e-8
 
 
-class TestPairwiseDot:
-    def test_identity_rows(self):
-        eye = np.eye(3)
-        np.testing.assert_array_equal(pairwise_dot(eye, eye), np.eye(3))
-
-    def test_orthogonal(self):
-        out = pairwise_dot(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))
-        np.testing.assert_array_equal(out, [[0.0]])
-
-    def test_matches_triple_loop(self):
-        rng = Rng(23)
-        a = rng.gaussian_matrix(3, 5)
-        b = rng.gaussian_matrix(4, 5)
-        got = pairwise_dot(a, b)
-        want = np.zeros((3, 4))
-        for i in range(3):
-            for j in range(4):
-                for k in range(5):
-                    want[i, j] += a[i, k] * b[j, k]
-        np.testing.assert_allclose(got, want, atol=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            pairwise_dot(np.zeros((2, 3)), np.zeros((2, 4)))
-
-    def test_self_dot_symmetric_unit_diag(self):
-        a = row_l2_normalize(Rng(2).gaussian_matrix(6, 4))
-        s = pairwise_dot(a, a)
-        np.testing.assert_allclose(s, s.T, atol=1e-12)
-        np.testing.assert_allclose(np.diag(s), 1.0, atol=1e-12)
-
-
 class TestLogsumexp:
+    """The row-wise logsumexp on single rows."""
+
+    @staticmethod
+    def lse(values) -> float:
+        return float(logsumexp_rows(np.array([values], dtype=np.float64))[0])
+
     def test_two_zeros(self):
-        assert logsumexp([0.0, 0.0]) == pytest.approx(np.log(2), abs=1e-15)
+        assert self.lse([0.0, 0.0]) == pytest.approx(np.log(2), abs=1e-15)
 
     def test_single_element_exact(self):
         for x in (-3.5, 0.0, 1234.5678):
-            assert logsumexp([x]) == x
+            assert self.lse([x]) == x
 
     def test_no_overflow(self):
-        assert logsumexp([1000.0, 1000.0]) == pytest.approx(
+        assert self.lse([1000.0, 1000.0]) == pytest.approx(
             1000.0 + np.log(2), abs=1e-12)
 
     def test_empty_raises(self):
         with pytest.raises(EmptyInput):
-            logsumexp([])
+            logsumexp_rows(np.zeros((1, 0)))
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=30))
     def test_bounds(self, vals):
-        out = logsumexp(vals)
+        out = self.lse(vals)
         assert out >= max(vals) - 1e-12
         assert out <= max(vals) + np.log(len(vals)) + 1e-12
 

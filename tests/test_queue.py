@@ -73,13 +73,6 @@ class TestBasics:
         q.enqueue(batch)
         np.testing.assert_array_equal(q.snapshot(), batch[-3:])
 
-    def test_clear(self):
-        q = EmbeddingQueue(4, 2)
-        q.enqueue(unit_batch(Rng(6), 3, 2))
-        q.clear()
-        assert len(q) == 0
-        assert q.snapshot().shape == (0, 2)
-
 
 class TestAgainstReference:
     @settings(max_examples=60, deadline=None)
