@@ -1,71 +1,26 @@
-"""Experiment configuration: YAML schema, validation, defaults.
+"""Experiment configuration: the YAML schema, its parser and its default file.
 
-Every invalid field raises ConfigError naming the offending key; parsing
-never crashes with a bare traceback. The documented schema (see README and
-:data:`DEFAULT_CONFIG_YAML`) is normative; unknown keys are rejected so that
-typos fail loudly.
+The config dataclasses are the schema: their field defaults are the only
+defaults, and their ``__post_init__`` checks are the only range and
+cross-field checks. :data:`SECTIONS` maps each YAML section to the dataclass
+and the field names it sets; :func:`parse_config` walks that table and
+:data:`DEFAULT_CONFIG_YAML` is generated from it. Every invalid field raises
+ConfigError naming the offending key; unknown keys are rejected so that typos
+fail loudly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import enum
+import math
+from dataclasses import MISSING, dataclass, field, replace
 
 import yaml
 
 from .continual import AugmentConfig, Scenario, TrainConfig
 from .errors import ConfigError
 from .evaluate import ProbeConfig
-from .losses import Method, PnrConfig, Regime
-
-DEFAULT_CONFIG_YAML = """\
-# Continual SSL experiment configuration (all keys shown with defaults).
-scenario: class_il          # class_il | data_il | domain_il
-num_tasks: 5
-seeds: [1, 2, 3]            # one full run per seed
-
-dataset:
-  classes: 10
-  input_dim: 32
-  samples_per_class: 200
-  radius: 1.0
-  sigma: 2.0                # noise norm as a fraction of radius
-
-model:
-  encoder_dims: [32, 32, 8]
-  projector_dims: [8, 8]
-  predictor_dims: [8, 8]
-
-augment:
-  noise_std: 0.5
-  dropout_p: 0.3
-  scale_range: [0.6, 1.4]
-
-train:
-  epochs_per_task: 100
-  batch_size: 64
-  lr: 0.05
-  momentum: 0.9
-  weight_decay: 5.0e-3
-  ema_momentum: 0.99        # BYOL target update
-  queue_capacity: 1024      # MoCo queues
-
-loss:
-  method: simclr            # simclr | moco | byol | vicreg | barlow
-  regime: pnr               # ft | cassle | pnr
-  tau: 0.2
-  lambda_pnr: null          # null = per-method default (byol 0.5, vicreg 23, barlow 1)
-  lambda_cassle: 25.0       # VICReg distillation weight
-  barlow_lambda: 0.005
-  vicreg_sim: 25.0
-  vicreg_var: 25.0
-  vicreg_cov: 1.0
-
-probe:
-  epochs: 500
-  lr: 0.5
-  l2_penalty: 1.0e-4
-  train_fraction: 0.8
-"""
+from .losses import DEFAULT_LAMBDA_PNR, Method, PnrConfig, Regime
 
 
 @dataclass
@@ -75,6 +30,15 @@ class DatasetParams:
     samples_per_class: int = 200
     radius: float = 1.0
     sigma: float = 2.0
+
+    def __post_init__(self):
+        for name in ("input_dim", "samples_per_class", "radius"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        if self.classes < 2:
+            raise ValueError("classes must be >= 2")
+        if self.sigma < 0:
+            raise ValueError("sigma must be non-negative")
 
 
 @dataclass
@@ -86,168 +50,165 @@ class ExperimentConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     probe: ProbeConfig = field(default_factory=ProbeConfig)
 
+    def __post_init__(self):
+        if self.scenario not in Scenario.ALL:
+            raise ValueError(f"scenario {self.scenario!r} is not one of "
+                             f"{' | '.join(Scenario.ALL)}")
+        if self.num_tasks < 1:
+            raise ValueError("num_tasks must be >= 1")
+        if not self.seeds:
+            raise ValueError("seeds must be a non-empty list")
+        if self.train.encoder_dims[0] != self.dataset.input_dim:
+            raise ValueError(
+                f"model.encoder_dims: first dim {self.train.encoder_dims[0]} "
+                f"must equal dataset.input_dim {self.dataset.input_dim}")
+        if (self.scenario == Scenario.CLASS_IL
+                and self.dataset.classes % self.num_tasks != 0):
+            raise ValueError(f"num_tasks: {self.dataset.classes} classes not "
+                             f"divisible by {self.num_tasks}")
+
     def train_for_seed(self, seed: int) -> TrainConfig:
-        from dataclasses import replace
         return replace(self.train, seed=seed)
 
 
-def _require(mapping: dict, context: str, known: set[str]) -> None:
-    for key in mapping:
-        if key not in known:
-            raise ConfigError(f"{context}: unknown key {key!r}")
+# YAML section ("" is the top level) -> the dataclass and the fields it sets.
+SECTIONS: dict[str, tuple[type, tuple[str, ...]]] = {
+    "": (ExperimentConfig, ("scenario", "num_tasks", "seeds")),
+    "dataset": (DatasetParams, ("classes", "input_dim", "samples_per_class",
+                                "radius", "sigma")),
+    "model": (TrainConfig, ("encoder_dims", "projector_dims",
+                            "predictor_dims")),
+    "augment": (AugmentConfig, ("noise_std", "dropout_p", "scale_range")),
+    "train": (TrainConfig, ("epochs_per_task", "batch_size", "lr", "momentum",
+                            "weight_decay", "ema_momentum", "queue_capacity")),
+    "loss": (PnrConfig, ("method", "regime", "tau", "lambda_pnr",
+                         "lambda_cassle", "barlow_lambda", "vicreg_sim",
+                         "vicreg_var", "vicreg_cov")),
+    "probe": (ProbeConfig, ("epochs", "lr", "l2_penalty", "train_fraction")),
+}
 
 
-def _get(mapping: dict, key: str, kind, default, context: str):
-    if key not in mapping or mapping[key] is None:
-        return default
-    value = mapping[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise ConfigError(f"{context}.{key}: expected {kind.__name__}, "
-                          f"got {type(value).__name__}")
-    return value
+def _path(section: str, key: str) -> str:
+    return f"{section}.{key}" if section else key
 
 
-def _positive(value, key: str, context: str):
-    if value <= 0:
-        raise ConfigError(f"{context}.{key}: must be positive, got {value}")
-    return value
+def _field_default(cls: type, key: str):
+    f = cls.__dataclass_fields__[key]
+    return f.default if f.default_factory is MISSING else f.default_factory()
+
+
+def _type_error(path: str, expected: str, value) -> ConfigError:
+    return ConfigError(
+        f"{path}: expected {expected}, got {type(value).__name__}")
+
+
+def _coerce(value, default, path: str):
+    """``value`` checked against the type of the field default ``default``;
+    a ``None`` default stands for an optional float (``lambda_pnr``)."""
+    if isinstance(default, (list, tuple)):
+        if not isinstance(value, list):
+            raise _type_error(path, "a list", value)
+        return type(default)(_coerce(v, default[0], f"{path}[{i}]")
+                             for i, v in enumerate(value))
+    if isinstance(default, str):
+        if not isinstance(value, str):
+            raise _type_error(path, "a string", value)
+        if not isinstance(default, enum.Enum):
+            return value
+        choices = [m.value for m in type(default)]
+        if value not in choices:
+            raise ConfigError(f"{path}: {value!r} is not one of "
+                              f"{' | '.join(choices)}")
+        return type(default)(value)
+    if isinstance(default, int):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise _type_error(path, "an int", value)
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _type_error(path, "a float", value)
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}: must be finite, got {value}")
+    return float(value)
+
+
+def _build(cls: type, **kwargs):
+    """``cls(**kwargs)``. The dataclass checks start each message with the
+    name of the field at fault (``ExperimentConfig`` with its YAML path); a
+    failed check becomes a ConfigError that starts with that YAML path."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        key = str(exc).split()[0]
+        section = next((s for s, (owner, keys) in SECTIONS.items()
+                        if owner is cls and key in keys), "")
+        raise ConfigError(_path(section, str(exc))) from exc
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("top level: expected a mapping")
-    _require(raw, "top level", {"scenario", "num_tasks", "seeds", "dataset",
-                                "model", "augment", "train", "loss", "probe"})
+    values: dict[str, dict] = {}
+    for section, (cls, keys) in SECTIONS.items():
+        mapping = raw.get(section) if section else raw
+        mapping = {} if mapping is None else mapping
+        if not isinstance(mapping, dict):
+            raise ConfigError(f"{section}: expected a mapping")
+        known = set(keys) if section else set(keys) | set(SECTIONS) - {""}
+        for key in mapping:
+            if key not in known:
+                raise ConfigError(
+                    f"{section or 'top level'}: unknown key {key!r}")
+        # A missing or null key is left out, so the field default applies.
+        values[section] = {key: _coerce(mapping[key], _field_default(cls, key),
+                                        _path(section, key))
+                           for key in keys if mapping.get(key) is not None}
+    train = _build(TrainConfig, **values["model"], **values["train"],
+                   loss=_build(PnrConfig, **values["loss"]),
+                   augment=_build(AugmentConfig, **values["augment"]))
+    cfg = _build(ExperimentConfig, **values[""],
+                 dataset=_build(DatasetParams, **values["dataset"]),
+                 train=train, probe=_build(ProbeConfig, **values["probe"]))
+    cfg.train = cfg.train_for_seed(cfg.seeds[0])
+    return cfg
 
-    scenario = _get(raw, "scenario", str, Scenario.CLASS_IL, "top level")
-    if scenario not in Scenario.ALL:
-        raise ConfigError(f"scenario: {scenario!r} not one of {Scenario.ALL}")
-    num_tasks = _positive(_get(raw, "num_tasks", int, 5, "top level"),
-                          "num_tasks", "top level")
 
-    seeds = raw.get("seeds", [1, 2, 3])
-    if (not isinstance(seeds, list) or not seeds
-            or not all(isinstance(s, int) and not isinstance(s, bool)
-                       for s in seeds)):
-        raise ConfigError("seeds: expected a non-empty list of integers")
+# Comments that list a key's choices in the generated default file.
+_CHOICES = {
+    "scenario": " | ".join(Scenario.ALL),
+    "method": " | ".join(m.value for m in Method),
+    "regime": " | ".join(r.value for r in Regime),
+    "lambda_pnr": "null = per-method default (" + ", ".join(
+        f"{m} {lam:g}" for m, lam in DEFAULT_LAMBDA_PNR.items()) + ")",
+}
 
-    d = raw.get("dataset", {}) or {}
-    _require(d, "dataset", {"classes", "input_dim", "samples_per_class",
-                            "radius", "sigma"})
-    dataset = DatasetParams(
-        classes=_positive(_get(d, "classes", int, 10, "dataset"),
-                          "classes", "dataset"),
-        input_dim=_positive(_get(d, "input_dim", int, 32, "dataset"),
-                            "input_dim", "dataset"),
-        samples_per_class=_positive(
-            _get(d, "samples_per_class", int, 200, "dataset"),
-            "samples_per_class", "dataset"),
-        radius=_positive(_get(d, "radius", float, 1.0, "dataset"),
-                         "radius", "dataset"),
-        sigma=_get(d, "sigma", float, 2.0, "dataset"),
-    )
-    if dataset.sigma < 0:
-        raise ConfigError("dataset.sigma: must be non-negative")
-    if dataset.classes < 2:
-        raise ConfigError("dataset.classes: need at least 2 classes")
 
-    m = raw.get("model", {}) or {}
-    _require(m, "model", {"encoder_dims", "projector_dims", "predictor_dims"})
+def _yaml_value(value) -> str:
+    if isinstance(value, enum.Enum):
+        value = value.value
+    if isinstance(value, tuple):
+        value = list(value)
+    return yaml.safe_dump(value, default_flow_style=True).splitlines()[0]
 
-    def dims(key: str, default: list[int]) -> list[int]:
-        value = m.get(key, default)
-        if (not isinstance(value, list) or len(value) < 2
-                or not all(isinstance(v, int) and v >= 1 for v in value)):
-            raise ConfigError(f"model.{key}: expected a list of >=2 positive ints")
-        return value
 
-    encoder_dims = dims("encoder_dims", [32, 32, 8])
-    projector_dims = dims("projector_dims", [8, 8])
-    predictor_dims = dims("predictor_dims", [8, 8])
-    if encoder_dims[0] != dataset.input_dim:
-        raise ConfigError(
-            f"model.encoder_dims: first dim {encoder_dims[0]} must equal "
-            f"dataset.input_dim {dataset.input_dim}")
+def _default_config_yaml() -> str:
+    """Every key of :data:`SECTIONS` with its dataclass field default. Field
+    defaults, not a resolved instance: ``lambda_pnr`` stays ``null`` so that
+    it follows the per-method table when ``method`` is edited."""
+    lines = ["# Continual SSL experiment configuration "
+             "(all keys shown with defaults)."]
+    for section, (cls, keys) in SECTIONS.items():
+        if section:
+            lines += ["", f"{section}:"]
+        for key in keys:
+            line = (f"{'  ' if section else ''}{key}: "
+                    f"{_yaml_value(_field_default(cls, key))}")
+            if key in _CHOICES:
+                line = f"{line:<28}# {_CHOICES[key]}"
+            lines.append(line)
+    return "\n".join(lines) + "\n"
 
-    a = raw.get("augment", {}) or {}
-    _require(a, "augment", {"noise_std", "dropout_p", "scale_range"})
-    scale = a.get("scale_range", [0.6, 1.4])
-    if (not isinstance(scale, list) or len(scale) != 2
-            or not all(isinstance(v, (int, float)) for v in scale)):
-        raise ConfigError("augment.scale_range: expected [lo, hi]")
-    try:
-        augment = AugmentConfig(
-            noise_std=_get(a, "noise_std", float, 0.5, "augment"),
-            dropout_p=_get(a, "dropout_p", float, 0.3, "augment"),
-            scale_range=(float(scale[0]), float(scale[1])),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"augment: {exc}") from exc
 
-    lo = raw.get("loss", {}) or {}
-    _require(lo, "loss", {"method", "regime", "tau", "lambda_pnr",
-                          "lambda_cassle", "barlow_lambda", "vicreg_sim",
-                          "vicreg_var", "vicreg_cov"})
-    method = _get(lo, "method", str, "simclr", "loss")
-    regime = _get(lo, "regime", str, "pnr", "loss")
-    try:
-        loss = PnrConfig(
-            method=Method(method),
-            regime=Regime(regime),
-            tau=_positive(_get(lo, "tau", float, 0.2, "loss"), "tau", "loss"),
-            lambda_pnr=_get(lo, "lambda_pnr", float, None, "loss"),
-            lambda_cassle=_get(lo, "lambda_cassle", float, 25.0, "loss"),
-            barlow_lambda=_get(lo, "barlow_lambda", float, 5e-3, "loss"),
-            vicreg_sim=_get(lo, "vicreg_sim", float, 25.0, "loss"),
-            vicreg_var=_get(lo, "vicreg_var", float, 25.0, "loss"),
-            vicreg_cov=_get(lo, "vicreg_cov", float, 1.0, "loss"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"loss: {exc}") from exc
-
-    t = raw.get("train", {}) or {}
-    _require(t, "train", {"epochs_per_task", "batch_size", "lr", "momentum",
-                          "weight_decay", "ema_momentum", "queue_capacity"})
-    try:
-        train = TrainConfig(
-            epochs_per_task=_get(t, "epochs_per_task", int, 100, "train"),
-            batch_size=_get(t, "batch_size", int, 64, "train"),
-            lr=_get(t, "lr", float, 0.05, "train"),
-            momentum=_get(t, "momentum", float, 0.9, "train"),
-            weight_decay=_get(t, "weight_decay", float, 5e-3, "train"),
-            ema_momentum=_get(t, "ema_momentum", float, 0.99, "train"),
-            seed=seeds[0],
-            loss=loss,
-            augment=augment,
-            encoder_dims=encoder_dims,
-            projector_dims=projector_dims,
-            predictor_dims=predictor_dims,
-            queue_capacity=_get(t, "queue_capacity", int, 1024, "train"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"train: {exc}") from exc
-
-    p = raw.get("probe", {}) or {}
-    _require(p, "probe", {"epochs", "lr", "l2_penalty", "train_fraction"})
-    try:
-        probe = ProbeConfig(
-            epochs=_get(p, "epochs", int, 500, "probe"),
-            lr=_get(p, "lr", float, 0.5, "probe"),
-            l2_penalty=_get(p, "l2_penalty", float, 1e-4, "probe"),
-            train_fraction=_get(p, "train_fraction", float, 0.8, "probe"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"probe: {exc}") from exc
-
-    if scenario == Scenario.CLASS_IL and dataset.classes % num_tasks != 0:
-        raise ConfigError(
-            f"num_tasks: {dataset.classes} classes not divisible by {num_tasks}")
-
-    return ExperimentConfig(scenario=scenario, num_tasks=num_tasks,
-                            seeds=list(seeds), dataset=dataset, train=train,
-                            probe=probe)
+DEFAULT_CONFIG_YAML = _default_config_yaml()
 
 
 def load_config(path: str) -> ExperimentConfig:

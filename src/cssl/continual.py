@@ -134,9 +134,9 @@ class AugmentConfig:
     scale_range: tuple[float, float] = (0.6, 1.4)
 
     def __post_init__(self):
-        lo, hi = self.scale_range
-        if not (0.0 < lo <= hi):
-            raise ValueError("scale_range must satisfy 0 < lo <= hi")
+        if len(self.scale_range) != 2 or not (0.0 < self.scale_range[0]
+                                              <= self.scale_range[1]):
+            raise ValueError("scale_range must be [lo, hi] with 0 < lo <= hi")
         if not (0.0 <= self.dropout_p < 1.0):
             raise ValueError("dropout_p must be in [0, 1)")
         if self.noise_std < 0:
@@ -165,10 +165,24 @@ class TrainConfig:
         for name in ("epochs_per_task", "batch_size", "queue_capacity"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.lr < 0 or self.momentum < 0 or self.weight_decay < 0:
-            raise ValueError("optimizer settings must be non-negative")
+        for name in ("lr", "momentum", "weight_decay"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
         if not (0.0 <= self.ema_momentum < 1.0):
             raise ValueError("ema_momentum must be in [0, 1)")
+        for name in ("encoder_dims", "projector_dims", "predictor_dims"):
+            dims = getattr(self, name)
+            if len(dims) < 2 or not all(isinstance(n, int) and n >= 1
+                                        for n in dims):
+                raise ValueError(f"{name} must be a list of >= 2 positive "
+                                 f"ints, got {dims}")
+        if self.projector_dims[0] != self.encoder_dims[-1]:
+            raise ValueError(f"projector_dims must start at encoder_dims[-1] = "
+                             f"{self.encoder_dims[-1]}, got {self.projector_dims}")
+        d = self.projector_dims[-1]
+        if self.predictor_dims[0] != d or self.predictor_dims[-1] != d:
+            raise ValueError(f"predictor_dims must map projector_dims[-1] = {d} "
+                             f"to itself, got {self.predictor_dims}")
 
 
 @dataclass

@@ -43,7 +43,7 @@ from .errors import (
     VersionMismatch,
 )
 from .evaluate import AccuracyMatrix
-from .model import EncoderStack, MlpParams, stack_bytes
+from .model import EncoderStack, MlpParams
 from .numerics import Rng, fnv1a64
 
 DATASET_MAGIC = b"CSSLDAT\0"
@@ -152,6 +152,21 @@ def load_dataset(path: str) -> LabeledDataset:
     x = np.frombuffer(payload[:m * d * 8], dtype="<f8").reshape(m, d).copy()
     y = np.frombuffer(payload[m * d * 8:], dtype="<u4").astype(np.int64)
     return LabeledDataset(x, y, domain_id=None if domain == _NO_DOMAIN else domain)
+
+
+def stack_bytes(stack: EncoderStack) -> bytes:
+    """The checkpoint payload (see the module docstring); tests also use it
+    for isolation checks and determinism hashing."""
+    chunks: list[bytes] = []
+    pos = 0
+    for shapes in stack.layout:
+        chunks.append(struct.pack("<I", len(shapes)))
+        for out_dim, in_dim in shapes:
+            n = out_dim * in_dim + out_dim
+            chunks.append(struct.pack("<II", out_dim, in_dim))
+            chunks.append(stack.flat[pos:pos + n].astype("<f8").tobytes())
+            pos += n
+    return b"".join(chunks)
 
 
 def save_checkpoint(stack: EncoderStack, path: str) -> None:

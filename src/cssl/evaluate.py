@@ -40,8 +40,12 @@ class ProbeConfig:
     def __post_init__(self):
         if not (0.0 < self.train_fraction < 1.0):
             raise ValueError("train_fraction must be in (0, 1)")
-        if self.epochs < 1 or self.lr <= 0 or self.l2_penalty < 0:
-            raise ValueError("bad probe settings")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
+        if self.lr <= 0:
+            raise ValueError("lr must be positive")
+        if self.l2_penalty < 0:
+            raise ValueError("l2_penalty must be non-negative")
 
 
 @dataclass

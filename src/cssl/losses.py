@@ -113,8 +113,9 @@ class PnrConfig:
             raise ValueError("tau must be positive")
         if self.lambda_pnr is None:
             self.lambda_pnr = DEFAULT_LAMBDA_PNR.get(self.method.value, 0.0)
-        if self.lambda_pnr < 0 or self.lambda_cassle < 0:
-            raise ValueError("lambda weights must be non-negative")
+        for name in ("lambda_pnr", "lambda_cassle"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
 
 
 @dataclass

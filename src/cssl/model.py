@@ -7,7 +7,6 @@ except the last of each MLP; the subgradient at exactly zero is zero.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -301,22 +300,3 @@ def target_forward(target: TargetNetwork, x: np.ndarray) -> np.ndarray:
 def snapshot_frozen(stack: EncoderStack) -> FrozenStack:
     """Independent copy; later training of the live stack never touches it."""
     return stack.clone()
-
-
-def stack_bytes(stack: EncoderStack) -> bytes:
-    """Canonical byte serialization: per MLP a u32 layer count, then per
-    layer u32 out, u32 in and the weight and bias as little-endian doubles.
-
-    This is the checkpoint payload of :mod:`cssl.datastore`; tests also use
-    it for isolation checks and determinism hashing.
-    """
-    chunks: list[bytes] = []
-    pos = 0
-    for shapes in stack.layout:
-        chunks.append(struct.pack("<I", len(shapes)))
-        for out_dim, in_dim in shapes:
-            n = out_dim * in_dim + out_dim
-            chunks.append(struct.pack("<II", out_dim, in_dim))
-            chunks.append(stack.flat[pos:pos + n].astype("<f8").tobytes())
-            pos += n
-    return b"".join(chunks)

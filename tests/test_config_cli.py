@@ -10,11 +10,15 @@ import yaml
 from cssl.cli import cli_main
 from cssl.config import (
     DEFAULT_CONFIG_YAML,
+    SECTIONS,
     ExperimentConfig,
     load_config,
     parse_config,
 )
 from cssl.errors import ConfigError
+
+DEFAULT_FILE = os.path.join(os.path.dirname(__file__), "..", "configs",
+                            "default_class_il_5t.yaml")
 
 FAST_CONFIG = """\
 scenario: class_il
@@ -38,6 +42,23 @@ class TestConfigParsing:
         assert cfg.num_tasks == 5
         assert cfg.train.loss.tau == 0.2
         assert cfg.train.queue_capacity == 1024
+        assert cfg == ExperimentConfig()
+
+    def test_default_yaml_lists_every_key(self):
+        raw = yaml.safe_load(DEFAULT_CONFIG_YAML)
+        for section, (_cls, keys) in SECTIONS.items():
+            assert set(keys) <= set(raw[section] if section else raw)
+
+    def test_default_file_is_generated(self, capsys):
+        assert cli_main(["default-config"]) == 0
+        with open(DEFAULT_FILE, encoding="utf-8") as fh:
+            assert fh.read() == capsys.readouterr().out
+
+    def test_null_means_default(self):
+        raw = {"seeds": None, "dataset": None,
+               "model": dict.fromkeys(SECTIONS["model"][1]),
+               "augment": {"scale_range": None}, "loss": {"lambda_pnr": None}}
+        assert parse_config(raw) == ExperimentConfig()
 
     def test_empty_config_gets_defaults(self):
         cfg = parse_config({})
@@ -64,6 +85,12 @@ class TestConfigParsing:
         ({"typo_section": {}}, "typo_section"),
         ({"loss": {"lambda_cassle": -3.0}}, "loss"),
         ({"augment": {"dropout_p": 1.0}}, "augment"),
+        ({"probe": {"lr": float("nan")}}, "probe.lr"),
+        ({"dataset": {"sigma": float("inf")}}, "dataset.sigma"),
+        ({"train": {"lr": float("nan")}}, "train.lr"),
+        ({"augment": {"scale_range": [True, 2]}}, "scale_range"),
+        ({"model": {"projector_dims": [16, 8]}}, "projector_dims"),
+        ({"model": {"predictor_dims": [8, 4]}}, "predictor_dims"),
     ])
     def test_invalid_fields_named(self, patch, field):
         raw = yaml.safe_load(DEFAULT_CONFIG_YAML)
@@ -79,7 +106,6 @@ class TestConfigParsing:
     def test_lambda_default_resolution(self):
         raw = yaml.safe_load(DEFAULT_CONFIG_YAML)
         raw["loss"]["method"] = "vicreg"
-        raw["loss"]["lambda_pnr"] = None
         cfg = parse_config(raw)
         assert cfg.train.loss.lambda_pnr == 23.0
 

@@ -18,10 +18,10 @@ from cssl.continual import (
     train_task,
     two_views,
 )
-from cssl.datastore import gen_synthetic
+from cssl.datastore import gen_synthetic, stack_bytes
 from cssl.errors import IndivisibleClasses, TooFewSamples
 from cssl.losses import Method, PnrConfig, Regime
-from cssl.model import snapshot_frozen, stack_bytes
+from cssl.model import snapshot_frozen
 from cssl.numerics import Rng
 
 

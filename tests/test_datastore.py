@@ -14,10 +14,11 @@ from cssl.datastore import (
     metrics_json,
     save_checkpoint,
     save_dataset,
+    stack_bytes,
 )
 from cssl.errors import BadMagic, ChecksumFail, RejectionExhausted, TruncatedFile
 from cssl.evaluate import AccuracyMatrix, ProbeConfig, linear_probe
-from cssl.model import EncoderStack, MlpParams, init_stack, stack_bytes
+from cssl.model import EncoderStack, MlpParams, init_stack
 from cssl.numerics import Rng
 
 

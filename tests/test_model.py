@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from cssl.datastore import stack_bytes
 from cssl.errors import BadDims, NonFiniteEvaluation
 from cssl.model import (
     EncoderStack,
@@ -18,7 +19,6 @@ from cssl.model import (
     init_stack,
     sgd_step,
     snapshot_frozen,
-    stack_bytes,
     target_forward,
 )
 from cssl.numerics import Rng, finite_difference_gradient
