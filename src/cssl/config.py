@@ -66,6 +66,10 @@ class ExperimentConfig:
                 and self.dataset.classes % self.num_tasks != 0):
             raise ValueError(f"num_tasks: {self.dataset.classes} classes not "
                              f"divisible by {self.num_tasks}")
+        samples = self.dataset.classes * self.dataset.samples_per_class
+        if self.scenario == Scenario.DATA_IL and self.num_tasks > samples:
+            raise ValueError(f"num_tasks: {samples} samples cannot form "
+                             f"{self.num_tasks} tasks")
 
     def train_for_seed(self, seed: int) -> TrainConfig:
         return replace(self.train, seed=seed)

@@ -281,34 +281,32 @@ def _one_view(x: np.ndarray, cfg: AugmentConfig, rng: Rng) -> np.ndarray:
     return out
 
 
-def two_views(x: np.ndarray, cfg: AugmentConfig, rng: Rng
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """Two independent augmentations of the same batch."""
-    return _one_view(x, cfg, rng), _one_view(x, cfg, rng)
+def two_views(x: np.ndarray, cfg: AugmentConfig, rng: Rng) -> np.ndarray:
+    """Two independent augmentations of the same batch, stacked as one
+    2N-row batch: view A's rows, then view B's."""
+    return np.concatenate([_one_view(x, cfg, rng), _one_view(x, cfg, rng)])
 
 
 @dataclass
 class ViewEncodings:
-    """Everything the loss needs for one batch, plus backward caches."""
+    """Everything the loss needs for one batch, plus the backward cache."""
 
     views: ContrastiveViews
-    xA: np.ndarray
-    xB: np.ndarray
-    fwdA: ForwardResult
-    fwdB: ForwardResult
+    fwd: ForwardResult
 
 
 def _maybe_normalize(m: np.ndarray, normalized: bool) -> np.ndarray:
     return row_l2_normalize(m) if normalized else m
 
 
-def encode_views(stack: EncoderStack, xA: np.ndarray, xB: np.ndarray,
+def encode_views(stack: EncoderStack, x: np.ndarray,
                  frozen: FrozenStack | None, cfg: PnrConfig,
                  target: TargetNetwork | None = None,
-                 extra_neg_cur: np.ndarray | None = None,
-                 extra_neg_prev: np.ndarray | None = None) -> ViewEncodings:
-    """Forward both views through the live stack (and the frozen model and
-    EMA target where the method needs them) and package the loss inputs.
+                 queue_cur: np.ndarray | None = None,
+                 queue_prev: np.ndarray | None = None) -> ViewEncodings:
+    """Forward the stacked views once through the live stack (and once
+    through the frozen model and the EMA target where the method needs them)
+    and package the loss inputs.
 
     Contrastive methods and BYOL put embeddings on the unit sphere; VICReg
     and Barlow consume raw projections.
@@ -318,56 +316,37 @@ def encode_views(stack: EncoderStack, xA: np.ndarray, xB: np.ndarray,
     # The predictor feeds the distillation term (and BYOL's native loss);
     # plain fine-tuning of the other methods never reads it.
     need_pred = cfg.method == Method.BYOL or effective != Regime.FT
-    fwdA = forward(stack, xA, want_pred=need_pred)
-    fwdB = forward(stack, xB, want_pred=need_pred)
-    zA = _maybe_normalize(fwdA.proj, normalized)
-    zB = _maybe_normalize(fwdB.proj, normalized)
-    gA = _maybe_normalize(fwdA.pred, normalized) if need_pred else None
-    gB = _maybe_normalize(fwdB.pred, normalized) if need_pred else None
-    if frozen is not None:
-        zpA = _maybe_normalize(forward(frozen, xA).proj, normalized)
-        zpB = _maybe_normalize(forward(frozen, xB).proj, normalized)
-    else:
-        # Placeholder block; FT never reads it and sends no gradients there.
-        zpA = zA.copy()
-        zpB = zB.copy()
-    tA = tB = None
+    fwd = forward(stack, x, want_pred=need_pred)
+    z = _maybe_normalize(fwd.proj, normalized)
+    g = _maybe_normalize(fwd.pred, normalized) if need_pred else None
+    # Without a frozen model z stands in for z_prev: FT never reads it and
+    # sends no gradients there.
+    z_prev = (_maybe_normalize(forward(frozen, x).proj, normalized)
+              if frozen is not None else z)
+    z_target = None
     if cfg.method == Method.BYOL:
         if target is None:
             raise ValueError("BYOL training needs a target network")
-        tA = row_l2_normalize(target_forward(target, xA))
-        tB = row_l2_normalize(target_forward(target, xB))
-    views = ContrastiveViews(
-        zA_t=zA, zB_t=zB, zA_prev=zpA, zB_prev=zpB, gA_t=gA, gB_t=gB,
-        zA_target=tA, zB_target=tB,
-        extra_neg_cur=extra_neg_cur, extra_neg_prev=extra_neg_prev)
-    return ViewEncodings(views, xA, xB, fwdA, fwdB)
+        z_target = row_l2_normalize(target_forward(target, x))
+    views = ContrastiveViews(z, z_prev, g, z_target, queue_cur, queue_prev)
+    return ViewEncodings(views, fwd)
 
 
 def backprop_views(stack: EncoderStack, enc: ViewEncodings, cfg: PnrConfig,
                    res: LossResult) -> EncoderStack:
     """Chain loss gradients through normalization and the stack parameters."""
     normalized = cfg.method in CONTRASTIVE_METHODS or cfg.method == Method.BYOL
-    grads = None
-    for x, fwd, gz, gg in ((enc.xA, enc.fwdA, res.grad_zA_t, res.grad_gA_t),
-                           (enc.xB, enc.fwdB, res.grad_zB_t, res.grad_gB_t)):
-        grad_proj = grad_pred = None
-        if gz is not None:
-            grad_proj = (row_l2_normalize_backward(fwd.proj, gz)
-                         if normalized else gz)
-        if gg is not None:
-            grad_pred = (row_l2_normalize_backward(fwd.pred, gg)
-                         if normalized else gg)
-        if grad_proj is None and grad_pred is None:
-            continue
-        part = backward(stack, x, grad_proj, grad_pred, fwd=fwd)
-        if grads is None:
-            grads = part
-        else:
-            grads.flat += part.flat
-    if grads is None:
+    if res.grad_z is None and res.grad_g is None:
         raise ValueError("loss produced no gradients")
-    return grads
+    fwd = enc.fwd
+    grad_proj = grad_pred = None
+    if res.grad_z is not None:
+        grad_proj = (row_l2_normalize_backward(fwd.proj, res.grad_z)
+                     if normalized else res.grad_z)
+    if res.grad_g is not None:
+        grad_pred = (row_l2_normalize_backward(fwd.pred, res.grad_g)
+                     if normalized else res.grad_g)
+    return backward(stack, fwd, grad_proj, grad_pred)
 
 
 def _effective_cfg(cfg: PnrConfig, frozen: FrozenStack | None) -> PnrConfig:
@@ -403,30 +382,30 @@ def train_task(stack: EncoderStack, frozen_prev: FrozenStack | None,
     M = task.num_samples
     epoch_losses: list[float] = []
     steps = 0
-    for _epoch in range(cfg.epochs_per_task):
+    for epoch in range(1, cfg.epochs_per_task + 1):
         rng = Rng(epoch_seed)  # identical stream every epoch (see module doc)
         order = rng.permutation(M)
         batch_losses: list[float] = []
-        for lo in range(0, M, cfg.batch_size):
+        for step, lo in enumerate(range(0, M, cfg.batch_size), 1):
             idx = order[lo:lo + cfg.batch_size]
             if idx.size < 2 and method in (Method.VICREG, Method.BARLOW):
                 continue
-            xb = task.x[idx]
-            xA, xB = two_views(xb, cfg.augment, rng)
             enc = encode_views(
-                stack, xA, xB, frozen_prev, loss_cfg, target=target,
-                extra_neg_cur=(cur_queue.snapshot() if cur_queue else None),
-                extra_neg_prev=(prev_queue.snapshot() if prev_queue else None))
+                stack, two_views(task.x[idx], cfg.augment, rng), frozen_prev,
+                loss_cfg, target=target,
+                queue_cur=(cur_queue.snapshot() if cur_queue else None),
+                queue_prev=(prev_queue.snapshot() if prev_queue else None))
             res = total_loss(enc.views, loss_cfg)
             if not np.isfinite(res.value):
                 raise DivergenceDetected(
-                    f"loss {res.value} at task {task_index}")
+                    f"loss {res.value} at task {task_index}, epoch {epoch} "
+                    f"of {cfg.epochs_per_task}, step {step} of the epoch")
             grads = backprop_views(stack, enc, loss_cfg, res)
             sgd_step(stack, grads, opt)
             if method == Method.MOCO:
-                cur_queue.enqueue(enc.views.zB_t)
+                cur_queue.enqueue(enc.views.z[idx.size:])
                 if frozen_prev is not None:
-                    prev_queue.enqueue(enc.views.zB_prev)
+                    prev_queue.enqueue(enc.views.z_prev[idx.size:])
             if method == Method.BYOL:
                 ema_update(target, stack)
             batch_losses.append(res.value)

@@ -87,14 +87,16 @@ def random_views(rng: Rng, n: int = 5, d: int = 6, with_pred: bool = True,
         m = rng.gaussian_matrix(rows, d)
         return row_l2_normalize(m) if normalized else m
 
+    def views() -> np.ndarray:
+        return np.concatenate([draw(n), draw(n)])
+
+    z, z_prev = views(), views()
     return ContrastiveViews(
-        zA_t=draw(n), zB_t=draw(n), zA_prev=draw(n), zB_prev=draw(n),
-        gA_t=draw(n) if with_pred else None,
-        gB_t=draw(n) if with_pred else None,
-        zA_target=draw(n) if with_target else None,
-        zB_target=draw(n) if with_target else None,
-        extra_neg_cur=draw(queue_rows) if queue_rows else None,
-        extra_neg_prev=draw(queue_rows) if queue_rows else None,
+        z, z_prev,
+        g=views() if with_pred else None,
+        z_target=views() if with_target else None,
+        queue_cur=draw(queue_rows) if queue_rows else None,
+        queue_prev=draw(queue_rows) if queue_rows else None,
     )
 
 
@@ -123,12 +125,13 @@ def _check_views_loss(loss_fn, views: ContrastiveViews,
         fd = _fd_on_field(loss_fn, views, field_name)
         if analytic is None:
             analytic = np.zeros_like(fd)
-        worst = max(worst, rel_err(analytic, fd))
+        n = views.batch_size  # each view's rows on their own scale
+        worst = max(worst, rel_err(analytic[:n], fd[:n]),
+                    rel_err(analytic[n:], fd[n:]))
     return worst
 
 
-_LIVE_FIELDS = {"zA_t": "grad_zA_t", "zB_t": "grad_zB_t",
-                "gA_t": "grad_gA_t", "gB_t": "grad_gB_t"}
+_LIVE_FIELDS = {"z": "grad_z", "g": "grad_g"}
 
 
 def _embedding_trial(name: str, rng: Rng) -> float:
@@ -137,13 +140,11 @@ def _embedding_trial(name: str, rng: Rng) -> float:
     if name == "pnr_l1":
         v = random_views(rng, n, d, queue_rows=3)
         return _check_views_loss(
-            lambda vv: pnr_l1(vv, 0.2, norm_tol=None), v,
-            {"zA_t": "grad_zA_t", "zB_t": "grad_zB_t"})
+            lambda vv: pnr_l1(vv, 0.2, norm_tol=None), v, {"z": "grad_z"})
     if name == "pnr_l2":
         v = random_views(rng, n, d, queue_rows=3)
         return _check_views_loss(
-            lambda vv: pnr_l2(vv, 0.2, norm_tol=None), v,
-            {"zA_t": "grad_zA_t", "zB_t": "grad_zB_t", "gA_t": "grad_gA_t"})
+            lambda vv: pnr_l2(vv, 0.2, norm_tol=None), v, _LIVE_FIELDS)
     if name == "cssl_total":
         cfg = PnrConfig(method=Method.MOCO, regime=Regime.PNR, tau=0.2)
         v = random_views(rng, n, d, queue_rows=4)
@@ -153,32 +154,32 @@ def _embedding_trial(name: str, rng: Rng) -> float:
         p, t = _unit_rows(rng, n, d), _unit_rows(rng, n, d)
         fd = finite_difference_gradient(lambda x: byol_loss(x, t).value, p,
                                         FD_EPS)
-        return rel_err(byol_loss(p, t).grad_gA_t, fd)
+        return rel_err(byol_loss(p, t).grad_g, fd)
     if name == "byol_pnr_l2":
         g = _unit_rows(rng, n, d)
         zpa, zpb = _unit_rows(rng, n, d), _unit_rows(rng, n, d)
         fd = finite_difference_gradient(
             lambda x: byol_pnr_l2(x, zpa, zpb, 0.5).value, g, FD_EPS)
-        return rel_err(byol_pnr_l2(g, zpa, zpb, 0.5).grad_gA_t, fd)
+        return rel_err(byol_pnr_l2(g, zpa, zpb, 0.5).grad_g, fd)
     if name == "vicreg_loss":
         za, zb = _vicreg_inputs(rng), _vicreg_inputs(rng)
-        res = vicreg_loss(za, zb)
-        worst = rel_err(res.grad_zA_t, finite_difference_gradient(
+        grad, n = vicreg_loss(za, zb).grad_z, za.shape[0]
+        worst = rel_err(grad[:n], finite_difference_gradient(
             lambda x: vicreg_loss(x, zb).value, za, FD_EPS))
-        return max(worst, rel_err(res.grad_zB_t, finite_difference_gradient(
+        return max(worst, rel_err(grad[n:], finite_difference_gradient(
             lambda x: vicreg_loss(za, x).value, zb, FD_EPS)))
     if name == "vicreg_pnr_l2":
         g = rng.gaussian_matrix(n, d)
         zpa, zpb = rng.gaussian_matrix(n, d), rng.gaussian_matrix(n, d)
         fd = finite_difference_gradient(
             lambda x: vicreg_pnr_l2(x, zpa, zpb, 25.0, 23.0).value, g, FD_EPS)
-        return rel_err(vicreg_pnr_l2(g, zpa, zpb, 25.0, 23.0).grad_gA_t, fd)
+        return rel_err(vicreg_pnr_l2(g, zpa, zpb, 25.0, 23.0).grad_g, fd)
     if name == "barlow_loss":
         za, zb = rng.gaussian_matrix(n + 3, d), rng.gaussian_matrix(n + 3, d)
-        res = barlow_loss(za, zb)
-        worst = rel_err(res.grad_zA_t, finite_difference_gradient(
+        grad, n = barlow_loss(za, zb).grad_z, za.shape[0]
+        worst = rel_err(grad[:n], finite_difference_gradient(
             lambda x: barlow_loss(x, zb).value, za, FD_EPS))
-        return max(worst, rel_err(res.grad_zB_t, finite_difference_gradient(
+        return max(worst, rel_err(grad[n:], finite_difference_gradient(
             lambda x: barlow_loss(za, x).value, zb, FD_EPS)))
     if name == "noncontrastive_pnr_total":
         worst = 0.0
@@ -187,13 +188,11 @@ def _embedding_trial(name: str, rng: Rng) -> float:
             v = random_views(rng, n + 2, d, with_target=True,
                              normalized=method == Method.BYOL)
 
-            def f_total(vv, m=method, c=cfg):
-                return noncontrastive_pnr_total(m, vv, c)
+            def f_total(vv, c=cfg):
+                return noncontrastive_pnr_total(vv, c)
 
-            fields = dict(_LIVE_FIELDS)
-            if method == Method.BYOL:
-                fields.pop("zA_t")
-                fields.pop("zB_t")
+            fields = ({"g": "grad_g"} if method == Method.BYOL
+                      else _LIVE_FIELDS)
             worst = max(worst, _check_views_loss(f_total, v, fields))
         return worst
     raise ValueError(f"unknown loss {name}")
@@ -219,19 +218,18 @@ def _param_setup(method: str, attempt_seed: int):
     stack = init_stack(rng.derive("stack"), dims_enc, dims_proj, dims_pred)
     frozen = snapshot_frozen(
         init_stack(rng.derive("frozen"), dims_enc, dims_proj, dims_pred))
-    xA = rng.gaussian_matrix(8, 4)
-    xB = rng.gaussian_matrix(8, 4)
+    x = np.concatenate([rng.gaussian_matrix(8, 4), rng.gaussian_matrix(8, 4)])
     cfg = PnrConfig(method=Method(method), regime=Regime.PNR, tau=0.2)
     target = None
-    extra_cur = extra_prev = None
+    queue_cur = queue_prev = None
     if method == "byol":
         target = TargetNetwork.from_online(
             init_stack(rng.derive("target"), dims_enc, dims_proj, dims_pred),
             0.99)
     if method == "moco":
-        extra_cur = _unit_rows(rng.derive("qc"), 4, 5)
-        extra_prev = _unit_rows(rng.derive("qp"), 4, 5)
-    return stack, frozen, xA, xB, cfg, target, extra_cur, extra_prev
+        queue_cur = _unit_rows(rng.derive("qc"), 4, 5)
+        queue_prev = _unit_rows(rng.derive("qp"), 4, 5)
+    return stack, frozen, x, cfg, target, queue_cur, queue_prev
 
 
 def _chain_relu_margin(nets, xs) -> tuple[float, float]:
@@ -266,22 +264,20 @@ def check_param_gradients(trials: int = 4, seed: int = 515
         attempt = 0
         while done < trials:
             attempt += 1
-            (stack, frozen, xA, xB, cfg, target,
-             extra_cur, extra_prev) = _param_setup(method,
+            (stack, frozen, x, cfg, target,
+             queue_cur, queue_prev) = _param_setup(method,
                                                    seed + 1000 * attempt)
-            margin, min_norm = _chain_relu_margin([stack, frozen], [xA, xB])
+            margin, min_norm = _chain_relu_margin([stack, frozen], [x])
             if margin < RELU_MARGIN or min_norm < 1e-2:
                 continue  # redraw: FD invalid at a kink / degenerate row
 
             def loss_value() -> float:
-                enc = encode_views(stack, xA, xB, frozen, cfg, target=target,
-                                   extra_neg_cur=extra_cur,
-                                   extra_neg_prev=extra_prev)
+                enc = encode_views(stack, x, frozen, cfg, target=target,
+                                   queue_cur=queue_cur, queue_prev=queue_prev)
                 return total_loss(enc.views, cfg, norm_tol=None).value
 
-            enc = encode_views(stack, xA, xB, frozen, cfg, target=target,
-                               extra_neg_cur=extra_cur,
-                               extra_neg_prev=extra_prev)
+            enc = encode_views(stack, x, frozen, cfg, target=target,
+                               queue_cur=queue_cur, queue_prev=queue_prev)
             res = total_loss(enc.views, cfg, norm_tol=None)
             analytic = backprop_views(stack, enc, cfg, res).flat
 
@@ -305,11 +301,15 @@ def check_param_gradients(trials: int = 4, seed: int = 515
 def check_closed_form(instances: int = 50, seed: int = 99) -> list[CheckReport]:
     """Closed-form per-anchor gradient vs the production loss gradients.
 
-    With batch size 1 and the (A, B) ordering, the anchor appears only in
-    its own loss terms, so the closed form must equal half the sum of the
-    plasticity gradient (zA_t slot) and the distillation gradient, which with
-    an identity predictor lands entirely in the gA_t slot. The softmax mass
-    identity is checked on every instance.
+    With batch size 1 and an identity predictor (g := z), anchor z[0]'s two
+    terms share one pool and differ only in their positive. pnr_l2's anchor
+    g enters only as a query, and each term averages over the 2 anchors, so
+    pnr_l2's grad_g[0] is half the distillation term's query gradient. Moving
+    the plasticity positive z[1] to the lead of the frozen block
+    (z = [z0; zp0], z_prev = [z1; zp1]) leaves the pool's rows unchanged, and
+    pnr_l2's grad_g[0] is then half the plasticity term's. The closed form
+    must equal their sum. The softmax mass identity is checked on every
+    instance.
     """
     t0 = time.perf_counter()
     worst_grad = 0.0
@@ -317,13 +317,14 @@ def check_closed_form(instances: int = 50, seed: int = 99) -> list[CheckReport]:
     for k in range(instances):
         rng = Rng(seed).derive(f"closed-{k}")
         v = random_views(rng, 1, 6, queue_rows=int(rng.uniform(1)[0] * 3))
-        v = replace(v, gA_t=v.zA_t.copy(), gB_t=v.zB_t.copy())
+        v = replace(v, g=v.z.copy())
         _, _, mass = closed_form_parts(v, 0.2)
         worst_mass = max(worst_mass, float(np.max(np.abs(mass - 1.0))))
         cf = closed_form_grad(v, 0.2)
-        r1 = pnr_l1(v, 0.2, norm_tol=None)
-        r2 = pnr_l2(v, 0.2, norm_tol=None)
-        full = 0.5 * (r1.grad_zA_t + r2.grad_gA_t)
+        plastic = replace(v, z=np.stack([v.z[0], v.z_prev[0]]),
+                          z_prev=np.stack([v.z[1], v.z_prev[1]]))
+        full = (pnr_l2(plastic, 0.2, norm_tol=None).grad_g[0]
+                + pnr_l2(v, 0.2, norm_tol=None).grad_g[0])
         worst_grad = max(worst_grad, float(np.max(np.abs(cf - full))))
     elapsed = time.perf_counter() - t0
     return [

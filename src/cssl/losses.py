@@ -1,36 +1,40 @@
 """Every training objective and its analytic embedding-space gradients.
 
+A step encodes N samples under two augmentations as one batch of 2N rows:
+rows [:N] are view A, rows [N:] view B, and row i's partner (the other view
+of the same sample) is row (i + N) mod 2N. Every input of the losses is
+stacked this way (see :class:`ContrastiveViews`).
+
 Contrastive side
 ----------------
-For a batch of N samples with two augmented views, the current model emits
-``zA_t``/``zB_t`` (and predictor outputs ``gA_t``/``gB_t``); the frozen
-previous-task model emits ``zA_prev``/``zB_prev``. For anchor i, ordering
-(A, B):
+The current model emits ``z`` (and predictor outputs ``g``); the frozen
+previous-task model emits ``z_prev``. Each of the 2N rows is an anchor once,
+and both terms are InfoNCE over the same pool [z; z_prev]:
 
-* plasticity term ``pnr_l1``: InfoNCE with positive ``zB_t[i]``, negatives
-  N1(i) = both current views minus the anchor itself (2N-1 rows, the positive
-  included), plus pseudo-negatives PN1(i) = both previous-model views
-  (all 2N rows).
-* distillation term ``pnr_l2``: the anchor is the predictor output
-  ``gA_t[i]``, the positive is ``zA_prev[i]``; negatives N2(i) = both
-  previous-model views (all 2N rows, the positive included), plus
-  pseudo-negatives PN2(i) = both current views minus ``zA_t[i]``.
+* plasticity term ``pnr_l1``: anchor z[i], positive its partner; negatives
+  N1(i) = the other 2N-1 current rows (the positive included), plus
+  pseudo-negatives PN1(i) = all 2N previous-model rows.
+* distillation term ``pnr_l2``: the anchor is the predictor output g[i], the
+  positive is z_prev[i]; negatives N2(i) = all 2N previous-model rows (the
+  positive included), plus pseudo-negatives PN2(i) = the current rows minus
+  z[i].
 
 These two denominators range over the identical 4N-1 embeddings. In MoCo
-mode a queue of past current-model keys joins the current-model block
-(N1 and PN2) and a queue of past frozen-model keys joins the
-previous-model block (PN1 and N2).
+mode a queue of past current-model keys joins the current-model block (N1
+and PN2) and a queue of past frozen-model keys joins the previous-model
+block (PN1 and N2): the pool is [z; queue_cur; z_prev; queue_prev].
 
 Regimes: ``pnr`` keeps all sets, ``cassle`` empties the pseudo-negative
 blocks, ``ft`` keeps only the plasticity loss with its original negatives.
-The final objective averages the (A, B) and (B, A) orderings.
+The mean over 2N anchors is the average of the (A, B) and (B, A) orderings,
+as in SimCLR's NT-Xent (Chen et al. 2020).
 
 Non-contrastive side
 --------------------
 The native loss (BYOL / VICReg / Barlow Twins) runs on the current views;
-the regularizer distills toward ``zA_prev`` through the predictor while
-pushing away from the cross-view pseudo-negative ``zB_prev``:
-``distill(g(zA_t), zA_prev) - lambda * repel(g(zA_t), zB_prev)``.
+the regularizer distills each predictor output toward its own row of
+``z_prev`` while pushing away from the cross-view pseudo-negative, its
+partner's row: ``distill(g, z_prev) - lambda * repel(g, partner(z_prev))``.
 
 Gradients are returned only for current-model embeddings; previous-model
 and target-network inputs are frozen by construction.
@@ -39,7 +43,7 @@ and target-network inputs are frozen by construction.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,98 +124,63 @@ class PnrConfig:
 
 @dataclass
 class LossResult:
-    """Scalar loss plus gradients w.r.t. current-model embeddings only.
+    """Scalar loss plus gradients w.r.t. the current-model inputs ``z`` and
+    ``g`` of :class:`ContrastiveViews`, stacked like them.
 
     A ``None`` gradient means no gradient flows to that input at all
-    (previous-model embeddings never get a slot here by construction).
+    (frozen and target inputs never get a slot here by construction).
     """
 
     value: float
-    grad_zA_t: np.ndarray | None = None
-    grad_zB_t: np.ndarray | None = None
-    grad_gA_t: np.ndarray | None = None
-    grad_gB_t: np.ndarray | None = None
+    grad_z: np.ndarray | None = None
+    grad_g: np.ndarray | None = None
 
 
-def _acc(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a + b
-
-
-def _scale(a: np.ndarray | None, s: float) -> np.ndarray | None:
-    return None if a is None else a * s
-
-
-def _combine(results: list[tuple[LossResult, float]]) -> LossResult:
-    value = 0.0
-    gza = gzb = gga = ggb = None
-    for r, s in results:
-        value += s * r.value
-        gza = _acc(gza, _scale(r.grad_zA_t, s))
-        gzb = _acc(gzb, _scale(r.grad_zB_t, s))
-        gga = _acc(gga, _scale(r.grad_gA_t, s))
-        ggb = _acc(ggb, _scale(r.grad_gB_t, s))
-    return LossResult(value, gza, gzb, gga, ggb)
-
-
-def _swap_back(r: LossResult) -> LossResult:
-    """Map gradients computed on swapped views back to the original labels."""
-    return LossResult(r.value, grad_zA_t=r.grad_zB_t, grad_zB_t=r.grad_zA_t,
-                      grad_gA_t=r.grad_gB_t, grad_gB_t=r.grad_gA_t)
+def partner(m: np.ndarray) -> np.ndarray:
+    """Rows of a two-view batch reordered so that row i holds row
+    (i + N) mod 2N: the other view of the same sample."""
+    return np.roll(m, m.shape[0] // 2, axis=0)
 
 
 @dataclass
 class ContrastiveViews:
-    """One training step's embeddings, batch-stacked (rows are samples).
+    """One training step's embeddings. Every field but the queues is a
+    (2N, D) batch: view A's rows, then view B's in the same sample order.
 
-    ``zA_t``/``zB_t``: current model, two augmentations. ``zA_prev``/
-    ``zB_prev``: frozen previous-task model. ``gA_t``/``gB_t``: predictor
-    outputs. ``zA_target``/``zB_target``: EMA target projections (BYOL only).
-    ``extra_neg_cur``/``extra_neg_prev``: queue snapshots of past
+    ``z``: current-model projections. ``z_prev``: frozen previous-task model.
+    ``g``: predictor outputs. ``z_target``: EMA target projections (BYOL
+    only). ``queue_cur``/``queue_prev``: queue snapshots of past
     current-model and past previous-model keys (MoCo only).
     """
 
-    zA_t: np.ndarray
-    zB_t: np.ndarray
-    zA_prev: np.ndarray
-    zB_prev: np.ndarray
-    gA_t: np.ndarray | None = None
-    gB_t: np.ndarray | None = None
-    zA_target: np.ndarray | None = None
-    zB_target: np.ndarray | None = None
-    extra_neg_cur: np.ndarray | None = None
-    extra_neg_prev: np.ndarray | None = None
+    z: np.ndarray
+    z_prev: np.ndarray
+    g: np.ndarray | None = None
+    z_target: np.ndarray | None = None
+    queue_cur: np.ndarray | None = None
+    queue_prev: np.ndarray | None = None
 
     def __post_init__(self):
-        n, d = self.zA_t.shape
-        for name in ("zB_t", "zA_prev", "zB_prev"):
-            m = getattr(self, name)
-            if m.shape != (n, d):
-                raise ShapeMismatch(f"{name}: {m.shape} != {(n, d)}")
-        for name in ("gA_t", "gB_t", "zA_target", "zB_target"):
-            m = getattr(self, name)
-            if m is not None and m.shape != (n, d):
-                raise ShapeMismatch(f"{name}: {m.shape} != {(n, d)}")
-        for name in ("extra_neg_cur", "extra_neg_prev"):
-            m = getattr(self, name)
-            if m is not None and (m.ndim != 2 or m.shape[1] != d):
-                raise ShapeMismatch(f"{name}: {m.shape} incompatible with dim {d}")
+        m, d = self.z.shape
+        if m % 2:
+            raise ShapeMismatch(f"z: {m} rows do not stack two views")
+        for name in ("z_prev", "g", "z_target"):
+            a = getattr(self, name)
+            if a is not None and a.shape != (m, d):
+                raise ShapeMismatch(f"{name}: {a.shape} != {(m, d)}")
+        for name in ("queue_cur", "queue_prev"):
+            a = getattr(self, name)
+            if a is not None and (a.ndim != 2 or a.shape[1] != d):
+                raise ShapeMismatch(f"{name}: {a.shape} incompatible with dim {d}")
 
     @property
     def batch_size(self) -> int:
-        return self.zA_t.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.zA_t.shape[1]
+        """N, the number of samples: half the rows."""
+        return self.z.shape[0] // 2
 
     def validate_norms(self, tol: float = 1e-9) -> None:
         """Check every present row is unit-norm within ``tol``."""
-        for name in ("zA_t", "zB_t", "zA_prev", "zB_prev", "gA_t", "gB_t",
-                     "zA_target", "zB_target", "extra_neg_cur", "extra_neg_prev"):
+        for name in ("z", "z_prev", "g", "z_target", "queue_cur", "queue_prev"):
             m = getattr(self, name)
             if m is None or m.shape[0] == 0:
                 continue
@@ -219,71 +188,43 @@ class ContrastiveViews:
             if dev > tol:
                 raise NormViolation(f"{name}: row norm off unit by {dev:.3e}")
 
-    def swapped(self) -> "ContrastiveViews":
-        """Relabel the two augmentations (A <-> B); queues are shared."""
-        return ContrastiveViews(
-            zA_t=self.zB_t, zB_t=self.zA_t,
-            zA_prev=self.zB_prev, zB_prev=self.zA_prev,
-            gA_t=self.gB_t, gB_t=self.gA_t,
-            zA_target=self.zB_target, zB_target=self.zA_target,
-            extra_neg_cur=self.extra_neg_cur,
-            extra_neg_prev=self.extra_neg_prev,
-        )
+
+def _pool(v: ContrastiveViews, include_cur: bool, include_prev: bool
+          ) -> tuple[np.ndarray, int]:
+    """The negative pool in the frozen summation order [z; queue_cur;
+    z_prev; queue_prev], either block possibly left out, and the row where
+    its frozen block starts."""
+    cur = [v.z, v.queue_cur] if include_cur else []
+    prev = [v.z_prev, v.queue_prev] if include_prev else []
+    blocks = [b for b in cur + prev if b is not None]
+    return (np.concatenate(blocks, axis=0),
+            sum(b.shape[0] for b in cur if b is not None))
 
 
-def _empty_block(d: int) -> np.ndarray:
-    return np.zeros((0, d))
-
-
-def _pools(v: ContrastiveViews, include_cur: bool, include_prev: bool
-           ) -> tuple[np.ndarray, np.ndarray]:
-    """Negative pools in the frozen summation order:
-    current block [zA_t; zB_t; cur queue], previous block
-    [zA_prev; zB_prev; prev queue]. Either block may be empty."""
-    d = v.dim
-    if include_cur:
-        cur_parts = [v.zA_t, v.zB_t]
-        if v.extra_neg_cur is not None and v.extra_neg_cur.shape[0]:
-            cur_parts.append(v.extra_neg_cur)
-        cur = np.concatenate(cur_parts, axis=0)
-    else:
-        cur = _empty_block(d)
-    if include_prev:
-        prev_parts = [v.zA_prev, v.zB_prev]
-        if v.extra_neg_prev is not None and v.extra_neg_prev.shape[0]:
-            prev_parts.append(v.extra_neg_prev)
-        prev = np.concatenate(prev_parts, axis=0)
-    else:
-        prev = _empty_block(d)
-    return cur, prev
-
-
-def _info_nce(anchors: np.ndarray, cur: np.ndarray, prev: np.ndarray,
-              pos_col: np.ndarray, mask_anchor_col: bool, tau: float
-              ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Shared InfoNCE kernel over the pool [cur; prev].
+def _info_nce(anchors: np.ndarray, pool: np.ndarray, pos_col: np.ndarray,
+              mask_own: bool, tau: float) -> tuple[float, np.ndarray]:
+    """Shared InfoNCE kernel.
 
     Per anchor i the loss is logsumexp(logits_i - logits_i[pos_col[i]]) with
     the anchor's own current-model column (column i) removed when
-    ``mask_anchor_col``. Shifting by the positive logit drawn from the same
-    logits matrix keeps uniform-similarity inputs exactly at
-    log(pool cardinality). Returns (mean loss, softmax probabilities with
-    masked columns at zero, pool matrix).
+    ``mask_own``. Shifting by the positive logit drawn from the same logits
+    matrix keeps uniform-similarity inputs exactly at log(pool cardinality).
+    Returns (mean loss, softmax probabilities with masked columns at zero);
+    the probabilities overwrite the logits in place to keep one
+    anchors x pool matrix alive.
     """
-    n = anchors.shape[0]
-    if n == 0:
+    m = anchors.shape[0]
+    if m == 0:
         raise EmptyBatch("contrastive loss on empty batch")
-    pool = np.concatenate([cur, prev], axis=0)
-    if pool.shape[0] == 0:
-        raise EmptyBatch("empty negative pool")
-    logits = anchors @ pool.T / tau
-    if mask_anchor_col:
-        logits[np.arange(n), np.arange(n)] = -np.inf
-    pos = logits[np.arange(n), pos_col]
-    shifted = logits - pos[:, None]
-    per_anchor = logsumexp_rows(shifted)
-    probs = np.exp(shifted - per_anchor[:, None])
-    return float(np.mean(per_anchor)), probs, pool
+    rows = np.arange(m)
+    logits = anchors @ pool.T
+    logits /= tau
+    if mask_own:
+        logits[rows, rows] = -np.inf
+    logits -= logits[rows, pos_col][:, None]
+    per_anchor = logsumexp_rows(logits)
+    logits -= per_anchor[:, None]
+    return float(np.mean(per_anchor)), np.exp(logits, out=logits)
 
 
 def pnr_l1(v: ContrastiveViews, tau: float = DEFAULT_TAU, *,
@@ -297,98 +238,84 @@ def pnr_l1(v: ContrastiveViews, tau: float = DEFAULT_TAU, *,
     """
     if norm_tol is not None:
         v.validate_norms(norm_tol)
-    n = v.batch_size
-    cur, prev = _pools(v, include_cur=True, include_prev=include_pn)
-    pos_col = n + np.arange(n)  # zB_t block starts at column n
-    value, probs, pool = _info_nce(v.zA_t, cur, prev, pos_col, True, tau)
-    inv = 1.0 / (n * tau)
-    grad_zA = (probs @ pool - v.zB_t + probs[:, :n].T @ v.zA_t) * inv
-    grad_zB = (probs[:, n:2 * n].T @ v.zA_t - v.zA_t) * inv
-    return LossResult(value, grad_zA_t=grad_zA, grad_zB_t=grad_zB)
+    m = v.z.shape[0]
+    pool, _ = _pool(v, include_cur=True, include_prev=include_pn)
+    value, probs = _info_nce(v.z, pool, partner(np.arange(m)), True, tau)
+    # Row i is an anchor (positive: its partner) and the positive of its
+    # partner; as a pool column it is weighted by every anchor's softmax.
+    z_pos = partner(v.z)
+    grad_z = (probs @ pool + probs[:, :m].T @ v.z - 2.0 * z_pos) / (m * tau)
+    return LossResult(value, grad_z=grad_z)
 
 
 def pnr_l2(v: ContrastiveViews, tau: float = DEFAULT_TAU, *,
            include_pn: bool = True, norm_tol: float | None = 1e-9) -> LossResult:
     """Contrastive distillation with current-model pseudo-negatives.
 
-    The anchor is the predictor output g(zA_t); the positive is the frozen
-    zA_prev. Gradients flow through gA_t and through zA_t/zB_t where they
-    appear as pseudo-negatives, never through the frozen block.
+    The anchor is the predictor output g[i]; the positive is the frozen
+    z_prev[i]. Gradients flow through g and through z where it appears as
+    pseudo-negatives, never through the frozen block.
     """
-    if v.gA_t is None:
-        raise MissingPredictorOutput("pnr_l2 needs predictor outputs gA_t")
+    if v.g is None:
+        raise MissingPredictorOutput("pnr_l2 needs predictor outputs g")
     if norm_tol is not None:
         v.validate_norms(norm_tol)
-    n = v.batch_size
-    cur, prev = _pools(v, include_cur=include_pn, include_prev=True)
-    n_cur = cur.shape[0]
-    pos_col = n_cur + np.arange(n)  # zA_prev block leads the previous pool
-    value, probs, pool = _info_nce(v.gA_t, cur, prev, pos_col, include_pn, tau)
-    inv = 1.0 / (n * tau)
-    grad_gA = (probs @ pool - v.zA_prev) * inv
-    grad_zA = grad_zB = None
-    if include_pn:
-        grad_zA = (probs[:, :n].T @ v.gA_t) * inv
-        grad_zB = (probs[:, n:2 * n].T @ v.gA_t) * inv
-    return LossResult(value, grad_zA_t=grad_zA, grad_zB_t=grad_zB,
-                      grad_gA_t=grad_gA)
-
-
-def _contrastive_one_ordering(v: ContrastiveViews, cfg: PnrConfig,
-                              norm_tol: float | None) -> LossResult:
-    include_pn = (cfg.regime == Regime.PNR) and cfg.include_pseudo_negatives
-    parts = [(pnr_l1(v, cfg.tau, include_pn=include_pn, norm_tol=norm_tol), 1.0)]
-    if cfg.regime != Regime.FT:
-        parts.append(
-            (pnr_l2(v, cfg.tau, include_pn=include_pn, norm_tol=norm_tol), 1.0))
-    return _combine(parts)
+    m = v.z.shape[0]
+    pool, prev_start = _pool(v, include_cur=include_pn, include_prev=True)
+    value, probs = _info_nce(v.g, pool, prev_start + np.arange(m), include_pn,
+                             tau)
+    inv = 1.0 / (m * tau)
+    grad_g = (probs @ pool - v.z_prev) * inv
+    grad_z = (probs[:, :m].T @ v.g) * inv if include_pn else None
+    return LossResult(value, grad_z=grad_z, grad_g=grad_g)
 
 
 def cssl_total(v: ContrastiveViews, cfg: PnrConfig, *,
                norm_tol: float | None = 1e-9) -> LossResult:
-    """Symmetrized contrastive objective: (L(A,B) + L(B,A)) / 2.
-
-    L is pnr_l1 + pnr_l2 in regime ``pnr``; CaSSLe empties the
-    pseudo-negative blocks; FT keeps only pnr_l1 without them.
+    """Contrastive objective over both views: pnr_l1 + pnr_l2 in regime
+    ``pnr``; CaSSLe empties the pseudo-negative blocks; FT keeps only pnr_l1
+    without them. Unit norms are validated once, here.
     """
-    ab = _contrastive_one_ordering(v, cfg, norm_tol)
-    ba = _swap_back(_contrastive_one_ordering(v.swapped(), cfg, norm_tol))
-    return _combine([(ab, 0.5), (ba, 0.5)])
+    if norm_tol is not None:
+        v.validate_norms(norm_tol)
+    include_pn = (cfg.regime == Regime.PNR) and cfg.include_pseudo_negatives
+    l1 = pnr_l1(v, cfg.tau, include_pn=include_pn, norm_tol=None)
+    if cfg.regime == Regime.FT:
+        return l1
+    l2 = pnr_l2(v, cfg.tau, include_pn=include_pn, norm_tol=None)
+    grad_z = l1.grad_z if l2.grad_z is None else l1.grad_z + l2.grad_z
+    return LossResult(l1.value + l2.value, grad_z=grad_z, grad_g=l2.grad_g)
 
 
 def closed_form_parts(v: ContrastiveViews, tau: float = DEFAULT_TAU
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Attract/repel decomposition of the per-anchor gradient under an
-    identity predictor (g(zA_t) := zA_t).
+    """Attract/repel decomposition of the view-A anchors' gradient under an
+    identity predictor (g := z).
 
-    Returns (attract, repel, mass_sums): the attract part is
-    (zB_t + zA_prev)/2 per anchor; the repel part is the softmax-weighted
-    center of mass of the two negative pools, whose masses S1 + S2 sum to 1
+    Returns (attract, repel, mass_sums) for the anchors z[:N]: the attract
+    part is (z[N:] + z_prev[:N])/2 per anchor; the repel part is the
+    softmax-weighted center of mass of the shared pool, whose mass sums to 1
     per anchor (returned for verification). With the identity predictor the
-    plasticity and distillation denominators coincide, so S1 and S2 are each
+    plasticity and distillation denominators coincide, so each term carries
     half of the same softmax.
     """
     n = v.batch_size
     if n == 0:
         raise EmptyBatch("closed form on empty batch")
-    cur, prev = _pools(v, include_cur=True, include_prev=True)
-    pool = np.concatenate([cur, prev], axis=0)
-    logits = v.zA_t @ pool.T / tau
+    pool, _ = _pool(v, include_cur=True, include_prev=True)
+    logits = v.z[:n] @ pool.T / tau
     logits[np.arange(n), np.arange(n)] = -np.inf
     lse = logsumexp_rows(logits)
     probs = np.exp(logits - lse[:, None])
-    s1 = 0.5 * probs
-    s2 = 0.5 * probs
-    attract = 0.5 * (v.zB_t + v.zA_prev)
-    repel = s1 @ pool + s2 @ pool
-    mass_sums = s1.sum(axis=1) + s2.sum(axis=1)
-    return attract, repel, mass_sums
+    attract = 0.5 * (v.z[n:] + v.z_prev[:n])
+    return attract, probs @ pool, probs.sum(axis=1)
 
 
 def closed_form_grad(v: ContrastiveViews, tau: float = DEFAULT_TAU) -> np.ndarray:
     """Per-anchor gradient of half the combined plasticity+distillation loss
-    with respect to the anchor zA_t, assuming an identity predictor:
-    (repel - attract) / tau. The softmax mass identity is checked internally.
+    of the (A, B) ordering with respect to the anchors z[:N], assuming an
+    identity predictor: (repel - attract) / tau. The softmax mass identity
+    is checked internally.
     """
     attract, repel, mass = closed_form_parts(v, tau)
     if float(np.max(np.abs(mass - 1.0))) > 1e-9:
@@ -406,40 +333,40 @@ def _check_same_shape(a: np.ndarray, b: np.ndarray, what: str) -> None:
 
 def byol_loss(online_pred: np.ndarray, target_proj: np.ndarray) -> LossResult:
     """Mean squared L2 distance between rows; gradient w.r.t. the online
-    predictions only (returned in the gA_t slot)."""
+    predictions only (returned in the ``g`` slot)."""
     _check_same_shape(online_pred, target_proj, "byol_loss")
     n = online_pred.shape[0]
     if n == 0:
         raise EmptyBatch("byol_loss on empty batch")
     diff = online_pred - target_proj
     value = float(np.sum(diff * diff) / n)
-    return LossResult(value, grad_gA_t=2.0 * diff / n)
+    return LossResult(value, grad_g=2.0 * diff / n)
 
 
-def byol_pnr_l2(gA_t: np.ndarray, zA_prev: np.ndarray, zB_prev: np.ndarray,
+def byol_pnr_l2(g: np.ndarray, z_prev: np.ndarray, z_prev_cross: np.ndarray,
                 lambda_pnr: float) -> LossResult:
     """Distill toward the previous model's same-view output while repelling
-    from its cross-view output: mean||g - zA_prev||^2 -
-    lambda * mean||g - zB_prev||^2. Gradient w.r.t. g only.
+    from its cross-view output: mean||g - z_prev||^2 -
+    lambda * mean||g - z_prev_cross||^2. Gradient w.r.t. g only.
 
     lambda == 0 skips the repel term entirely, so the CaSSLe reduction is
     bitwise, not just numerically close.
     """
-    _check_same_shape(gA_t, zA_prev, "byol_pnr_l2")
-    _check_same_shape(gA_t, zB_prev, "byol_pnr_l2")
+    _check_same_shape(g, z_prev, "byol_pnr_l2")
+    _check_same_shape(g, z_prev_cross, "byol_pnr_l2")
     if lambda_pnr < 0:
         raise ValueError("lambda_pnr must be non-negative")
-    n = gA_t.shape[0]
+    n = g.shape[0]
     if n == 0:
         raise EmptyBatch("byol_pnr_l2 on empty batch")
-    d_pos = gA_t - zA_prev
+    d_pos = g - z_prev
     value = float(np.sum(d_pos * d_pos) / n)
     grad = 2.0 * d_pos / n
     if lambda_pnr > 0:
-        d_neg = gA_t - zB_prev
+        d_neg = g - z_prev_cross
         value -= lambda_pnr * float(np.sum(d_neg * d_neg) / n)
         grad = grad - lambda_pnr * (2.0 * d_neg / n)
-    return LossResult(value, grad_gA_t=grad)
+    return LossResult(value, grad_g=grad)
 
 
 def _mean_sq_dist(a: np.ndarray, b: np.ndarray) -> float:
@@ -482,7 +409,7 @@ def vicreg_loss(zA: np.ndarray, zB: np.ndarray,
 
     Variance uses the unbiased (N-1) estimator; the hinge subgradient is zero
     where sqrt(var + eps) >= gamma. Gradients w.r.t. both views (both come
-    from the current model).
+    from the current model), stacked [zA; zB] in the ``z`` slot.
     """
     _check_same_shape(zA, zB, "vicreg_loss")
     n = zA.shape[0]
@@ -497,25 +424,25 @@ def vicreg_loss(zA: np.ndarray, zB: np.ndarray,
     ds = 2.0 * (zA - zB) / n
     grad_a = lam * ds + mu * gvA + nu * gcA
     grad_b = -lam * ds + mu * gvB + nu * gcB
-    return LossResult(float(value), grad_zA_t=grad_a, grad_zB_t=grad_b)
+    return LossResult(float(value), grad_z=np.concatenate([grad_a, grad_b]))
 
 
-def vicreg_pnr_l2(gA_t: np.ndarray, zA_prev: np.ndarray, zB_prev: np.ndarray,
+def vicreg_pnr_l2(g: np.ndarray, z_prev: np.ndarray, z_prev_cross: np.ndarray,
                   lambda_cassle: float, lambda_pnr: float) -> LossResult:
-    """0.5*lambda_cassle*s(g, zA_prev) - 0.5*lambda_pnr*s(g, zB_prev) where s
-    is the mean squared distance. Gradient w.r.t. g only; lambda_pnr == 0
-    skips the repel branch for a bitwise CaSSLe reduction."""
-    _check_same_shape(gA_t, zA_prev, "vicreg_pnr_l2")
-    _check_same_shape(gA_t, zB_prev, "vicreg_pnr_l2")
-    n = gA_t.shape[0]
+    """0.5*lambda_cassle*s(g, z_prev) - 0.5*lambda_pnr*s(g, z_prev_cross)
+    where s is the mean squared distance. Gradient w.r.t. g only;
+    lambda_pnr == 0 skips the repel branch for a bitwise CaSSLe reduction."""
+    _check_same_shape(g, z_prev, "vicreg_pnr_l2")
+    _check_same_shape(g, z_prev_cross, "vicreg_pnr_l2")
+    n = g.shape[0]
     if n == 0:
         raise EmptyBatch("vicreg_pnr_l2 on empty batch")
-    value = 0.5 * lambda_cassle * _mean_sq_dist(gA_t, zA_prev)
-    grad = lambda_cassle * (gA_t - zA_prev) / n
+    value = 0.5 * lambda_cassle * _mean_sq_dist(g, z_prev)
+    grad = lambda_cassle * (g - z_prev) / n
     if lambda_pnr > 0:
-        value -= 0.5 * lambda_pnr * _mean_sq_dist(gA_t, zB_prev)
-        grad = grad - lambda_pnr * (gA_t - zB_prev) / n
-    return LossResult(float(value), grad_gA_t=grad)
+        value -= 0.5 * lambda_pnr * _mean_sq_dist(g, z_prev_cross)
+        grad = grad - lambda_pnr * (g - z_prev_cross) / n
+    return LossResult(float(value), grad_g=grad)
 
 
 def _standardize_columns(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -564,74 +491,70 @@ def _barlow_core(zA: np.ndarray, zB: np.ndarray, lambda_bt: float
 def barlow_loss(zA: np.ndarray, zB: np.ndarray,
                 lambda_bt: float = BARLOW_LAMBDA) -> LossResult:
     """Cross-correlation identity objective: sum (1 - C_dd)^2 +
-    lambda * sum_{d != d'} C_dd'^2 over column-standardized views."""
+    lambda * sum_{d != d'} C_dd'^2 over column-standardized views;
+    gradients stacked [zA; zB] in the ``z`` slot."""
     value, grad_a, grad_b = _barlow_core(zA, zB, lambda_bt)
-    return LossResult(value, grad_zA_t=grad_a, grad_zB_t=grad_b)
+    return LossResult(value, grad_z=np.concatenate([grad_a, grad_b]))
 
 
-def barlow_pnr_l2(gA_t: np.ndarray, zA_prev: np.ndarray, zB_prev: np.ndarray,
+def barlow_pnr_l2(g: np.ndarray, z_prev: np.ndarray, z_prev_cross: np.ndarray,
                   lambda_bt: float, lambda_pnr: float) -> LossResult:
     """Barlow distillation toward the frozen same-view projection minus the
-    generic squared-distance repel from the cross-view pseudo-negative."""
-    _check_same_shape(gA_t, zB_prev, "barlow_pnr_l2")
-    value, grad, _ = _barlow_core(gA_t, zA_prev, lambda_bt)
+    generic squared-distance repel from the cross-view pseudo-negative. All
+    inputs are one view's batch: the distillation standardizes columns over
+    it."""
+    _check_same_shape(g, z_prev_cross, "barlow_pnr_l2")
+    value, grad, _ = _barlow_core(g, z_prev, lambda_bt)
     if lambda_pnr > 0:
-        n = gA_t.shape[0]
-        d_neg = gA_t - zB_prev
+        n = g.shape[0]
+        d_neg = g - z_prev_cross
         value -= lambda_pnr * float(np.sum(d_neg * d_neg) / n)
         grad = grad - lambda_pnr * (2.0 * d_neg / n)
-    return LossResult(value, grad_gA_t=grad)
+    return LossResult(value, grad_g=grad)
 
 
-def _noncontrastive_one_ordering(v: ContrastiveViews, cfg: PnrConfig
-                                 ) -> LossResult:
-    method = cfg.method
-    lam = cfg.lambda_pnr if cfg.regime == Regime.PNR else 0.0
-    parts: list[tuple[LossResult, float]] = []
-    if method == Method.BYOL:
-        if v.gA_t is None:
-            raise MissingPredictorOutput("BYOL needs predictor outputs")
-        if v.zB_target is None:
-            raise MissingTargetOutput("BYOL needs EMA target projections")
-        parts.append((byol_loss(v.gA_t, v.zB_target), 1.0))
-        if cfg.regime != Regime.FT:
-            parts.append((byol_pnr_l2(v.gA_t, v.zA_prev, v.zB_prev, lam), 1.0))
-    elif method == Method.VICREG:
-        parts.append((vicreg_loss(v.zA_t, v.zB_t, cfg.vicreg_sim, cfg.vicreg_var,
-                                  cfg.vicreg_cov, cfg.vicreg_gamma,
-                                  cfg.vicreg_eps), 1.0))
-        if cfg.regime != Regime.FT:
-            if v.gA_t is None:
-                raise MissingPredictorOutput("VICReg distillation needs g outputs")
-            parts.append((vicreg_pnr_l2(v.gA_t, v.zA_prev, v.zB_prev,
-                                        cfg.lambda_cassle, lam), 1.0))
-    elif method == Method.BARLOW:
-        parts.append((barlow_loss(v.zA_t, v.zB_t, cfg.barlow_lambda), 1.0))
-        if cfg.regime != Regime.FT:
-            if v.gA_t is None:
-                raise MissingPredictorOutput("Barlow distillation needs g outputs")
-            parts.append((barlow_pnr_l2(v.gA_t, v.zA_prev, v.zB_prev,
-                                        cfg.barlow_lambda, lam), 1.0))
-    else:
-        raise ValueError(f"{method} is not a non-contrastive method")
-    return _combine(parts)
+def noncontrastive_pnr_total(v: ContrastiveViews, cfg: PnrConfig
+                             ) -> LossResult:
+    """Non-contrastive objective for BYOL / VICReg / Barlow over both views.
 
-
-def noncontrastive_pnr_total(method: Method | str, v: ContrastiveViews,
-                             cfg: PnrConfig) -> LossResult:
-    """Symmetrized non-contrastive objective for BYOL / VICReg / Barlow.
-
-    Regime ``ft`` keeps only the native loss; ``cassle`` adds distillation;
-    ``pnr`` additionally repels from the cross-view previous-model output.
+    Regime ``ft`` keeps only the native loss; ``cassle`` adds distillation
+    of each row's predictor output toward its own frozen projection;
+    ``pnr`` additionally repels it from the partner row's frozen projection.
     """
-    method = Method(method)
+    method = cfg.method
     if method in CONTRASTIVE_METHODS:
         raise ValueError(f"{method} is contrastive; use cssl_total")
-    if cfg.method != method:
-        cfg = replace(cfg, method=method)
-    ab = _noncontrastive_one_ordering(v, cfg)
-    ba = _swap_back(_noncontrastive_one_ordering(v.swapped(), cfg))
-    return _combine([(ab, 0.5), (ba, 0.5)])
+    n = v.batch_size
+    if method == Method.BYOL:
+        if v.g is None:
+            raise MissingPredictorOutput("BYOL needs predictor outputs")
+        if v.z_target is None:
+            raise MissingTargetOutput("BYOL needs EMA target projections")
+        native = byol_loss(v.g, partner(v.z_target))
+    elif method == Method.VICREG:
+        native = vicreg_loss(v.z[:n], v.z[n:], cfg.vicreg_sim, cfg.vicreg_var,
+                             cfg.vicreg_cov, cfg.vicreg_gamma, cfg.vicreg_eps)
+    else:
+        native = barlow_loss(v.z[:n], v.z[n:], cfg.barlow_lambda)
+    if cfg.regime == Regime.FT:
+        return native
+    if v.g is None:
+        raise MissingPredictorOutput(
+            f"{method.value} distillation needs g outputs")
+    lam = cfg.lambda_pnr if cfg.regime == Regime.PNR else 0.0
+    zp = v.z_prev
+    if method == Method.BYOL:
+        reg = byol_pnr_l2(v.g, zp, partner(zp), lam)
+    elif method == Method.VICREG:
+        reg = vicreg_pnr_l2(v.g, zp, partner(zp), cfg.lambda_cassle, lam)
+    else:
+        a = barlow_pnr_l2(v.g[:n], zp[:n], zp[n:], cfg.barlow_lambda, lam)
+        b = barlow_pnr_l2(v.g[n:], zp[n:], zp[:n], cfg.barlow_lambda, lam)
+        reg = LossResult(0.5 * (a.value + b.value),
+                         grad_g=0.5 * np.concatenate([a.grad_g, b.grad_g]))
+    grad_g = (reg.grad_g if native.grad_g is None
+              else native.grad_g + reg.grad_g)
+    return LossResult(native.value + reg.value, native.grad_z, grad_g)
 
 
 def total_loss(v: ContrastiveViews, cfg: PnrConfig, *,
@@ -639,4 +562,4 @@ def total_loss(v: ContrastiveViews, cfg: PnrConfig, *,
     """Dispatch on the configured method family."""
     if cfg.method in CONTRASTIVE_METHODS:
         return cssl_total(v, cfg, norm_tol=norm_tol)
-    return noncontrastive_pnr_total(cfg.method, v, cfg)
+    return noncontrastive_pnr_total(v, cfg)

@@ -236,19 +236,16 @@ def forward(stack: EncoderStack, x: np.ndarray, want_pred: bool = False
     return ForwardResult(feats, proj, pred, caches)
 
 
-def backward(stack: EncoderStack, x: np.ndarray,
+def backward(stack: EncoderStack, fwd: ForwardResult,
              grad_proj: np.ndarray | None,
-             grad_pred: np.ndarray | None = None,
-             fwd: ForwardResult | None = None) -> EncoderStack:
+             grad_pred: np.ndarray | None = None) -> EncoderStack:
     """Parameter gradients given embedding-space gradients, as a stack of
     ``stack``'s layout.
 
-    ``grad_proj`` is d(loss)/d(projection), ``grad_pred`` d(loss)/d(predictor
-    output); either may be None. Recomputes the forward pass when no cached
-    ForwardResult is supplied.
+    ``fwd`` is the cached forward pass of the batch; ``grad_proj`` is
+    d(loss)/d(projection), ``grad_pred`` d(loss)/d(predictor output); either
+    may be None.
     """
-    if fwd is None:
-        fwd = forward(stack, x, want_pred=grad_pred is not None)
     if grad_pred is not None and "predictor" not in fwd._caches:
         raise ShapeMismatch("grad_pred given but forward ran without predictor")
 

@@ -83,7 +83,8 @@ def logsumexp_rows(m: np.ndarray) -> np.ndarray:
     if m.shape[1] == 0:
         raise EmptyInput("logsumexp over zero columns")
     mx = np.max(m, axis=1)
-    return mx + np.log(np.sum(np.exp(m - mx[:, None]), axis=1))
+    e = m - mx[:, None]
+    return mx + np.log(np.sum(np.exp(e, out=e), axis=1))
 
 
 def finite_difference_gradient(

@@ -42,6 +42,7 @@ from cssl.losses import (
     closed_form_parts,
     cssl_total,
     noncontrastive_pnr_total,
+    partner,
     pnr_l1,
     pnr_l2,
     vicreg_loss,
@@ -84,14 +85,14 @@ def test_criterion_2_closed_form_gradient_equivalence():
         rng = Rng(7000 + k)
         n = 1 + k % 5
         v = random_views(rng, n, 6, queue_rows=k % 4)
-        v = replace(v, gA_t=v.zA_t.copy(), gB_t=v.zB_t.copy())
+        v = replace(v, g=v.z.copy())
         _, _, mass = closed_form_parts(v, 0.2)
         worst_mass = max(worst_mass, float(np.max(np.abs(mass - 1.0))))
         got = closed_form_grad(v, 0.2)
         for i in range(n):
             want = per_anchor_cssl_grad(
-                v.zA_t, v.zB_t, v.zA_prev, v.zB_prev, i, 0.2,
-                v.extra_neg_cur, v.extra_neg_prev)
+                v.z[:n], v.z[n:], v.z_prev[:n], v.z_prev[n:], i, 0.2,
+                v.queue_cur, v.queue_prev)
             worst_grad = max(worst_grad, float(np.max(np.abs(got[i] - want))))
     assert worst_grad < 1e-10, f"closed form off autodiff by {worst_grad:.2e}"
     assert worst_mass < 1e-12, f"softmax masses off 1 by {worst_mass:.2e}"
@@ -112,29 +113,28 @@ def test_criterion_3_reduction_identities():
                                         include_pseudo_negatives=False))
     cassle = cssl_total(v, PnrConfig(method=Method.MOCO, regime=Regime.CASSLE))
     assert pnr_empty.value == cassle.value
-    np.testing.assert_array_equal(pnr_empty.grad_zA_t, cassle.grad_zA_t)
-    np.testing.assert_array_equal(pnr_empty.grad_zB_t, cassle.grad_zB_t)
-    np.testing.assert_array_equal(pnr_empty.grad_gA_t, cassle.grad_gA_t)
+    np.testing.assert_array_equal(pnr_empty.grad_z, cassle.grad_z)
+    np.testing.assert_array_equal(pnr_empty.grad_g, cassle.grad_g)
 
     for method in (Method.BYOL, Method.VICREG, Method.BARLOW):
         vm = random_views(Rng(7300), 6, 5, with_target=True,
                           normalized=method == Method.BYOL)
-        a = noncontrastive_pnr_total(method, vm, PnrConfig(
+        a = noncontrastive_pnr_total(vm, PnrConfig(
             method=method, regime=Regime.PNR, lambda_pnr=0.0))
-        b = noncontrastive_pnr_total(method, vm, PnrConfig(
+        b = noncontrastive_pnr_total(vm, PnrConfig(
             method=method, regime=Regime.CASSLE))
         assert a.value == b.value
         np.testing.assert_array_equal(
-            np.asarray(a.grad_gA_t), np.asarray(b.grad_gA_t))
+            np.asarray(a.grad_g), np.asarray(b.grad_g))
 
     ft = cssl_total(v, PnrConfig(method=Method.SIMCLR, regime=Regime.FT))
-    v_shuffled_prev = replace(
-        v, zA_prev=row_l2_normalize(Rng(1).gaussian_matrix(6, 8)),
-        zB_prev=row_l2_normalize(Rng(2).gaussian_matrix(6, 8)))
+    v_shuffled_prev = replace(v, z_prev=np.concatenate([
+        row_l2_normalize(Rng(1).gaussian_matrix(6, 8)),
+        row_l2_normalize(Rng(2).gaussian_matrix(6, 8))]))
     ft2 = cssl_total(v_shuffled_prev,
                      PnrConfig(method=Method.SIMCLR, regime=Regime.FT))
     assert ft.value == ft2.value
-    assert ft.grad_gA_t is None and ft.grad_gB_t is None
+    assert ft.grad_g is None
     _report(3, "PNR->CaSSLe reductions bitwise for contrastive and "
                "non-contrastive; FT free of previous-model terms")
 
@@ -143,21 +143,21 @@ def test_criterion_4_counting_and_symmetry():
     """Uniform similarity => loss is exactly ln(pool size); A<->B swap
     moves the symmetrized total by < 1e-12."""
     for n in (1, 2, 4):
-        row = np.zeros((n, 3))
+        row = np.zeros((2 * n, 3))
         row[:, 0] = 1.0
-        v = ContrastiveViews(row.copy(), row.copy(), row.copy(), row.copy(),
-                             gA_t=row.copy(), gB_t=row.copy())
+        v = ContrastiveViews(row.copy(), row.copy(), g=row.copy())
         want = np.log((2 * n - 1) + 2 * n)
         assert pnr_l1(v, 0.2).value == want
         assert pnr_l2(v, 0.2).value == want
-    n1 = ContrastiveViews(*[np.array([[1.0, 0.0]]) for _ in range(4)],
-                          gA_t=np.array([[1.0, 0.0]]),
-                          gB_t=np.array([[1.0, 0.0]]))
+    n1 = ContrastiveViews(*[np.array([[1.0, 0.0], [1.0, 0.0]])
+                            for _ in range(3)])
     assert pnr_l1(n1, 0.2).value == np.log(3.0)
 
     v = random_views(Rng(7400), 5, 7, queue_rows=3)
     cfg = PnrConfig(method=Method.MOCO, regime=Regime.PNR)
-    delta = abs(cssl_total(v, cfg).value - cssl_total(v.swapped(), cfg).value)
+    swapped = replace(v, z=partner(v.z), z_prev=partner(v.z_prev),
+                      g=partner(v.g))
+    delta = abs(cssl_total(v, cfg).value - cssl_total(swapped, cfg).value)
     assert delta < 1e-12
     _report(4, f"uniform batches hit ln(4N-1) exactly (N=1: ln 3); "
                f"swap delta {delta:.1e} < 1e-12")

@@ -91,6 +91,8 @@ class TestConfigParsing:
         ({"augment": {"scale_range": [True, 2]}}, "scale_range"),
         ({"model": {"projector_dims": [16, 8]}}, "projector_dims"),
         ({"model": {"predictor_dims": [8, 4]}}, "predictor_dims"),
+        # data_il: the default 2000 samples cannot form 2001 tasks
+        ({"scenario": "data_il", "num_tasks": 2001}, "num_tasks"),
     ])
     def test_invalid_fields_named(self, patch, field):
         raw = yaml.safe_load(DEFAULT_CONFIG_YAML)

@@ -13,16 +13,17 @@ from cssl.continual import (
     build_class_il,
     build_data_il,
     build_domain_il,
+    encode_views,
     random_orthogonal,
     run_sequence,
     train_task,
     two_views,
 )
 from cssl.datastore import gen_synthetic, stack_bytes
-from cssl.errors import IndivisibleClasses, TooFewSamples
+from cssl.errors import DivergenceDetected, IndivisibleClasses, TooFewSamples
 from cssl.losses import Method, PnrConfig, Regime
-from cssl.model import snapshot_frozen
-from cssl.numerics import Rng
+from cssl.model import forward, init_stack, snapshot_frozen
+from cssl.numerics import Rng, row_l2_normalize
 
 
 def toy_dataset(C=10, n_per=12, D=8, seed=5):
@@ -121,27 +122,49 @@ class TestTwoViews:
     def test_identity_augmentation(self):
         x = Rng(1).gaussian_matrix(4, 6)
         cfg = AugmentConfig(0.0, 0.0, (1.0, 1.0))
-        xa, xb = two_views(x, cfg, Rng(2))
-        np.testing.assert_array_equal(xa, x)
-        np.testing.assert_array_equal(xb, x)
+        x2 = two_views(x, cfg, Rng(2))
+        np.testing.assert_array_equal(x2[:4], x)
+        np.testing.assert_array_equal(x2[4:], x)
 
     def test_deterministic_per_seed(self):
         x = Rng(1).gaussian_matrix(4, 6)
         cfg = AugmentConfig(0.3, 0.2, (0.7, 1.3))
         a1 = two_views(x, cfg, Rng(7))
         a2 = two_views(x, cfg, Rng(7))
-        np.testing.assert_array_equal(a1[0], a2[0])
-        np.testing.assert_array_equal(a1[1], a2[1])
+        np.testing.assert_array_equal(a1[:4], a2[:4])
+        np.testing.assert_array_equal(a1[4:], a2[4:])
 
     def test_views_differ(self):
         x = Rng(1).gaussian_matrix(4, 6)
-        xa, xb = two_views(x, AugmentConfig(0.3, 0.0, (1.0, 1.0)), Rng(7))
-        assert np.max(np.abs(xa - xb)) > 1e-6
+        x2 = two_views(x, AugmentConfig(0.3, 0.0, (1.0, 1.0)), Rng(7))
+        assert np.max(np.abs(x2[:4] - x2[4:])) > 1e-6
 
     def test_full_dropout_rejected(self):
         # dropout_p = 1 would zero every coordinate; normalization then fails.
         with pytest.raises(ValueError, match="dropout_p"):
             AugmentConfig(0.0, 1.0, (1.0, 1.0))
+
+
+class TestEncodeViews:
+    def test_stacked_rows_equal_per_view_forward(self):
+        # One forward per network over [xA; xB]; a gemm over 2N rows may
+        # round differently from two over N, hence the 1e-12 tolerance.
+        n = 4
+        x2 = two_views(Rng(1).gaussian_matrix(n, 8), AugmentConfig(), Rng(2))
+        stack = init_stack(Rng(3), **SMALL_MODEL)
+        frozen = snapshot_frozen(init_stack(Rng(4), **SMALL_MODEL))
+        cfg = PnrConfig(method=Method.SIMCLR, regime=Regime.PNR)
+        enc = encode_views(stack, x2, frozen, cfg)
+        for half, x in ((slice(None, n), x2[:n]), (slice(n, None), x2[n:])):
+            fwd = forward(stack, x, want_pred=True)
+            for got, want in (
+                    (enc.fwd.proj, fwd.proj), (enc.fwd.pred, fwd.pred),
+                    (enc.views.z, row_l2_normalize(fwd.proj)),
+                    (enc.views.g, row_l2_normalize(fwd.pred)),
+                    (enc.views.z_prev,
+                     row_l2_normalize(forward(frozen, x).proj))):
+                np.testing.assert_allclose(got[half], want, rtol=1e-12,
+                                           atol=1e-14)
 
 
 class TestTrainTask:
@@ -218,6 +241,19 @@ class TestTrainTask:
         stack, log2 = train_task(stack, frozen, stream.tasks[1], cfg,
                                  task_index=2)
         assert all(np.isfinite(v) for v in log1.epoch_losses + log2.epoch_losses)
+
+
+    def test_divergence_names_task_epoch_and_step(self):
+        # VICReg on raw projections overflows at this learning rate.
+        task = build_class_il(toy_dataset(), 5).tasks[0]
+        cfg = small_cfg(lr=1e3, loss=PnrConfig(method=Method.VICREG,
+                                               regime=Regime.FT))
+        stack = init_stack(Rng(1), **SMALL_MODEL)
+        pattern = (r"^loss -?(nan|inf) at task 3, epoch [12] of 2, "
+                   r"step [12] of the epoch$")
+        with np.errstate(all="ignore"), pytest.raises(DivergenceDetected,
+                                                      match=pattern):
+            train_task(stack, None, task, cfg, task_index=3)
 
 
 class TestRunSequence:

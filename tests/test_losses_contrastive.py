@@ -16,6 +16,7 @@ from cssl.losses import (
     closed_form_grad,
     closed_form_parts,
     cssl_total,
+    partner,
     pnr_l1,
     pnr_l2,
 )
@@ -29,13 +30,24 @@ from reference import (
 )
 
 E1 = np.array([[1.0, 0.0]])
+E2 = np.array([[0.0, 1.0]])
 
 
 def uniform_views(n=1, d=2):
-    row = np.zeros((n, d))
+    row = np.zeros((2 * n, d))
     row[:, 0] = 1.0
-    return ContrastiveViews(row.copy(), row.copy(), row.copy(), row.copy(),
-                            gA_t=row.copy(), gB_t=row.copy())
+    return ContrastiveViews(row.copy(), row.copy(), g=row.copy())
+
+
+def swap_views(v):
+    """Relabel the two augmentations (A <-> B); queues are shared."""
+    return replace(v, z=partner(v.z), z_prev=partner(v.z_prev),
+                   g=partner(v.g))
+
+
+def halves(m):
+    n = m.shape[0] // 2
+    return m[:n], m[n:]
 
 
 class TestHandValues:
@@ -47,17 +59,14 @@ class TestHandValues:
 
     def test_l1_orthogonal_pseudo_negatives(self):
         # positive dot 1, both previous-model dots 0, tau 1
-        v = ContrastiveViews(E1.copy(), E1.copy(),
-                             np.array([[0.0, 1.0]]), np.array([[0.0, 1.0]]))
+        v = ContrastiveViews(np.vstack([E1, E1]), np.vstack([E2, E2]))
         assert pnr_l1(v, 1.0).value == pytest.approx(np.log(np.e + 2) - 1,
                                                      abs=1e-12)
 
     def test_l2_orthogonal_pseudo_negatives(self):
-        # distill dot 1, pseudo-negative dots 0, tau 1
-        v = ContrastiveViews(
-            zA_t=np.array([[0.0, 1.0]]), zB_t=np.array([[0.0, 1.0]]),
-            zA_prev=E1.copy(), zB_prev=np.array([[0.0, 1.0]]),
-            gA_t=E1.copy(), gB_t=E1.copy())
+        # distill dot 1, pseudo-negative dots 0, tau 1 (for both anchors)
+        v = ContrastiveViews(z=np.vstack([E1, E2]), z_prev=np.vstack([E1, E2]),
+                             g=np.vstack([E1, E2]))
         assert pnr_l2(v, 1.0).value == pytest.approx(np.log(np.e + 2) - 1,
                                                      abs=1e-12)
 
@@ -69,15 +78,14 @@ class TestHandValues:
     def test_uniform_counting_with_queues(self):
         # denominator cardinality: (2N-1 + Kc) + (2N + Kp)
         n, kc, kp = 2, 3, 4
-        row = np.zeros((n, 2))
+        row = np.zeros((2 * n, 2))
         row[:, 0] = 1.0
         qc = np.zeros((kc, 2))
         qc[:, 0] = 1.0
         qp = np.zeros((kp, 2))
         qp[:, 0] = 1.0
-        v = ContrastiveViews(row.copy(), row.copy(), row.copy(), row.copy(),
-                             gA_t=row.copy(), gB_t=row.copy(),
-                             extra_neg_cur=qc, extra_neg_prev=qp)
+        v = ContrastiveViews(row.copy(), row.copy(), g=row.copy(),
+                             queue_cur=qc, queue_prev=qp)
         want = np.log((2 * n - 1 + kc) + (2 * n + kp))
         assert pnr_l1(v, 0.2).value == want
         assert pnr_l2(v, 0.2).value == want
@@ -87,19 +95,25 @@ class TestSetSemantics:
     def test_l1_matches_naive_reference(self):
         v = random_views(Rng(100), 4, 6)
         got = pnr_l1(v, 0.2).value
-        want = reference_pnr_l1(v.zA_t, v.zB_t, v.zA_prev, v.zB_prev, 0.2)
+        (zA, zB), (zpA, zpB) = halves(v.z), halves(v.z_prev)
+        want = 0.5 * (reference_pnr_l1(zA, zB, zpA, zpB, 0.2)
+                      + reference_pnr_l1(zB, zA, zpB, zpA, 0.2))
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_l1_without_pn_is_simclr(self):
         v = random_views(Rng(101), 5, 6)
         got = pnr_l1(v, 0.2, include_pn=False).value
-        want = reference_simclr(v.zA_t, v.zB_t, 0.2)
+        zA, zB = halves(v.z)
+        want = 0.5 * (reference_simclr(zA, zB, 0.2)
+                      + reference_simclr(zB, zA, 0.2))
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_l2_without_pn_is_cassle_distill(self):
         v = random_views(Rng(102), 5, 6)
         got = pnr_l2(v, 0.2, include_pn=False).value
-        want = reference_cassle_distill(v.gA_t, v.zA_prev, v.zB_prev, 0.2)
+        (gA, gB), (zpA, zpB) = halves(v.g), halves(v.z_prev)
+        want = 0.5 * (reference_cassle_distill(gA, zpA, zpB, 0.2)
+                      + reference_cassle_distill(gB, zpB, zpA, 0.2))
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_denominators_identical_under_identity_predictor(self):
@@ -111,10 +125,10 @@ class TestSetSemantics:
     def test_no_gradient_slots_for_previous_model(self):
         v = random_views(Rng(103), 4, 6)
         res = pnr_l1(v, 0.2)
-        assert not hasattr(res, "grad_zA_prev")
-        assert not hasattr(res, "grad_zB_prev")
+        assert not hasattr(res, "grad_z_prev")
+        assert not hasattr(res, "grad_z_target")
         res2 = pnr_l2(v, 0.2)
-        for g in (res.grad_zA_t, res.grad_zB_t, res2.grad_gA_t):
+        for g in (res.grad_z, res2.grad_z, res2.grad_g):
             assert g is not None and np.all(np.isfinite(g))
 
     def test_missing_predictor_raises(self):
@@ -124,14 +138,13 @@ class TestSetSemantics:
 
     def test_empty_batch_raises(self):
         z = np.zeros((0, 4))
-        v = ContrastiveViews(z, z.copy(), z.copy(), z.copy(),
-                             gA_t=z.copy(), gB_t=z.copy())
+        v = ContrastiveViews(z, z.copy(), g=z.copy())
         with pytest.raises(EmptyBatch):
             pnr_l1(v, 0.2)
 
     def test_norm_violation_raises(self):
         v = random_views(Rng(105), 3, 5)
-        bad = replace(v, zA_t=v.zA_t * 1.5)
+        bad = replace(v, z=v.z * 1.5)
         with pytest.raises(NormViolation):
             pnr_l1(bad, 0.2)
 
@@ -145,18 +158,20 @@ class TestReductions:
         a = cssl_total(v, cfg_pnr_empty)
         b = cssl_total(v, cfg_cassle)
         assert a.value == b.value
-        np.testing.assert_array_equal(a.grad_zA_t, b.grad_zA_t)
-        np.testing.assert_array_equal(a.grad_gA_t, b.grad_gA_t)
+        np.testing.assert_array_equal(a.grad_z, b.grad_z)
+        np.testing.assert_array_equal(a.grad_g, b.grad_g)
 
     def test_cassle_equals_reference_composition(self):
         v = random_views(Rng(107), 4, 6)
         cfg = PnrConfig(method=Method.SIMCLR, regime=Regime.CASSLE, tau=0.2)
         got = cssl_total(v, cfg).value
+        (zA, zB), (zpA, zpB), (gA, gB) = (halves(v.z), halves(v.z_prev),
+                                          halves(v.g))
         want = 0.5 * (
-            reference_simclr(v.zA_t, v.zB_t, 0.2)
-            + reference_cassle_distill(v.gA_t, v.zA_prev, v.zB_prev, 0.2)
-            + reference_simclr(v.zB_t, v.zA_t, 0.2)
-            + reference_cassle_distill(v.gB_t, v.zB_prev, v.zA_prev, 0.2))
+            reference_simclr(zA, zB, 0.2)
+            + reference_cassle_distill(gA, zpA, zpB, 0.2)
+            + reference_simclr(zB, zA, 0.2)
+            + reference_cassle_distill(gB, zpB, zpA, 0.2))
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_ft_has_no_previous_model_terms(self):
@@ -164,10 +179,9 @@ class TestReductions:
         cfg = PnrConfig(method=Method.SIMCLR, regime=Regime.FT)
         res = cssl_total(v, cfg)
         # changing the frozen embeddings must not move the FT loss
-        v2 = replace(v, zA_prev=row_l2_normalize(Rng(1).gaussian_matrix(4, 6)),
-                     zB_prev=row_l2_normalize(Rng(2).gaussian_matrix(4, 6)))
+        v2 = replace(v, z_prev=row_l2_normalize(Rng(1).gaussian_matrix(8, 6)))
         assert cssl_total(v2, cfg).value == res.value
-        assert res.grad_gA_t is None and res.grad_gB_t is None
+        assert res.grad_g is None
 
 
 class TestSymmetry:
@@ -175,9 +189,9 @@ class TestSymmetry:
         v = random_views(Rng(109), 5, 7, queue_rows=3)
         cfg = PnrConfig(method=Method.MOCO, regime=Regime.PNR)
         total = cssl_total(v, cfg)
-        swapped = cssl_total(v.swapped(), cfg)
+        swapped = cssl_total(swap_views(v), cfg)
         assert abs(total.value - swapped.value) < 1e-12
-        np.testing.assert_allclose(total.grad_zA_t, swapped.grad_zB_t,
+        np.testing.assert_allclose(total.grad_z, partner(swapped.grad_z),
                                    atol=1e-15)
 
     def test_symmetric_views_orderings_equal(self):
@@ -185,10 +199,12 @@ class TestSymmetry:
         z = row_l2_normalize(rng.gaussian_matrix(4, 6))
         zp = row_l2_normalize(rng.gaussian_matrix(4, 6))
         g = row_l2_normalize(rng.gaussian_matrix(4, 6))
-        v = ContrastiveViews(z, z.copy(), zp, zp.copy(), gA_t=g, gB_t=g.copy())
+        v = ContrastiveViews(np.vstack([z, z]), np.vstack([zp, zp]),
+                             g=np.vstack([g, g]))
         cfg = PnrConfig(method=Method.SIMCLR, regime=Regime.PNR)
         one = cssl_total(v, cfg)
-        parts_ab = pnr_l1(v, cfg.tau).value + pnr_l2(v, cfg.tau).value
+        parts_ab = (reference_pnr_l1(z, z, zp, zp, cfg.tau)
+                    + pnr_l2(v, cfg.tau).value)
         assert one.value == pytest.approx(parts_ab, abs=1e-12)
 
 
@@ -197,7 +213,7 @@ class TestGradients:
     def test_l1_fd(self, seed):
         v = random_views(Rng(200 + seed), 4, 6, queue_rows=2)
         res = pnr_l1(v, 0.2, norm_tol=None)
-        for field, grad in (("zA_t", res.grad_zA_t), ("zB_t", res.grad_zB_t)):
+        for field, grad in (("z", res.grad_z),):
             fd = finite_difference_gradient(
                 lambda x, f=field: pnr_l1(replace(v, **{f: x}), 0.2,
                                           norm_tol=None).value,
@@ -209,15 +225,14 @@ class TestGradients:
     def test_l2_fd_and_frozen_structure(self, seed):
         v = random_views(Rng(300 + seed), 4, 6, queue_rows=2)
         res = pnr_l2(v, 0.2, norm_tol=None)
-        for field, grad in (("zA_t", res.grad_zA_t), ("zB_t", res.grad_zB_t),
-                            ("gA_t", res.grad_gA_t)):
+        for field, grad in (("z", res.grad_z), ("g", res.grad_g)):
             fd = finite_difference_gradient(
                 lambda x, f=field: pnr_l2(replace(v, **{f: x}), 0.2,
                                           norm_tol=None).value,
                 getattr(v, field))
             scale = max(float(np.max(np.abs(fd))), 1e-10)
             assert float(np.max(np.abs(grad - fd))) / scale < 1e-6
-        assert res.grad_gB_t is None
+        assert not hasattr(res, "grad_z_prev")
 
 
 class TestClosedForm:
@@ -231,7 +246,8 @@ class TestClosedForm:
         rng = Rng(401)
         p = row_l2_normalize(rng.gaussian_matrix(3, 6))
         v = random_views(rng, 3, 6)
-        v = replace(v, zB_t=p.copy(), zA_prev=p.copy())
+        v = replace(v, z=np.vstack([v.z[:3], p]),
+                    z_prev=np.vstack([p, v.z_prev[3:]]))
         attract, _, _ = closed_form_parts(v, 0.2)
         np.testing.assert_array_equal(attract, p)
 
@@ -240,21 +256,23 @@ class TestClosedForm:
             rng = Rng(500 + k)
             n = 1 + k % 4
             v = random_views(rng, n, 5, queue_rows=k % 3)
-            v = replace(v, gA_t=v.zA_t.copy(), gB_t=v.zB_t.copy())
+            v = replace(v, g=v.z.copy())
             got = closed_form_grad(v, 0.2)
-            qc = v.extra_neg_cur if v.extra_neg_cur is not None else None
-            qp = v.extra_neg_prev if v.extra_neg_prev is not None else None
+            (zA, zB), (zpA, zpB) = halves(v.z), halves(v.z_prev)
             for i in range(n):
-                want = per_anchor_cssl_grad(v.zA_t, v.zB_t, v.zA_prev,
-                                            v.zB_prev, i, 0.2, qc, qp)
+                want = per_anchor_cssl_grad(zA, zB, zpA, zpB, i, 0.2,
+                                            v.queue_cur, v.queue_prev)
                 assert np.max(np.abs(got[i] - want)) < 1e-10
 
     def test_matches_production_losses_at_batch_one(self):
         for k in range(10):
             v = random_views(Rng(600 + k), 1, 6)
-            v = replace(v, gA_t=v.zA_t.copy(), gB_t=v.zB_t.copy())
+            v = replace(v, g=v.z.copy())
             cf = closed_form_grad(v, 0.2)
-            r1 = pnr_l1(v, 0.2)
-            r2 = pnr_l2(v, 0.2)
-            full = 0.5 * (r1.grad_zA_t + r2.grad_gA_t)
+            # pnr_l2's g is a pure query; with the plasticity positive z[1]
+            # at the lead of the frozen block it gives that term's half.
+            plastic = replace(v, z=np.stack([v.z[0], v.z_prev[0]]),
+                              z_prev=np.stack([v.z[1], v.z_prev[1]]))
+            full = (pnr_l2(plastic, 0.2).grad_g[:1]
+                    + pnr_l2(v, 0.2).grad_g[:1])
             assert np.max(np.abs(cf - full)) < 1e-10

@@ -124,7 +124,8 @@ class TestBackward:
     def test_zero_grads_give_zero_param_grads(self):
         stack = small_stack(11)
         x = Rng(12).gaussian_matrix(4, 8)
-        g = backward(stack, x, np.zeros((4, 8)), np.zeros((4, 8)))
+        g = backward(stack, forward(stack, x, want_pred=True),
+                     np.zeros((4, 8)), np.zeros((4, 8)))
         assert g.layout == stack.layout
         assert np.all(g.flat == 0.0)
 
@@ -137,7 +138,7 @@ class TestBackward:
         stack = EncoderStack(enc, proj, pred)
         x = np.array([[1.0, 2.0], [3.0, -4.0]])
         g_out = np.array([[1.0, 0.0], [0.0, 1.0]])
-        grads = backward(stack, x, g_out)
+        grads = backward(stack, forward(stack, x), g_out)
         want = np.zeros((2, 2))
         for o in range(2):
             for j in range(2):
@@ -161,8 +162,8 @@ class TestBackward:
             lambda v: loss_of_params(v.ravel()), theta0.reshape(1, -1))
         stack.flat[...] = theta0
         out = forward(stack, x, want_pred=True)
-        grads = backward(stack, x, 2.0 * out.proj,
-                         2.0 * (out.pred - frozen_target), fwd=out)
+        grads = backward(stack, out, 2.0 * out.proj,
+                         2.0 * (out.pred - frozen_target))
         analytic = grads.flat
         scale = max(float(np.max(np.abs(fd))), 1e-10)
         assert float(np.max(np.abs(analytic - fd.ravel()))) / scale < 1e-6
@@ -254,7 +255,7 @@ class TestSnapshot:
         for _ in range(10):
             x = rng.gaussian_matrix(4, 8)
             out = forward(stack, x, want_pred=True)
-            grads = backward(stack, x, 0.01 * out.proj, fwd=out)
+            grads = backward(stack, out, 0.01 * out.proj)
             sgd_step(stack, grads, opt)
         assert hashlib.sha256(stack_bytes(snap)).hexdigest() == digest
 
