@@ -309,13 +309,13 @@ def encode_views(stack: EncoderStack, x: np.ndarray,
     and package the loss inputs.
 
     Contrastive methods and BYOL put embeddings on the unit sphere; VICReg
-    and Barlow consume raw projections.
+    and Barlow consume raw projections. Without a frozen model ``cfg`` must
+    be the fine-tuning config (see :func:`train_task`).
     """
     normalized = cfg.method in CONTRASTIVE_METHODS or cfg.method == Method.BYOL
-    effective = cfg.regime if frozen is not None else Regime.FT
     # The predictor feeds the distillation term (and BYOL's native loss);
     # plain fine-tuning of the other methods never reads it.
-    need_pred = cfg.method == Method.BYOL or effective != Regime.FT
+    need_pred = cfg.method == Method.BYOL or cfg.regime != Regime.FT
     fwd = forward(stack, x, want_pred=need_pred)
     z = _maybe_normalize(fwd.proj, normalized)
     g = _maybe_normalize(fwd.pred, normalized) if need_pred else None
@@ -349,6 +349,14 @@ def backprop_views(stack: EncoderStack, enc: ViewEncodings, cfg: PnrConfig,
     return backward(stack, fwd, grad_proj, grad_pred)
 
 
+def _overflowed(fwd: ForwardResult) -> bool:
+    """Whether a raw projection or prediction holds NaN/Inf or a squared
+    norm beyond float range: normalizing it would yield zero or NaN rows
+    instead of unit ones, so no loss of it is defined."""
+    return any(not np.isfinite(m.ravel() @ m.ravel())
+               for m in (fwd.proj, fwd.pred) if m is not None)
+
+
 def _effective_cfg(cfg: PnrConfig, frozen: FrozenStack | None) -> PnrConfig:
     if frozen is None and cfg.regime != Regime.FT:
         return replace(cfg, regime=Regime.FT)
@@ -362,7 +370,8 @@ def train_task(stack: EncoderStack, frozen_prev: FrozenStack | None,
 
     Runs ``epochs_per_task`` sweeps of two-view SGD steps; MoCo queues are
     created fresh for the task and BYOL's target starts as a copy of the
-    online network. Raises DivergenceDetected on a NaN/Inf loss.
+    online network. Raises DivergenceDetected on a NaN/Inf loss; outputs
+    that overflow (see :func:`_overflowed`) count as a nan loss.
     """
     loss_cfg = _effective_cfg(cfg.loss, frozen_prev)
     method = loss_cfg.method
@@ -395,7 +404,8 @@ def train_task(stack: EncoderStack, frozen_prev: FrozenStack | None,
                 loss_cfg, target=target,
                 queue_cur=(cur_queue.snapshot() if cur_queue else None),
                 queue_prev=(prev_queue.snapshot() if prev_queue else None))
-            res = total_loss(enc.views, loss_cfg)
+            res = (LossResult(np.nan) if _overflowed(enc.fwd)
+                   else total_loss(enc.views, loss_cfg))
             if not np.isfinite(res.value):
                 raise DivergenceDetected(
                     f"loss {res.value} at task {task_index}, epoch {epoch} "
@@ -442,12 +452,11 @@ def run_sequence(stream: TaskStream, cfg: TrainConfig,
     ft_checkpoints: list[FrozenStack] = []
     ft_logs: list[TrainLog] = []
     if with_ft_refs:
-        ft_cfg = replace(cfg, loss=replace(cfg.loss, regime=Regime.FT))
         for t, task in enumerate(stream.tasks, 1):
             ft_stack = init_stack(root.derive(f"ft-init-{t}"),
                                   cfg.encoder_dims, cfg.projector_dims,
                                   cfg.predictor_dims)
-            ft_stack, log = train_task(ft_stack, None, task, ft_cfg,
+            ft_stack, log = train_task(ft_stack, None, task, cfg,
                                        task_index=t)
             ft_checkpoints.append(snapshot_frozen(ft_stack))
             ft_logs.append(log)

@@ -33,27 +33,31 @@ from .losses import (
     Regime,
     barlow_loss,
     byol_loss,
-    byol_pnr_l2,
     closed_form_grad,
     closed_form_parts,
     cssl_total,
     noncontrastive_pnr_total,
     pnr_l1,
     pnr_l2,
+    pnr_regularizer,
     total_loss,
     vicreg_loss,
-    vicreg_pnr_l2,
 )
-from .model import TargetNetwork, init_stack, snapshot_frozen
-from .numerics import Rng, finite_difference_gradient, row_l2_normalize
+from .model import TargetNetwork, init_stack, snapshot_frozen, target_forward
+from .numerics import (
+    Rng,
+    finite_difference_gradient,
+    row_l2_normalize,
+    row_norms,
+)
 
 FD_EPS = 1e-5
 REL_TOL = 1e-6
 RELU_MARGIN = 1e-4
 
 EMBEDDING_LOSSES = (
-    "pnr_l1", "pnr_l2", "cssl_total", "byol_loss", "byol_pnr_l2",
-    "vicreg_loss", "vicreg_pnr_l2", "barlow_loss", "noncontrastive_pnr_total",
+    "pnr_l1", "pnr_l2", "cssl_total", "byol_loss", "vicreg_loss",
+    "barlow_loss", "pnr_regularizer", "noncontrastive_pnr_total",
 )
 PARAM_METHODS = ("simclr", "moco", "byol", "vicreg", "barlow")
 
@@ -155,45 +159,29 @@ def _embedding_trial(name: str, rng: Rng) -> float:
         fd = finite_difference_gradient(lambda x: byol_loss(x, t).value, p,
                                         FD_EPS)
         return rel_err(byol_loss(p, t).grad_g, fd)
-    if name == "byol_pnr_l2":
-        g = _unit_rows(rng, n, d)
-        zpa, zpb = _unit_rows(rng, n, d), _unit_rows(rng, n, d)
-        fd = finite_difference_gradient(
-            lambda x: byol_pnr_l2(x, zpa, zpb, 0.5).value, g, FD_EPS)
-        return rel_err(byol_pnr_l2(g, zpa, zpb, 0.5).grad_g, fd)
-    if name == "vicreg_loss":
-        za, zb = _vicreg_inputs(rng), _vicreg_inputs(rng)
-        grad, n = vicreg_loss(za, zb).grad_z, za.shape[0]
-        worst = rel_err(grad[:n], finite_difference_gradient(
-            lambda x: vicreg_loss(x, zb).value, za, FD_EPS))
-        return max(worst, rel_err(grad[n:], finite_difference_gradient(
-            lambda x: vicreg_loss(za, x).value, zb, FD_EPS)))
-    if name == "vicreg_pnr_l2":
-        g = rng.gaussian_matrix(n, d)
-        zpa, zpb = rng.gaussian_matrix(n, d), rng.gaussian_matrix(n, d)
-        fd = finite_difference_gradient(
-            lambda x: vicreg_pnr_l2(x, zpa, zpb, 25.0, 23.0).value, g, FD_EPS)
-        return rel_err(vicreg_pnr_l2(g, zpa, zpb, 25.0, 23.0).grad_g, fd)
-    if name == "barlow_loss":
-        za, zb = rng.gaussian_matrix(n + 3, d), rng.gaussian_matrix(n + 3, d)
-        grad, n = barlow_loss(za, zb).grad_z, za.shape[0]
-        worst = rel_err(grad[:n], finite_difference_gradient(
-            lambda x: barlow_loss(x, zb).value, za, FD_EPS))
-        return max(worst, rel_err(grad[n:], finite_difference_gradient(
-            lambda x: barlow_loss(za, x).value, zb, FD_EPS)))
-    if name == "noncontrastive_pnr_total":
+    if name in ("vicreg_loss", "barlow_loss"):
+        if name == "vicreg_loss":
+            loss_fn = vicreg_loss
+            za, zb = _vicreg_inputs(rng), _vicreg_inputs(rng)
+        else:
+            loss_fn = barlow_loss
+            za, zb = rng.gaussian_matrix(n + 3, d), rng.gaussian_matrix(n + 3, d)
+        z = np.concatenate([za, zb])  # the two raw views; z_prev is unused
+        return _check_views_loss(lambda vv: loss_fn(*np.split(vv.z, 2)),
+                                 ContrastiveViews(z, z), {"z": "grad_z"})
+    if name in ("pnr_regularizer", "noncontrastive_pnr_total"):
+        loss_fn = (pnr_regularizer if name == "pnr_regularizer"
+                   else noncontrastive_pnr_total)
         worst = 0.0
         for method in (Method.BYOL, Method.VICREG, Method.BARLOW):
             cfg = PnrConfig(method=method, regime=Regime.PNR)
             v = random_views(rng, n + 2, d, with_target=True,
                              normalized=method == Method.BYOL)
-
-            def f_total(vv, c=cfg):
-                return noncontrastive_pnr_total(vv, c)
-
-            fields = ({"g": "grad_g"} if method == Method.BYOL
-                      else _LIVE_FIELDS)
-            worst = max(worst, _check_views_loss(f_total, v, fields))
+            # g is the regularizer's only live input, and BYOL's.
+            fields = ({"g": "grad_g"} if loss_fn is pnr_regularizer
+                      or method == Method.BYOL else _LIVE_FIELDS)
+            worst = max(worst, _check_views_loss(
+                lambda vv, c=cfg: loss_fn(vv, c), v, fields))
         return worst
     raise ValueError(f"unknown loss {name}")
 
@@ -268,29 +256,23 @@ def check_param_gradients(trials: int = 4, seed: int = 515
              queue_cur, queue_prev) = _param_setup(method,
                                                    seed + 1000 * attempt)
             margin, min_norm = _chain_relu_margin([stack, frozen], [x])
+            if target is not None:
+                min_norm = min(min_norm, float(np.min(
+                    row_norms(target_forward(target, x)))))
             if margin < RELU_MARGIN or min_norm < 1e-2:
                 continue  # redraw: FD invalid at a kink / degenerate row
 
-            def loss_value() -> float:
-                enc = encode_views(stack, x, frozen, cfg, target=target,
-                                   queue_cur=queue_cur, queue_prev=queue_prev)
+            def loss_at(theta: np.ndarray) -> float:
+                enc = encode_views(stack.like(theta), x, frozen, cfg,
+                                   target=target, queue_cur=queue_cur,
+                                   queue_prev=queue_prev)
                 return total_loss(enc.views, cfg, norm_tol=None).value
 
             enc = encode_views(stack, x, frozen, cfg, target=target,
                                queue_cur=queue_cur, queue_prev=queue_prev)
             res = total_loss(enc.views, cfg, norm_tol=None)
             analytic = backprop_views(stack, enc, cfg, res).flat
-
-            theta = stack.flat
-            fd = np.zeros_like(theta)
-            for idx in range(theta.size):
-                theta0 = theta[idx]
-                acc = 0.0
-                for sign in (+1.0, -1.0):
-                    theta[idx] = theta0 + sign * FD_EPS
-                    acc += sign * loss_value()
-                theta[idx] = theta0
-                fd[idx] = acc / (2.0 * FD_EPS)
+            fd = finite_difference_gradient(loss_at, stack.flat, FD_EPS)
             worst = max(worst, rel_err(analytic, fd))
             done += 1
         reports.append(CheckReport(f"params/{method}", trials, worst,

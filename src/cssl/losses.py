@@ -32,9 +32,10 @@ as in SimCLR's NT-Xent (Chen et al. 2020).
 Non-contrastive side
 --------------------
 The native loss (BYOL / VICReg / Barlow Twins) runs on the current views;
-the regularizer distills each predictor output toward its own row of
-``z_prev`` while pushing away from the cross-view pseudo-negative, its
-partner's row: ``distill(g, z_prev) - lambda * repel(g, partner(z_prev))``.
+one regularizer for all three, :func:`pnr_regularizer`, distills each
+predictor output toward its own row of ``z_prev`` (CaSSLe's term) and, in
+regime ``pnr``, pushes it away from the cross-view pseudo-negative, its
+partner's row: ``distill(g, z_prev) - w * mean||g - partner(z_prev)||^2``.
 
 Gradients are returned only for current-model embeddings; previous-model
 and target-network inputs are frozen by construction.
@@ -103,8 +104,6 @@ class PnrConfig:
     vicreg_sim: float = VICREG_SIM
     vicreg_var: float = VICREG_VAR
     vicreg_cov: float = VICREG_COV
-    vicreg_gamma: float = VICREG_GAMMA
-    vicreg_eps: float = VICREG_EPS
     barlow_lambda: float = BARLOW_LAMBDA
     # Diagnostic knob: force-empty pseudo-negative blocks while keeping the
     # PNR code path. PNR with this set reproduces CaSSLe bit for bit.
@@ -331,47 +330,21 @@ def _check_same_shape(a: np.ndarray, b: np.ndarray, what: str) -> None:
         raise ShapeMismatch(f"{what}: {a.shape} vs {b.shape}")
 
 
+def _sq_dist(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean over rows of ||a_i - b_i||^2 and its gradient w.r.t. ``a``."""
+    n = a.shape[0]
+    d = a - b
+    return float(np.sum(d * d) / n), 2.0 * d / n
+
+
 def byol_loss(online_pred: np.ndarray, target_proj: np.ndarray) -> LossResult:
     """Mean squared L2 distance between rows; gradient w.r.t. the online
     predictions only (returned in the ``g`` slot)."""
     _check_same_shape(online_pred, target_proj, "byol_loss")
-    n = online_pred.shape[0]
-    if n == 0:
+    if online_pred.shape[0] == 0:
         raise EmptyBatch("byol_loss on empty batch")
-    diff = online_pred - target_proj
-    value = float(np.sum(diff * diff) / n)
-    return LossResult(value, grad_g=2.0 * diff / n)
-
-
-def byol_pnr_l2(g: np.ndarray, z_prev: np.ndarray, z_prev_cross: np.ndarray,
-                lambda_pnr: float) -> LossResult:
-    """Distill toward the previous model's same-view output while repelling
-    from its cross-view output: mean||g - z_prev||^2 -
-    lambda * mean||g - z_prev_cross||^2. Gradient w.r.t. g only.
-
-    lambda == 0 skips the repel term entirely, so the CaSSLe reduction is
-    bitwise, not just numerically close.
-    """
-    _check_same_shape(g, z_prev, "byol_pnr_l2")
-    _check_same_shape(g, z_prev_cross, "byol_pnr_l2")
-    if lambda_pnr < 0:
-        raise ValueError("lambda_pnr must be non-negative")
-    n = g.shape[0]
-    if n == 0:
-        raise EmptyBatch("byol_pnr_l2 on empty batch")
-    d_pos = g - z_prev
-    value = float(np.sum(d_pos * d_pos) / n)
-    grad = 2.0 * d_pos / n
-    if lambda_pnr > 0:
-        d_neg = g - z_prev_cross
-        value -= lambda_pnr * float(np.sum(d_neg * d_neg) / n)
-        grad = grad - lambda_pnr * (2.0 * d_neg / n)
+    value, grad = _sq_dist(online_pred, target_proj)
     return LossResult(value, grad_g=grad)
-
-
-def _mean_sq_dist(a: np.ndarray, b: np.ndarray) -> float:
-    d = a - b
-    return float(np.sum(d * d) / a.shape[0])
 
 
 def _variance_hinge(z: np.ndarray, gamma: float, eps: float
@@ -415,34 +388,15 @@ def vicreg_loss(zA: np.ndarray, zB: np.ndarray,
     n = zA.shape[0]
     if n < 2:
         raise BatchTooSmall("vicreg_loss needs at least 2 samples")
-    s = _mean_sq_dist(zA, zB)
+    s, ds = _sq_dist(zA, zB)
     vA, gvA = _variance_hinge(zA, gamma, eps)
     vB, gvB = _variance_hinge(zB, gamma, eps)
     cA, gcA = _covariance_penalty(zA)
     cB, gcB = _covariance_penalty(zB)
     value = lam * s + mu * (vA + vB) + nu * (cA + cB)
-    ds = 2.0 * (zA - zB) / n
     grad_a = lam * ds + mu * gvA + nu * gcA
     grad_b = -lam * ds + mu * gvB + nu * gcB
     return LossResult(float(value), grad_z=np.concatenate([grad_a, grad_b]))
-
-
-def vicreg_pnr_l2(g: np.ndarray, z_prev: np.ndarray, z_prev_cross: np.ndarray,
-                  lambda_cassle: float, lambda_pnr: float) -> LossResult:
-    """0.5*lambda_cassle*s(g, z_prev) - 0.5*lambda_pnr*s(g, z_prev_cross)
-    where s is the mean squared distance. Gradient w.r.t. g only;
-    lambda_pnr == 0 skips the repel branch for a bitwise CaSSLe reduction."""
-    _check_same_shape(g, z_prev, "vicreg_pnr_l2")
-    _check_same_shape(g, z_prev_cross, "vicreg_pnr_l2")
-    n = g.shape[0]
-    if n == 0:
-        raise EmptyBatch("vicreg_pnr_l2 on empty batch")
-    value = 0.5 * lambda_cassle * _mean_sq_dist(g, z_prev)
-    grad = lambda_cassle * (g - z_prev) / n
-    if lambda_pnr > 0:
-        value -= 0.5 * lambda_pnr * _mean_sq_dist(g, z_prev_cross)
-        grad = grad - lambda_pnr * (g - z_prev_cross) / n
-    return LossResult(float(value), grad_g=grad)
 
 
 def _standardize_columns(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -497,30 +451,45 @@ def barlow_loss(zA: np.ndarray, zB: np.ndarray,
     return LossResult(value, grad_z=np.concatenate([grad_a, grad_b]))
 
 
-def barlow_pnr_l2(g: np.ndarray, z_prev: np.ndarray, z_prev_cross: np.ndarray,
-                  lambda_bt: float, lambda_pnr: float) -> LossResult:
-    """Barlow distillation toward the frozen same-view projection minus the
-    generic squared-distance repel from the cross-view pseudo-negative. All
-    inputs are one view's batch: the distillation standardizes columns over
-    it."""
-    _check_same_shape(g, z_prev_cross, "barlow_pnr_l2")
-    value, grad, _ = _barlow_core(g, z_prev, lambda_bt)
-    if lambda_pnr > 0:
-        n = g.shape[0]
-        d_neg = g - z_prev_cross
-        value -= lambda_pnr * float(np.sum(d_neg * d_neg) / n)
-        grad = grad - lambda_pnr * (2.0 * d_neg / n)
+def pnr_regularizer(v: ContrastiveViews, cfg: PnrConfig) -> LossResult:
+    """The non-contrastive regularizer over both views, with a gradient for
+    ``g`` only: distill(g, z_prev) - w * mean||g - partner(z_prev)||^2.
+
+    The distillation is CaSSLe's (Fini et al. 2022): the mean squared
+    distance for BYOL, the same scaled by 0.5 * lambda_cassle for VICReg,
+    and Barlow's objective per view (it standardizes columns over one view's
+    batch). The repel from the cross-view pseudo-negative is PNR's addition,
+    weighted by w = lambda_pnr (0.5 * lambda_pnr for VICReg) in regime
+    ``pnr``. Any other regime, or lambda_pnr == 0, skips it entirely, so
+    that reduction to CaSSLe is bitwise.
+    """
+    if v.g is None:
+        raise MissingPredictorOutput(
+            f"{cfg.method.value} distillation needs g outputs")
+    lam = cfg.lambda_pnr if cfg.regime == Regime.PNR else 0.0
+    if cfg.method == Method.BARLOW:
+        n = v.batch_size
+        va, ga, _ = _barlow_core(v.g[:n], v.z_prev[:n], cfg.barlow_lambda)
+        vb, gb, _ = _barlow_core(v.g[n:], v.z_prev[n:], cfg.barlow_lambda)
+        value, grad = 0.5 * (va + vb), 0.5 * np.concatenate([ga, gb])
+    else:
+        value, grad = _sq_dist(v.g, v.z_prev)
+        if cfg.method == Method.VICREG:
+            w = 0.5 * cfg.lambda_cassle
+            value, grad = w * value, w * grad
+            lam *= 0.5
+    if lam > 0:
+        repel, grad_repel = _sq_dist(v.g, partner(v.z_prev))
+        value -= lam * repel
+        grad = grad - lam * grad_repel
     return LossResult(value, grad_g=grad)
 
 
 def noncontrastive_pnr_total(v: ContrastiveViews, cfg: PnrConfig
                              ) -> LossResult:
-    """Non-contrastive objective for BYOL / VICReg / Barlow over both views.
-
-    Regime ``ft`` keeps only the native loss; ``cassle`` adds distillation
-    of each row's predictor output toward its own frozen projection;
-    ``pnr`` additionally repels it from the partner row's frozen projection.
-    """
+    """Non-contrastive objective for BYOL / VICReg / Barlow over both views:
+    the native loss, plus :func:`pnr_regularizer` unless the regime is
+    ``ft``."""
     method = cfg.method
     if method in CONTRASTIVE_METHODS:
         raise ValueError(f"{method} is contrastive; use cssl_total")
@@ -533,25 +502,12 @@ def noncontrastive_pnr_total(v: ContrastiveViews, cfg: PnrConfig
         native = byol_loss(v.g, partner(v.z_target))
     elif method == Method.VICREG:
         native = vicreg_loss(v.z[:n], v.z[n:], cfg.vicreg_sim, cfg.vicreg_var,
-                             cfg.vicreg_cov, cfg.vicreg_gamma, cfg.vicreg_eps)
+                             cfg.vicreg_cov)
     else:
         native = barlow_loss(v.z[:n], v.z[n:], cfg.barlow_lambda)
     if cfg.regime == Regime.FT:
         return native
-    if v.g is None:
-        raise MissingPredictorOutput(
-            f"{method.value} distillation needs g outputs")
-    lam = cfg.lambda_pnr if cfg.regime == Regime.PNR else 0.0
-    zp = v.z_prev
-    if method == Method.BYOL:
-        reg = byol_pnr_l2(v.g, zp, partner(zp), lam)
-    elif method == Method.VICREG:
-        reg = vicreg_pnr_l2(v.g, zp, partner(zp), cfg.lambda_cassle, lam)
-    else:
-        a = barlow_pnr_l2(v.g[:n], zp[:n], zp[n:], cfg.barlow_lambda, lam)
-        b = barlow_pnr_l2(v.g[n:], zp[n:], zp[:n], cfg.barlow_lambda, lam)
-        reg = LossResult(0.5 * (a.value + b.value),
-                         grad_g=0.5 * np.concatenate([a.grad_g, b.grad_g]))
+    reg = pnr_regularizer(v, cfg)
     grad_g = (reg.grad_g if native.grad_g is None
               else native.grad_g + reg.grad_g)
     return LossResult(native.value + reg.value, native.grad_z, grad_g)

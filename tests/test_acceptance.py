@@ -45,8 +45,8 @@ from cssl.losses import (
     partner,
     pnr_l1,
     pnr_l2,
+    pnr_regularizer,
     vicreg_loss,
-    vicreg_pnr_l2,
 )
 from cssl.numerics import Rng, row_l2_normalize
 
@@ -289,10 +289,14 @@ def test_criterion_9_analytic_zeros():
     assert res.value == 0.0  # s = 0, v hinge inactive, off-diag cov = 0
 
     rng = Rng(7700)
-    g = rng.gaussian_matrix(5, 4)
+    g = rng.gaussian_matrix(10, 4)
     zp = rng.gaussian_matrix(5, 4)
+    # Both views' previous outputs equal: distill and repel cancel.
+    v = ContrastiveViews(g, np.vstack([zp, zp]), g=g)
     for lam in (0.5, 23.0):
-        assert vicreg_pnr_l2(g, zp, zp.copy(), lam, lam).value == 0.0
+        cfg = PnrConfig(method=Method.VICREG, regime=Regime.PNR,
+                        lambda_cassle=lam, lambda_pnr=lam)
+        assert pnr_regularizer(v, cfg).value == 0.0
     _report(9, "Barlow C=I zero, VICReg hinge zero, VICReg cancellation "
                "zero, all exact")
 

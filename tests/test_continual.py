@@ -244,16 +244,20 @@ class TestTrainTask:
 
 
     def test_divergence_names_task_epoch_and_step(self):
-        # VICReg on raw projections overflows at this learning rate.
+        # VICReg on raw projections overflows at lr 1e3. SimCLR and MoCo
+        # normalize, so at lr 1e30 their overflowing projections must be
+        # caught before the loss validates unit norms.
         task = build_class_il(toy_dataset(), 5).tasks[0]
-        cfg = small_cfg(lr=1e3, loss=PnrConfig(method=Method.VICREG,
-                                               regime=Regime.FT))
-        stack = init_stack(Rng(1), **SMALL_MODEL)
         pattern = (r"^loss -?(nan|inf) at task 3, epoch [12] of 2, "
                    r"step [12] of the epoch$")
-        with np.errstate(all="ignore"), pytest.raises(DivergenceDetected,
-                                                      match=pattern):
-            train_task(stack, None, task, cfg, task_index=3)
+        for method, lr in ((Method.VICREG, 1e3), (Method.SIMCLR, 1e30),
+                           (Method.MOCO, 1e30)):
+            cfg = small_cfg(lr=lr, loss=PnrConfig(method=method,
+                                                  regime=Regime.FT))
+            stack = init_stack(Rng(1), **SMALL_MODEL)
+            with np.errstate(all="ignore"), pytest.raises(
+                    DivergenceDetected, match=pattern):
+                train_task(stack, None, task, cfg, task_index=3)
 
 
 class TestRunSequence:

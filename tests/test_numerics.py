@@ -1,4 +1,7 @@
-"""Numerics module: normalization, logsumexp, FD oracle, RNG."""
+"""Numerics module: normalization, logsumexp, FD oracle, RNG; heap reuse."""
+
+import platform
+import resource
 
 import numpy as np
 import pytest
@@ -176,3 +179,21 @@ class TestFnv:
         assert fnv1a64(b"") == 0xCBF29CE484222325
         assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
         assert fnv1a64(b"hello") == 0xA430D84680AABD0B
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc only")
+class TestHeap:
+    def test_freed_blocks_stay_in_the_heap(self):
+        # Importing cssl fixes glibc's thresholds. Under the dynamic ones,
+        # three 8 MB blocks freed together trim the heap top, and the next
+        # allocation faults every page back in.
+        def cycle():
+            blocks = [np.ones(1 << 20) for _ in range(3)]
+            del blocks
+
+        cycle()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(10):
+            cycle()
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < 1000, f"{faults} page faults over 10 cycles"
