@@ -5,10 +5,10 @@ the configured objective on the new task only. The first task always runs in
 the fine-tuning regime because no previous model exists yet.
 
 Randomness: every consumer derives its own stream from the root seed
-(``Rng(seed).derive(tag)``). The per-task augmentation/shuffle stream is
-re-seeded at every epoch, so each epoch replays the same batch order and the
-same two-view draws; with a zero learning rate the per-epoch loss trace is
-therefore exactly constant.
+(``Rng(seed).derive(tag)``). Each task draws its shuffle and two-view
+batches once, from its own stream, together with the frozen model's
+embeddings of those views, and every epoch replays that plan; with a zero
+learning rate the per-epoch loss trace is therefore exactly constant.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .losses import (
 )
 from .model import (
     EncoderStack,
-    FrozenStack,
     ForwardResult,
     OptimizerState,
     TargetNetwork,
@@ -61,7 +60,6 @@ class LabeledDataset:
     x: np.ndarray
     y: np.ndarray
     domain_id: int | None = None
-    source_indices: np.ndarray | None = None
 
     def __post_init__(self):
         self.x = as_matrix(self.x, "dataset x")
@@ -203,8 +201,7 @@ def build_class_il(ds: LabeledDataset, T: int) -> TaskStream:
         group = set(int(c) for c in classes[k * per:(k + 1) * per])
         mask = np.isin(ds.y, sorted(group))
         idx = np.flatnonzero(mask)
-        tasks.append(LabeledDataset(ds.x[idx], ds.y[idx],
-                                    source_indices=idx))
+        tasks.append(LabeledDataset(ds.x[idx], ds.y[idx]))
     return TaskStream(Scenario.CLASS_IL, tasks)
 
 
@@ -224,7 +221,7 @@ def build_data_il(ds: LabeledDataset, T: int, seed: int) -> TaskStream:
     for k, size in enumerate(sizes):
         idx = perm[pos:pos + size]
         pos += size
-        tasks.append(LabeledDataset(ds.x[idx], ds.y[idx], source_indices=idx))
+        tasks.append(LabeledDataset(ds.x[idx], ds.y[idx]))
         for c, p in global_freq.items():
             phat = float(np.mean(tasks[-1].y == c))
             sigma = np.sqrt(max(p * (1 - p), 1e-12) / size)
@@ -295,34 +292,44 @@ class ViewEncodings:
     fwd: ForwardResult
 
 
+def on_sphere(method: Method) -> bool:
+    """Whether the method's loss reads unit-norm embeddings: contrastive
+    methods and BYOL do; VICReg and Barlow consume raw projections."""
+    return method in CONTRASTIVE_METHODS or method == Method.BYOL
+
+
 def _maybe_normalize(m: np.ndarray, normalized: bool) -> np.ndarray:
     return row_l2_normalize(m) if normalized else m
 
 
+def frozen_embedding(frozen: EncoderStack, x: np.ndarray,
+                     method: Method) -> np.ndarray:
+    """z_prev: the frozen model's projection of the stacked views ``x``, as
+    the method's loss reads it."""
+    return _maybe_normalize(forward(frozen, x).proj, on_sphere(method))
+
+
 def encode_views(stack: EncoderStack, x: np.ndarray,
-                 frozen: FrozenStack | None, cfg: PnrConfig,
+                 z_prev: np.ndarray | None, cfg: PnrConfig,
                  target: TargetNetwork | None = None,
                  queue_cur: np.ndarray | None = None,
                  queue_prev: np.ndarray | None = None) -> ViewEncodings:
     """Forward the stacked views once through the live stack (and once
-    through the frozen model and the EMA target where the method needs them)
-    and package the loss inputs.
+    through the EMA target where the method needs it) and package the loss
+    inputs with the frozen model's ``z_prev`` (see :func:`frozen_embedding`).
 
-    Contrastive methods and BYOL put embeddings on the unit sphere; VICReg
-    and Barlow consume raw projections. Without a frozen model ``cfg`` must
-    be the fine-tuning config (see :func:`train_task`).
+    Without ``z_prev`` ``cfg`` must be the fine-tuning config (see
+    :func:`train_task`).
     """
-    normalized = cfg.method in CONTRASTIVE_METHODS or cfg.method == Method.BYOL
+    normalized = on_sphere(cfg.method)
     # The predictor feeds the distillation term (and BYOL's native loss);
     # plain fine-tuning of the other methods never reads it.
     need_pred = cfg.method == Method.BYOL or cfg.regime != Regime.FT
     fwd = forward(stack, x, want_pred=need_pred)
     z = _maybe_normalize(fwd.proj, normalized)
     g = _maybe_normalize(fwd.pred, normalized) if need_pred else None
-    # Without a frozen model z stands in for z_prev: FT never reads it and
-    # sends no gradients there.
-    z_prev = (_maybe_normalize(forward(frozen, x).proj, normalized)
-              if frozen is not None else z)
+    # Without z_prev z stands in: FT never reads it or sends gradients there.
+    z_prev = z if z_prev is None else z_prev
     z_target = None
     if cfg.method == Method.BYOL:
         if target is None:
@@ -335,7 +342,7 @@ def encode_views(stack: EncoderStack, x: np.ndarray,
 def backprop_views(stack: EncoderStack, enc: ViewEncodings, cfg: PnrConfig,
                    res: LossResult) -> EncoderStack:
     """Chain loss gradients through normalization and the stack parameters."""
-    normalized = cfg.method in CONTRASTIVE_METHODS or cfg.method == Method.BYOL
+    normalized = on_sphere(cfg.method)
     if res.grad_z is None and res.grad_g is None:
         raise ValueError("loss produced no gradients")
     fwd = enc.fwd
@@ -357,13 +364,13 @@ def _overflowed(fwd: ForwardResult) -> bool:
                for m in (fwd.proj, fwd.pred) if m is not None)
 
 
-def _effective_cfg(cfg: PnrConfig, frozen: FrozenStack | None) -> PnrConfig:
+def _effective_cfg(cfg: PnrConfig, frozen: EncoderStack | None) -> PnrConfig:
     if frozen is None and cfg.regime != Regime.FT:
         return replace(cfg, regime=Regime.FT)
     return cfg
 
 
-def train_task(stack: EncoderStack, frozen_prev: FrozenStack | None,
+def train_task(stack: EncoderStack, frozen_prev: EncoderStack | None,
                task: LabeledDataset, cfg: TrainConfig, *,
                task_index: int = 1) -> tuple[EncoderStack, TrainLog]:
     """Train the live stack on one task; the frozen model is never touched.
@@ -386,22 +393,26 @@ def train_task(stack: EncoderStack, frozen_prev: FrozenStack | None,
     if method == Method.BYOL:
         target = TargetNetwork.from_online(stack, cfg.ema_momentum)
 
-    base = Rng(cfg.seed).derive(f"task-{task_index}")
-    epoch_seed = base.derive("epoch-stream").seed
+    # Plan: (step of the epoch, batch size, views, z_prev), drawn once.
+    rng = Rng(cfg.seed).derive(f"task-{task_index}").derive("epoch-stream")
     M = task.num_samples
+    order = rng.permutation(M)
+    plan = []
+    for step, lo in enumerate(range(0, M, cfg.batch_size), 1):
+        idx = order[lo:lo + cfg.batch_size]
+        if idx.size < 2 and method in (Method.VICREG, Method.BARLOW):
+            continue
+        views = two_views(task.x[idx], cfg.augment, rng)
+        z_prev = (None if loss_cfg.regime == Regime.FT
+                  else frozen_embedding(frozen_prev, views, method))
+        plan.append((step, idx.size, views, z_prev))
     epoch_losses: list[float] = []
     steps = 0
     for epoch in range(1, cfg.epochs_per_task + 1):
-        rng = Rng(epoch_seed)  # identical stream every epoch (see module doc)
-        order = rng.permutation(M)
         batch_losses: list[float] = []
-        for step, lo in enumerate(range(0, M, cfg.batch_size), 1):
-            idx = order[lo:lo + cfg.batch_size]
-            if idx.size < 2 and method in (Method.VICREG, Method.BARLOW):
-                continue
+        for step, n, views, z_prev in plan:
             enc = encode_views(
-                stack, two_views(task.x[idx], cfg.augment, rng), frozen_prev,
-                loss_cfg, target=target,
+                stack, views, z_prev, loss_cfg, target=target,
                 queue_cur=(cur_queue.snapshot() if cur_queue else None),
                 queue_prev=(prev_queue.snapshot() if prev_queue else None))
             res = (LossResult(np.nan) if _overflowed(enc.fwd)
@@ -413,9 +424,9 @@ def train_task(stack: EncoderStack, frozen_prev: FrozenStack | None,
             grads = backprop_views(stack, enc, loss_cfg, res)
             sgd_step(stack, grads, opt)
             if method == Method.MOCO:
-                cur_queue.enqueue(enc.views.z[idx.size:])
-                if frozen_prev is not None:
-                    prev_queue.enqueue(enc.views.z_prev[idx.size:])
+                cur_queue.enqueue(enc.views.z[n:])
+                if z_prev is not None:
+                    prev_queue.enqueue(z_prev[n:])
             if method == Method.BYOL:
                 ema_update(target, stack)
             batch_losses.append(res.value)
@@ -428,8 +439,8 @@ def train_task(stack: EncoderStack, frozen_prev: FrozenStack | None,
 class SequenceResult:
     """Checkpoints after every task plus the single-task FT references."""
 
-    checkpoints: list[FrozenStack]
-    ft_checkpoints: list[FrozenStack]
+    checkpoints: list[EncoderStack]
+    ft_checkpoints: list[EncoderStack]
     task_logs: list[TrainLog]
     ft_logs: list[TrainLog]
 
@@ -441,15 +452,15 @@ def run_sequence(stream: TaskStream, cfg: TrainConfig,
     root = Rng(cfg.seed)
     stack = init_stack(root.derive("init"), cfg.encoder_dims,
                        cfg.projector_dims, cfg.predictor_dims)
-    frozen: FrozenStack | None = None
-    checkpoints: list[FrozenStack] = []
+    frozen: EncoderStack | None = None
+    checkpoints: list[EncoderStack] = []
     task_logs: list[TrainLog] = []
     for t, task in enumerate(stream.tasks, 1):
         stack, log = train_task(stack, frozen, task, cfg, task_index=t)
         frozen = snapshot_frozen(stack)
         checkpoints.append(frozen)
         task_logs.append(log)
-    ft_checkpoints: list[FrozenStack] = []
+    ft_checkpoints: list[EncoderStack] = []
     ft_logs: list[TrainLog] = []
     if with_ft_refs:
         for t, task in enumerate(stream.tasks, 1):

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .continual import backprop_views, encode_views
+from .continual import backprop_views, encode_views, frozen_embedding
 from .losses import (
     ContrastiveViews,
     Method,
@@ -261,14 +261,15 @@ def check_param_gradients(trials: int = 4, seed: int = 515
                     row_norms(target_forward(target, x)))))
             if margin < RELU_MARGIN or min_norm < 1e-2:
                 continue  # redraw: FD invalid at a kink / degenerate row
+            z_prev = frozen_embedding(frozen, x, cfg.method)
 
             def loss_at(theta: np.ndarray) -> float:
-                enc = encode_views(stack.like(theta), x, frozen, cfg,
+                enc = encode_views(stack.like(theta), x, z_prev, cfg,
                                    target=target, queue_cur=queue_cur,
                                    queue_prev=queue_prev)
                 return total_loss(enc.views, cfg, norm_tol=None).value
 
-            enc = encode_views(stack, x, frozen, cfg, target=target,
+            enc = encode_views(stack, x, z_prev, cfg, target=target,
                                queue_cur=queue_cur, queue_prev=queue_prev)
             res = total_loss(enc.views, cfg, norm_tol=None)
             analytic = backprop_views(stack, enc, cfg, res).flat

@@ -460,13 +460,14 @@ def pnr_regularizer(v: ContrastiveViews, cfg: PnrConfig) -> LossResult:
     and Barlow's objective per view (it standardizes columns over one view's
     batch). The repel from the cross-view pseudo-negative is PNR's addition,
     weighted by w = lambda_pnr (0.5 * lambda_pnr for VICReg) in regime
-    ``pnr``. Any other regime, or lambda_pnr == 0, skips it entirely, so
-    that reduction to CaSSLe is bitwise.
+    ``pnr``. Any other regime, lambda_pnr == 0 or include_pseudo_negatives
+    off skips it entirely, so that reduction to CaSSLe is bitwise.
     """
     if v.g is None:
         raise MissingPredictorOutput(
             f"{cfg.method.value} distillation needs g outputs")
-    lam = cfg.lambda_pnr if cfg.regime == Regime.PNR else 0.0
+    lam = (cfg.lambda_pnr if cfg.regime == Regime.PNR
+           and cfg.include_pseudo_negatives else 0.0)
     if cfg.method == Method.BARLOW:
         n = v.batch_size
         va, ga, _ = _barlow_core(v.g[:n], v.z_prev[:n], cfg.barlow_lambda)

@@ -108,10 +108,6 @@ class EncoderStack:
         return self.like(self.flat.copy())
 
 
-# A frozen snapshot is structurally an EncoderStack; the alias documents intent.
-FrozenStack = EncoderStack
-
-
 @dataclass
 class OptimizerState:
     """SGD with momentum and weight decay; the buffer is a stack of the
@@ -294,6 +290,6 @@ def target_forward(target: TargetNetwork, x: np.ndarray) -> np.ndarray:
     return mlp_forward(target.projector, mlp_forward(target.encoder, x))
 
 
-def snapshot_frozen(stack: EncoderStack) -> FrozenStack:
+def snapshot_frozen(stack: EncoderStack) -> EncoderStack:
     """Independent copy; later training of the live stack never touches it."""
     return stack.clone()

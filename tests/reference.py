@@ -2,7 +2,10 @@
 
 Everything here is deliberately written in the most naive style possible
 (scalar loops, a tiny tape-based autodiff) and shares no code with the
-package implementations it checks.
+package implementations it checks. The one exception is
+:func:`train_task_redraw`: it checks how ``train_task`` draws and replays a
+task's batches, so it reuses the package's step pieces and differs from
+``train_task`` only in its drawing.
 """
 
 from __future__ import annotations
@@ -10,6 +13,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from cssl import continual
+from cssl.embedding_queue import EmbeddingQueue
+from cssl.errors import DivergenceDetected
+from cssl.losses import LossResult, Method, total_loss
+from cssl.model import OptimizerState, TargetNetwork, ema_update, sgd_step
+from cssl.numerics import Rng
 
 
 class Value:
@@ -249,3 +259,61 @@ def naive_fifo(capacity):
         return np.stack(store)
 
     return enqueue, snapshot
+
+
+def train_task_redraw(stack, frozen_prev, task, cfg, *, task_index=1):
+    """``train_task`` as a per-epoch redraw loop: every epoch re-seeds the
+    task's stream, redraws the shuffle and the two-view batches, and pushes
+    them through the frozen model again. The replay plan must match it bit
+    for bit."""
+    loss_cfg = continual._effective_cfg(cfg.loss, frozen_prev)
+    method = loss_cfg.method
+    opt = OptimizerState.for_stack(stack, cfg.lr, cfg.momentum,
+                                   cfg.weight_decay)
+    cur_queue = prev_queue = None
+    if method == Method.MOCO:
+        cur_queue = EmbeddingQueue(cfg.queue_capacity,
+                                   stack.projector.out_dim)
+        prev_queue = EmbeddingQueue(cfg.queue_capacity,
+                                    stack.projector.out_dim)
+    target = None
+    if method == Method.BYOL:
+        target = TargetNetwork.from_online(stack, cfg.ema_momentum)
+    epoch_seed = (Rng(cfg.seed).derive(f"task-{task_index}")
+                  .derive("epoch-stream").seed)
+    M = task.num_samples
+    epoch_losses = []
+    steps = 0
+    for epoch in range(1, cfg.epochs_per_task + 1):
+        rng = Rng(epoch_seed)
+        order = rng.permutation(M)
+        batch_losses = []
+        for step, lo in enumerate(range(0, M, cfg.batch_size), 1):
+            idx = order[lo:lo + cfg.batch_size]
+            if idx.size < 2 and method in (Method.VICREG, Method.BARLOW):
+                continue
+            views = continual.two_views(task.x[idx], cfg.augment, rng)
+            z_prev = (None if frozen_prev is None else
+                      continual.frozen_embedding(frozen_prev, views, method))
+            enc = continual.encode_views(
+                stack, views, z_prev, loss_cfg, target=target,
+                queue_cur=(cur_queue.snapshot() if cur_queue else None),
+                queue_prev=(prev_queue.snapshot() if prev_queue else None))
+            res = (LossResult(np.nan) if continual._overflowed(enc.fwd)
+                   else total_loss(enc.views, loss_cfg))
+            if not np.isfinite(res.value):
+                raise DivergenceDetected(
+                    f"loss {res.value} at task {task_index}, epoch {epoch} "
+                    f"of {cfg.epochs_per_task}, step {step} of the epoch")
+            sgd_step(stack, continual.backprop_views(stack, enc, loss_cfg,
+                                                     res), opt)
+            if method == Method.MOCO:
+                cur_queue.enqueue(enc.views.z[idx.size:])
+                if frozen_prev is not None:
+                    prev_queue.enqueue(enc.views.z_prev[idx.size:])
+            if method == Method.BYOL:
+                ema_update(target, stack)
+            batch_losses.append(res.value)
+            steps += 1
+        epoch_losses.append(float(np.mean(batch_losses)))
+    return stack, continual.TrainLog(epoch_losses, steps)

@@ -106,8 +106,9 @@ def test_criterion_2_closed_form_gradient_equivalence():
 
 
 def test_criterion_3_reduction_identities():
-    """PN sets empty => PNR == CaSSLe; lambda 0 => non-contrastive PNR ==
-    CaSSLe; FT carries no previous-model terms. All bitwise."""
+    """PN sets empty => PNR == CaSSLe for every method; lambda 0 =>
+    non-contrastive PNR == CaSSLe; FT carries no previous-model terms. All
+    bitwise."""
     v = random_views(Rng(7200), 6, 8, queue_rows=5)
     pnr_empty = cssl_total(v, PnrConfig(method=Method.MOCO, regime=Regime.PNR,
                                         include_pseudo_negatives=False))
@@ -119,13 +120,15 @@ def test_criterion_3_reduction_identities():
     for method in (Method.BYOL, Method.VICREG, Method.BARLOW):
         vm = random_views(Rng(7300), 6, 5, with_target=True,
                           normalized=method == Method.BYOL)
-        a = noncontrastive_pnr_total(vm, PnrConfig(
-            method=method, regime=Regime.PNR, lambda_pnr=0.0))
         b = noncontrastive_pnr_total(vm, PnrConfig(
             method=method, regime=Regime.CASSLE))
-        assert a.value == b.value
-        np.testing.assert_array_equal(
-            np.asarray(a.grad_g), np.asarray(b.grad_g))
+        for off in (dict(lambda_pnr=0.0),
+                    dict(include_pseudo_negatives=False)):
+            a = noncontrastive_pnr_total(vm, PnrConfig(
+                method=method, regime=Regime.PNR, **off))
+            assert a.value == b.value
+            np.testing.assert_array_equal(
+                np.asarray(a.grad_g), np.asarray(b.grad_g))
 
     ft = cssl_total(v, PnrConfig(method=Method.SIMCLR, regime=Regime.FT))
     v_shuffled_prev = replace(v, z_prev=np.concatenate([

@@ -14,6 +14,7 @@ from cssl.continual import (
     build_data_il,
     build_domain_il,
     encode_views,
+    frozen_embedding,
     random_orthogonal,
     run_sequence,
     train_task,
@@ -24,6 +25,7 @@ from cssl.errors import DivergenceDetected, IndivisibleClasses, TooFewSamples
 from cssl.losses import Method, PnrConfig, Regime
 from cssl.model import forward, init_stack, snapshot_frozen
 from cssl.numerics import Rng, row_l2_normalize
+from reference import train_task_redraw
 
 
 def toy_dataset(C=10, n_per=12, D=8, seed=5):
@@ -31,6 +33,16 @@ def toy_dataset(C=10, n_per=12, D=8, seed=5):
     x = rng.gaussian_matrix(C * n_per, D)
     y = np.repeat(np.arange(C), n_per)
     return LabeledDataset(x, y)
+
+
+def sorted_rows(x):
+    return x[np.lexsort(x.T[::-1])]
+
+
+def assert_row_partition(ds, stream):
+    """The tasks' rows, together, are the dataset's rows, each once."""
+    rows = np.concatenate([t.x for t in stream.tasks])
+    np.testing.assert_array_equal(sorted_rows(rows), sorted_rows(ds.x))
 
 
 SMALL_MODEL = dict(encoder_dims=[8, 12, 6], projector_dims=[6, 6],
@@ -57,9 +69,7 @@ class TestClassIl:
 
     def test_index_partition(self):
         ds = toy_dataset()
-        stream = build_class_il(ds, 5)
-        all_idx = np.concatenate([t.source_indices for t in stream.tasks])
-        assert sorted(all_idx.tolist()) == list(range(ds.num_samples))
+        assert_row_partition(ds, build_class_il(ds, 5))
 
 
 class TestDataIl:
@@ -75,9 +85,7 @@ class TestDataIl:
 
     def test_disjoint_coverage(self):
         ds = toy_dataset(C=7, n_per=13)
-        stream = build_data_il(ds, 4, seed=9)
-        all_idx = np.concatenate([t.source_indices for t in stream.tasks])
-        assert sorted(all_idx.tolist()) == list(range(ds.num_samples))
+        assert_row_partition(ds, build_data_il(ds, 4, seed=9))
 
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamples):
@@ -154,7 +162,8 @@ class TestEncodeViews:
         stack = init_stack(Rng(3), **SMALL_MODEL)
         frozen = snapshot_frozen(init_stack(Rng(4), **SMALL_MODEL))
         cfg = PnrConfig(method=Method.SIMCLR, regime=Regime.PNR)
-        enc = encode_views(stack, x2, frozen, cfg)
+        enc = encode_views(stack, x2,
+                           frozen_embedding(frozen, x2, cfg.method), cfg)
         for half, x in ((slice(None, n), x2[:n]), (slice(n, None), x2[n:])):
             fwd = forward(stack, x, want_pred=True)
             for got, want in (
@@ -242,6 +251,36 @@ class TestTrainTask:
                                  task_index=2)
         assert all(np.isfinite(v) for v in log1.epoch_losses + log2.epoch_losses)
 
+
+    @pytest.mark.parametrize("regime", [Regime.FT, Regime.CASSLE,
+                                        Regime.PNR])
+    @pytest.mark.parametrize("method", list(Method))
+    def test_replay_plan_equals_per_epoch_redraw(self, method, regime):
+        # 34-sample tasks in batches of 11: the last batch holds one sample,
+        # which VICReg and Barlow skip before drawing its views.
+        stream = build_class_il(toy_dataset(C=4, n_per=17), 2)
+        assert stream.tasks[0].num_samples % 11 == 1
+        lr = {Method.VICREG: 0.002, Method.BARLOW: 0.01}.get(method, 0.05)
+        cfg = small_cfg(epochs_per_task=3, batch_size=11, lr=lr,
+                        queue_capacity=16,
+                        loss=PnrConfig(method=method, regime=regime))
+        runs = []
+        for train in (train_task, train_task_redraw):
+            stack, frozen, out = init_stack(Rng(5), **SMALL_MODEL), None, []
+            try:
+                with np.errstate(all="ignore"):
+                    for t, task in enumerate(stream.tasks, 1):
+                        stack, log = train(stack, frozen, task, cfg,
+                                           task_index=t)
+                        frozen = snapshot_frozen(stack)
+                        out.append((stack.flat.tobytes(), log.epoch_losses,
+                                    log.steps))
+            except DivergenceDetected as err:
+                # Barlow-PNR diverges here; both loops must stop at the same
+                # step with the same parameters.
+                out.append((stack.flat.tobytes(), str(err)))
+            runs.append(out)
+        assert runs[0] == runs[1]
 
     def test_divergence_names_task_epoch_and_step(self):
         # VICReg on raw projections overflows at lr 1e3. SimCLR and MoCo
