@@ -125,11 +125,7 @@ def _cmd_probe(args) -> int:
         write_text(f"{args.out}_seed{seed}.csv", accuracy_csv(am))
         write_text(f"{args.out}_seed{seed}.json", metrics_json(metrics))
         print(f"seed {seed}: A_{am.T} = {metrics[f'A_{am.T}']:.4f}")
-    summary = aggregate_metrics([
-        {k: v for k, v in m.items()
-         if isinstance(v, (int, float)) and k != "seed"}
-        for m in all_metrics])
-    write_text(f"{args.out}_summary.csv", summary)
+    write_text(f"{args.out}_summary.csv", aggregate_metrics(all_metrics))
     return 0
 
 
@@ -152,9 +148,7 @@ def _cmd_report(args) -> int:
     dicts = []
     for path in args.metrics:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        dicts.append({k: v for k, v in data.items()
-                      if isinstance(v, (int, float))})
+            dicts.append(json.load(fh))
     csv = aggregate_metrics(dicts)
     if args.out:
         write_text(args.out, csv)

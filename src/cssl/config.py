@@ -62,10 +62,14 @@ class ExperimentConfig:
             raise ValueError(
                 f"model.encoder_dims: first dim {self.train.encoder_dims[0]} "
                 f"must equal dataset.input_dim {self.dataset.input_dim}")
-        if (self.scenario == Scenario.CLASS_IL
-                and self.dataset.classes % self.num_tasks != 0):
-            raise ValueError(f"num_tasks: {self.dataset.classes} classes not "
-                             f"divisible by {self.num_tasks}")
+        if self.scenario == Scenario.CLASS_IL:
+            if self.dataset.classes % self.num_tasks != 0:
+                raise ValueError(f"num_tasks: {self.dataset.classes} classes "
+                                 f"not divisible by {self.num_tasks}")
+            if self.dataset.classes // self.num_tasks < 2:
+                raise ValueError(f"num_tasks: {self.num_tasks} tasks leave "
+                                 f"fewer than two of {self.dataset.classes} "
+                                 f"classes per task")
         samples = self.dataset.classes * self.dataset.samples_per_class
         if self.scenario == Scenario.DATA_IL and self.num_tasks > samples:
             raise ValueError(f"num_tasks: {samples} samples cannot form "

@@ -23,6 +23,7 @@ from .errors import (
     DivergenceDetected,
     IndivisibleClasses,
     ShapeMismatch,
+    SingleClass,
     TooFewSamples,
 )
 from .losses import (
@@ -38,15 +39,12 @@ from .model import (
     EncoderStack,
     ForwardResult,
     OptimizerState,
-    TargetNetwork,
     backward,
     ema_update,
     forward,
     init_stack,
     mlp_forward,
     sgd_step,
-    snapshot_frozen,
-    target_forward,
 )
 from .numerics import Rng, as_matrix, row_l2_normalize, row_l2_normalize_backward
 
@@ -99,6 +97,10 @@ class TaskStream:
             raise ValueError(f"unknown scenario {self.scenario!r}")
         if not self.tasks:
             raise ValueError("empty task stream")
+        for k, t in enumerate(self.tasks):
+            if len(t.label_set()) < 2:
+                raise SingleClass(f"task {k} holds fewer than two labels; "
+                                  f"probing needs two")
         if self.scenario == Scenario.CLASS_IL:
             seen: set[int] = set()
             for k, t in enumerate(self.tasks):
@@ -163,6 +165,10 @@ class TrainConfig:
         for name in ("epochs_per_task", "batch_size", "queue_capacity"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.batch_size < 2 and self.loss.method in (Method.VICREG,
+                                                        Method.BARLOW):
+            raise ValueError(f"batch_size must be >= 2 for "
+                             f"{self.loss.method.value}")
         for name in ("lr", "momentum", "weight_decay"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
@@ -311,7 +317,7 @@ def frozen_embedding(frozen: EncoderStack, x: np.ndarray,
 
 def encode_views(stack: EncoderStack, x: np.ndarray,
                  z_prev: np.ndarray | None, cfg: PnrConfig,
-                 target: TargetNetwork | None = None,
+                 target: EncoderStack | None = None,
                  queue_cur: np.ndarray | None = None,
                  queue_prev: np.ndarray | None = None) -> ViewEncodings:
     """Forward the stacked views once through the live stack (and once
@@ -334,7 +340,7 @@ def encode_views(stack: EncoderStack, x: np.ndarray,
     if cfg.method == Method.BYOL:
         if target is None:
             raise ValueError("BYOL training needs a target network")
-        z_target = row_l2_normalize(target_forward(target, x))
+        z_target = row_l2_normalize(forward(target, x).proj)
     views = ContrastiveViews(z, z_prev, g, z_target, queue_cur, queue_prev)
     return ViewEncodings(views, fwd)
 
@@ -391,7 +397,7 @@ def train_task(stack: EncoderStack, frozen_prev: EncoderStack | None,
         prev_queue = EmbeddingQueue(cfg.queue_capacity, proj_dim)
     target = None
     if method == Method.BYOL:
-        target = TargetNetwork.from_online(stack, cfg.ema_momentum)
+        target = stack.clone()
 
     # Plan: (step of the epoch, batch size, views, z_prev), drawn once.
     rng = Rng(cfg.seed).derive(f"task-{task_index}").derive("epoch-stream")
@@ -428,7 +434,7 @@ def train_task(stack: EncoderStack, frozen_prev: EncoderStack | None,
                 if z_prev is not None:
                     prev_queue.enqueue(z_prev[n:])
             if method == Method.BYOL:
-                ema_update(target, stack)
+                ema_update(target, stack, cfg.ema_momentum)
             batch_losses.append(res.value)
             steps += 1
         epoch_losses.append(float(np.mean(batch_losses)))
@@ -457,7 +463,7 @@ def run_sequence(stream: TaskStream, cfg: TrainConfig,
     task_logs: list[TrainLog] = []
     for t, task in enumerate(stream.tasks, 1):
         stack, log = train_task(stack, frozen, task, cfg, task_index=t)
-        frozen = snapshot_frozen(stack)
+        frozen = stack.clone()
         checkpoints.append(frozen)
         task_logs.append(log)
     ft_checkpoints: list[EncoderStack] = []
@@ -469,7 +475,7 @@ def run_sequence(stream: TaskStream, cfg: TrainConfig,
                                   cfg.predictor_dims)
             ft_stack, log = train_task(ft_stack, None, task, cfg,
                                        task_index=t)
-            ft_checkpoints.append(snapshot_frozen(ft_stack))
+            ft_checkpoints.append(ft_stack.clone())
             ft_logs.append(log)
     return SequenceResult(checkpoints, ft_checkpoints, task_logs, ft_logs)
 

@@ -12,46 +12,33 @@ NORM_TOL = 1e-9
 
 
 class EmbeddingQueue:
-    """Ring buffer of row vectors. Enqueueing past capacity evicts exactly
-    the oldest rows; snapshots are oldest-first immutable copies."""
+    """Row vectors in one oldest-first array. Enqueueing past capacity
+    evicts exactly the oldest rows. Each enqueue stores a new read-only
+    array, so a snapshot is the stored array itself and never changes."""
 
     def __init__(self, capacity: int, dim: int):
         if capacity < 1 or dim < 1:
             raise ValueError("capacity and dim must be positive")
         self.capacity = int(capacity)
         self.dim = int(dim)
-        self._buf = np.zeros((self.capacity, self.dim))
-        self._start = 0
-        self._len = 0
+        self._rows = np.zeros((0, self.dim))
 
     def __len__(self) -> int:
-        return self._len
+        return self._rows.shape[0]
 
     def enqueue(self, batch: np.ndarray) -> "EmbeddingQueue":
         if batch.ndim != 2 or batch.shape[1] != self.dim:
             raise DimMismatch(f"batch {batch.shape} vs queue dim {self.dim}")
-        n = batch.shape[0]
-        if n == 0:
+        if batch.shape[0] == 0:
             return self
         dev = float(np.max(np.abs(row_norms(batch) - 1.0)))
         if dev > NORM_TOL:
             raise NormViolation(f"enqueued row off unit norm by {dev:.3e}")
-        if n >= self.capacity:
-            self._buf[...] = batch[n - self.capacity:]
-            self._start = 0
-            self._len = self.capacity
-            return self
-        pos = (self._start + self._len + np.arange(n)) % self.capacity
-        self._buf[pos] = batch
-        overflow = self._len + n - self.capacity
-        if overflow > 0:
-            self._start = (self._start + overflow) % self.capacity
-            self._len = self.capacity
-        else:
-            self._len += n
+        rows = np.concatenate([self._rows, batch])[-self.capacity:]
+        rows.flags.writeable = False
+        self._rows = rows
         return self
 
     def snapshot(self) -> np.ndarray:
-        """len x dim copy, oldest first; empty (0, dim) matrix when empty."""
-        idx = (self._start + np.arange(self._len)) % self.capacity
-        return self._buf[idx].copy()
+        """len x dim rows, oldest first, read-only; (0, dim) when empty."""
+        return self._rows

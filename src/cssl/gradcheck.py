@@ -43,7 +43,7 @@ from .losses import (
     total_loss,
     vicreg_loss,
 )
-from .model import TargetNetwork, init_stack, snapshot_frozen, target_forward
+from .model import forward, init_stack
 from .numerics import (
     Rng,
     finite_difference_gradient,
@@ -186,10 +186,11 @@ def _embedding_trial(name: str, rng: Rng) -> float:
     raise ValueError(f"unknown loss {name}")
 
 
-def check_embedding_gradients(trials: int = 20, seed: int = 2024
+def check_embedding_gradients(trials: int = 20, seed: int = 2024,
+                              names: tuple[str, ...] = EMBEDDING_LOSSES
                               ) -> list[CheckReport]:
     reports = []
-    for name in EMBEDDING_LOSSES:
+    for name in names:
         t0 = time.perf_counter()
         worst = 0.0
         for k in range(trials):
@@ -204,16 +205,14 @@ def _param_setup(method: str, attempt_seed: int):
     rng = Rng(attempt_seed)
     dims_enc, dims_proj, dims_pred = [4, 6, 5], [5, 6, 5], [5, 5]
     stack = init_stack(rng.derive("stack"), dims_enc, dims_proj, dims_pred)
-    frozen = snapshot_frozen(
-        init_stack(rng.derive("frozen"), dims_enc, dims_proj, dims_pred))
+    frozen = init_stack(rng.derive("frozen"), dims_enc, dims_proj, dims_pred)
     x = np.concatenate([rng.gaussian_matrix(8, 4), rng.gaussian_matrix(8, 4)])
     cfg = PnrConfig(method=Method(method), regime=Regime.PNR, tau=0.2)
     target = None
     queue_cur = queue_prev = None
     if method == "byol":
-        target = TargetNetwork.from_online(
-            init_stack(rng.derive("target"), dims_enc, dims_proj, dims_pred),
-            0.99)
+        target = init_stack(rng.derive("target"), dims_enc, dims_proj,
+                            dims_pred)
     if method == "moco":
         queue_cur = _unit_rows(rng.derive("qc"), 4, 5)
         queue_prev = _unit_rows(rng.derive("qp"), 4, 5)
@@ -228,16 +227,12 @@ def _chain_relu_margin(nets, xs) -> tuple[float, float]:
     min_norm = np.inf
     for net in nets:
         for x in xs:
-            out = x
-            for mlp in (net.encoder, net.projector, net.predictor):
-                for k, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-                    pre = out @ w.T + b
-                    if k < len(mlp.weights) - 1:
-                        margin = min(margin, float(np.min(np.abs(pre))))
-                    out = (pre if k == len(mlp.weights) - 1
-                           else np.maximum(pre, 0.0))
-                min_norm = min(min_norm,
-                               float(np.min(np.sqrt(np.sum(out * out, 1)))))
+            fwd = forward(net, x, want_pred=True)
+            for cache in fwd._caches.values():
+                for _inp, pre in cache[:-1]:  # the last layer has no ReLU
+                    margin = min(margin, float(np.min(np.abs(pre))))
+            for out in (fwd.features, fwd.proj, fwd.pred):
+                min_norm = min(min_norm, float(np.min(row_norms(out))))
     return margin, min_norm
 
 
@@ -258,7 +253,7 @@ def check_param_gradients(trials: int = 4, seed: int = 515
             margin, min_norm = _chain_relu_margin([stack, frozen], [x])
             if target is not None:
                 min_norm = min(min_norm, float(np.min(
-                    row_norms(target_forward(target, x)))))
+                    row_norms(forward(target, x).proj))))
             if margin < RELU_MARGIN or min_norm < 1e-2:
                 continue  # redraw: FD invalid at a kink / degenerate row
             z_prev = frozen_embedding(frozen, x, cfg.method)
@@ -325,13 +320,7 @@ def run_gradcheck(trials: int = 20, loss: str | None = None,
         if loss not in EMBEDDING_LOSSES:
             raise ValueError(f"unknown loss {loss!r}; pick from "
                              f"{', '.join(EMBEDDING_LOSSES)}")
-        t0 = time.perf_counter()
-        worst = 0.0
-        for k in range(trials):
-            rng = Rng(seed).derive(f"emb-{loss}-{k}")
-            worst = max(worst, _embedding_trial(loss, rng))
-        return [CheckReport(f"embedding/{loss}", trials, worst, REL_TOL,
-                            time.perf_counter() - t0)]
+        return check_embedding_gradients(trials, seed, (loss,))
     reports = check_embedding_gradients(trials, seed)
     reports.extend(check_param_gradients(trials=4, seed=seed + 1))
     reports.extend(check_closed_form(instances=50, seed=seed + 2))

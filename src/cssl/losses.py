@@ -299,13 +299,8 @@ def closed_form_parts(v: ContrastiveViews, tau: float = DEFAULT_TAU
     half of the same softmax.
     """
     n = v.batch_size
-    if n == 0:
-        raise EmptyBatch("closed form on empty batch")
     pool, _ = _pool(v, include_cur=True, include_prev=True)
-    logits = v.z[:n] @ pool.T / tau
-    logits[np.arange(n), np.arange(n)] = -np.inf
-    lse = logsumexp_rows(logits)
-    probs = np.exp(logits - lse[:, None])
+    _, probs = _info_nce(v.z[:n], pool, n + np.arange(n), True, tau)
     attract = 0.5 * (v.z[n:] + v.z_prev[:n])
     return attract, probs @ pool, probs.sum(axis=1)
 

@@ -1,8 +1,9 @@
 """The trainable stack: MLP encoder, projector and predictor.
 
 Forward passes, exact reverse-mode parameter gradients, SGD with momentum and
-weight decay, EMA target updates, and frozen snapshots. ReLU on every layer
-except the last of each MLP; the subgradient at exactly zero is zero.
+weight decay, and EMA target updates. Frozen snapshots and BYOL's EMA target
+are clones of the online stack. ReLU on every layer except the last of each
+MLP; the subgradient at exactly zero is zero.
 """
 
 from __future__ import annotations
@@ -64,13 +65,14 @@ def _views(flat: np.ndarray, layout: Layout) -> list[MlpParams]:
 
 
 class EncoderStack:
-    """Online network: encoder h, projector m, predictor g.
+    """Encoder h, projector m, predictor g.
 
     Every parameter lives in one contiguous float64 vector ``flat`` (encoder,
     projector, predictor; see :func:`_views` for the order within an MLP);
     ``encoder``, ``projector`` and ``predictor`` hold per-layer views into it.
-    Gradients, momentum buffers and snapshots are stacks of the same layout,
-    so updates between them are single vector operations.
+    Gradients, momentum buffers, frozen snapshots and BYOL's EMA target are
+    stacks of the same layout, so updates between them are single vector
+    operations.
 
     The predictor maps projection space onto itself (square input/output).
     """
@@ -125,29 +127,6 @@ class OptimizerState:
             raise ValueError("lr must be non-negative")
         return cls(lr, momentum, weight_decay,
                    stack.like(np.zeros_like(stack.flat)))
-
-
-@dataclass
-class TargetNetwork:
-    """EMA shadow of encoder + projector; the predictor stays online-only.
-
-    ``flat`` has the online stack's layout cut after the projector, so it
-    mirrors a prefix of the online vector.
-    """
-
-    layout: Layout
-    flat: np.ndarray
-    ema_momentum: float
-
-    def __post_init__(self):
-        self.encoder, self.projector = _views(self.flat, self.layout)
-
-    @classmethod
-    def from_online(cls, stack: EncoderStack, ema_momentum: float) -> "TargetNetwork":
-        if not 0.0 <= ema_momentum < 1.0:
-            raise ValueError("ema_momentum must be in [0, 1)")
-        n = sum(o * i + o for shapes in stack.layout[:2] for o, i in shapes)
-        return cls(stack.layout[:2], stack.flat[:n].copy(), ema_momentum)
 
 
 def init_mlp(rng: Rng, dims: list[int]) -> MlpParams:
@@ -275,21 +254,14 @@ def sgd_step(stack: EncoderStack, grads: EncoderStack,
     return stack
 
 
-def ema_update(target: TargetNetwork, online: EncoderStack) -> TargetNetwork:
-    """target <- m*target + (1-m)*online for encoder and projector params."""
-    if target.layout != online.layout[:2]:
+def ema_update(target: EncoderStack, online: EncoderStack,
+               m: float) -> EncoderStack:
+    """target <- m*target + (1-m)*online over the whole vector, in place.
+
+    BYOL's target reads only the encoder and projector; its predictor part
+    is blended too but never read."""
+    if target.layout != online.layout:
         raise ShapeMismatch("target/online layouts differ")
-    m = target.ema_momentum
     target.flat *= m
-    target.flat += (1.0 - m) * online.flat[:target.flat.size]
+    target.flat += (1.0 - m) * online.flat
     return target
-
-
-def target_forward(target: TargetNetwork, x: np.ndarray) -> np.ndarray:
-    """Projection through the EMA shadow network (no gradients ever flow here)."""
-    return mlp_forward(target.projector, mlp_forward(target.encoder, x))
-
-
-def snapshot_frozen(stack: EncoderStack) -> EncoderStack:
-    """Independent copy; later training of the live stack never touches it."""
-    return stack.clone()

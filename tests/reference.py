@@ -18,7 +18,7 @@ from cssl import continual
 from cssl.embedding_queue import EmbeddingQueue
 from cssl.errors import DivergenceDetected
 from cssl.losses import LossResult, Method, total_loss
-from cssl.model import OptimizerState, TargetNetwork, ema_update, sgd_step
+from cssl.model import OptimizerState, ema_update, sgd_step
 from cssl.numerics import Rng
 
 
@@ -278,7 +278,7 @@ def train_task_redraw(stack, frozen_prev, task, cfg, *, task_index=1):
                                     stack.projector.out_dim)
     target = None
     if method == Method.BYOL:
-        target = TargetNetwork.from_online(stack, cfg.ema_momentum)
+        target = stack.clone()
     epoch_seed = (Rng(cfg.seed).derive(f"task-{task_index}")
                   .derive("epoch-stream").seed)
     M = task.num_samples
@@ -312,7 +312,7 @@ def train_task_redraw(stack, frozen_prev, task, cfg, *, task_index=1):
                 if frozen_prev is not None:
                     prev_queue.enqueue(enc.views.z_prev[idx.size:])
             if method == Method.BYOL:
-                ema_update(target, stack)
+                ema_update(target, stack, cfg.ema_momentum)
             batch_losses.append(res.value)
             steps += 1
         epoch_losses.append(float(np.mean(batch_losses)))

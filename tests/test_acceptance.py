@@ -187,7 +187,7 @@ def test_criterion_5_metric_oracles():
 
 
 def test_criterion_6_queue_semantics():
-    """Ring buffer equals the naive list reference over 1000 random
+    """The array queue equals the naive list reference over 1000 random
     sequences; length never exceeds capacity."""
     rng = Rng(7600)
     for trial in range(1000):

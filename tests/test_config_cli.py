@@ -93,6 +93,13 @@ class TestConfigParsing:
         ({"model": {"predictor_dims": [8, 4]}}, "predictor_dims"),
         # data_il: the default 2000 samples cannot form 2001 tasks
         ({"scenario": "data_il", "num_tasks": 2001}, "num_tasks"),
+        # they skip every batch of one sample
+        ({"train": {"batch_size": 1}, "loss": {"method": "vicreg"}},
+         "train.batch_size"),
+        ({"train": {"batch_size": 1}, "loss": {"method": "barlow"}},
+         "train.batch_size"),
+        # class_il: one class per task cannot be probed
+        ({"num_tasks": 10}, "num_tasks"),
     ])
     def test_invalid_fields_named(self, patch, field):
         raw = yaml.safe_load(DEFAULT_CONFIG_YAML)
@@ -144,6 +151,11 @@ class TestCli:
         grid = np.array(metrics["a"])
         assert grid.shape == (2, 2)
         assert np.all((grid >= 0) & (grid <= 1))
+        report = str(tmp / "report.csv")
+        assert cli_main(["report", "--metrics", json_path,
+                         "--out", report]) == 0
+        with open(report) as got, open(f"{prefix}_summary.csv") as want:
+            assert got.read() == want.read()
 
     def test_probe_single_task_grid(self, tmp_path):
         cfg_text = FAST_CONFIG.replace("num_tasks: 2", "num_tasks: 1")
@@ -191,6 +203,26 @@ class TestCli:
         body = out.read_text()
         assert body.splitlines()[0] == "metric,mean,std,n"
         assert any(line.startswith("A_2,") for line in body.splitlines())
+        assert not any(line.startswith("seed,") for line in body.splitlines())
+
+    def test_single_label_task_fails_before_training(self, tmp_path, capsys):
+        # data_il: 20 samples of 2 classes in 10 tasks of 2 samples leave
+        # some task with one label, which probing could not score
+        cfg_text = (FAST_CONFIG
+                    .replace("scenario: class_il", "scenario: data_il")
+                    .replace("num_tasks: 2", "num_tasks: 10")
+                    .replace("classes: 4", "classes: 2")
+                    .replace("samples_per_class: 12", "samples_per_class: 10"))
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(cfg_text)
+        data = str(tmp_path / "d.bin")
+        out_dir = tmp_path / "run"
+        assert cli_main(["gen-data", "--config", str(cfg_path),
+                         "--out", data]) == 0
+        assert cli_main(["train", "--config", str(cfg_path), "--data", data,
+                         "--out-dir", str(out_dir)]) == 1
+        assert "fewer than two labels" in capsys.readouterr().err
+        assert not list(out_dir.glob("*.ckpt"))
 
     def test_bad_config_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"

@@ -23,7 +23,7 @@ from cssl.continual import (
 from cssl.datastore import gen_synthetic, stack_bytes
 from cssl.errors import DivergenceDetected, IndivisibleClasses, TooFewSamples
 from cssl.losses import Method, PnrConfig, Regime
-from cssl.model import forward, init_stack, snapshot_frozen
+from cssl.model import forward, init_stack
 from cssl.numerics import Rng, row_l2_normalize
 from reference import train_task_redraw
 
@@ -160,7 +160,7 @@ class TestEncodeViews:
         n = 4
         x2 = two_views(Rng(1).gaussian_matrix(n, 8), AugmentConfig(), Rng(2))
         stack = init_stack(Rng(3), **SMALL_MODEL)
-        frozen = snapshot_frozen(init_stack(Rng(4), **SMALL_MODEL))
+        frozen = init_stack(Rng(4), **SMALL_MODEL)
         cfg = PnrConfig(method=Method.SIMCLR, regime=Regime.PNR)
         enc = encode_views(stack, x2,
                            frozen_embedding(frozen, x2, cfg.method), cfg)
@@ -213,7 +213,7 @@ class TestTrainTask:
                            SMALL_MODEL["projector_dims"],
                            SMALL_MODEL["predictor_dims"])
         stack, _ = train_task(stack, None, stream.tasks[0], small_cfg())
-        frozen = snapshot_frozen(stack)
+        frozen = stack.clone()
         digest = hashlib.sha256(stack_bytes(frozen)).hexdigest()
         stack, _ = train_task(stack, frozen, stream.tasks[1], small_cfg(),
                               task_index=2)
@@ -246,7 +246,7 @@ class TestTrainTask:
                            SMALL_MODEL["projector_dims"],
                            SMALL_MODEL["predictor_dims"])
         stack, log1 = train_task(stack, None, stream.tasks[0], cfg)
-        frozen = snapshot_frozen(stack)
+        frozen = stack.clone()
         stack, log2 = train_task(stack, frozen, stream.tasks[1], cfg,
                                  task_index=2)
         assert all(np.isfinite(v) for v in log1.epoch_losses + log2.epoch_losses)
@@ -272,7 +272,7 @@ class TestTrainTask:
                     for t, task in enumerate(stream.tasks, 1):
                         stack, log = train(stack, frozen, task, cfg,
                                            task_index=t)
-                        frozen = snapshot_frozen(stack)
+                        frozen = stack.clone()
                         out.append((stack.flat.tobytes(), log.epoch_losses,
                                     log.steps))
             except DivergenceDetected as err:

@@ -1,4 +1,4 @@
-"""Embedding queue ring buffer against a naive list reference."""
+"""Embedding queue (one oldest-first array) against a naive list reference."""
 
 import numpy as np
 import pytest
@@ -56,6 +56,8 @@ class TestBasics:
         digest = snap.tobytes()
         q.enqueue(unit_batch(rng, 4, 3))
         assert snap.tobytes() == digest
+        with pytest.raises(ValueError):
+            snap[0, 0] = 0.0  # read-only
 
     def test_dim_mismatch(self):
         q = EmbeddingQueue(4, 3)
