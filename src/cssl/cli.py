@@ -37,6 +37,7 @@ from .errors import (
     ChecksumFail,
     ConfigError,
     CsslError,
+    MissingFt,
     TruncatedFile,
     VersionMismatch,
 )
@@ -101,15 +102,15 @@ def _cmd_probe(args) -> int:
     all_metrics = []
     for seed in cfg.seeds:
         stream = _build_stream(cfg, dataset)
-        checkpoints = []
-        ft_checkpoints = []
-        for t in range(1, cfg.num_tasks + 1):
-            checkpoints.append(
-                load_checkpoint(_ckpt_path(args.checkpoints, seed, "seq", t)))
-            ft_path = _ckpt_path(args.checkpoints, seed, "ft", t)
-            if os.path.exists(ft_path):
-                ft_checkpoints.append(load_checkpoint(ft_path))
-        ft = ft_checkpoints if len(ft_checkpoints) == cfg.num_tasks else None
+        tasks = range(1, cfg.num_tasks + 1)
+        checkpoints = [load_checkpoint(_ckpt_path(args.checkpoints, seed,
+                                                  "seq", t)) for t in tasks]
+        ft_paths = [_ckpt_path(args.checkpoints, seed, "ft", t) for t in tasks]
+        missing = [p for p in ft_paths if not os.path.exists(p)]
+        if missing and len(missing) < len(ft_paths):
+            raise MissingFt(f"{missing[0]} is missing, but other FT "
+                            "reference checkpoints of this seed exist")
+        ft = None if missing else [load_checkpoint(p) for p in ft_paths]
         am = fill_accuracy_matrix(checkpoints, ft, stream, cfg.probe, seed)
         metrics: dict = {"seed": seed}
         for t in range(1, am.T + 1):
@@ -229,3 +230,7 @@ def cli_main(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(cli_main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -6,6 +6,11 @@ plasticity measure reads ``a[i][j]`` with i > j). ``ft[i]`` is the probe
 accuracy of the independent single-task reference model for task i.
 Task indices in the public metric functions are 1-based to match the usual
 notation; the grid itself is 0-based.
+
+Every checkpoint of task i's row (and its FT reference) is probed on the
+same train/holdout split, so ``fill_accuracy_matrix`` makes one stacked
+``linear_probe`` call per task over the T (or T + 1) feature matrices. The
+stacked fit is bit-identical to fitting each checkpoint on its own.
 """
 
 from __future__ import annotations
@@ -71,58 +76,98 @@ class AccuracyMatrix:
         return self.a.shape[0]
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+def _row_max(logits: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Max over the last axis, written to ``out``: one elementwise
+    ``np.maximum`` per column. Max does not depend on order, so this equals
+    ``logits.max(axis=-1)``, which pays a per-row reduction overhead on a
+    short last axis that k - 1 elementwise calls avoid."""
+    np.maximum(logits[..., 0], logits[..., 1], out=out)
+    for j in range(2, logits.shape[-1]):
+        np.maximum(out, logits[..., j], out=out)
+    return out
 
 
-def linear_probe(features: np.ndarray, labels: np.ndarray, cfg: ProbeConfig,
-                 rng: Rng) -> float:
-    """Multinomial logistic regression on frozen features.
+def _fit_probe(features: np.ndarray, labels: np.ndarray, cfg: ProbeConfig,
+               rng: Rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stacked fit behind :func:`linear_probe`: returns the trained
+    weights ``(C, k, d)``, biases ``(C, k)`` and holdout accuracies ``(C,)``.
 
-    Features are standardized by train-split statistics; the classifier
-    starts at zero, so converged accuracy is exactly invariant under feature
-    column permutations. Returns top-1 accuracy on the holdout split.
+    Every slice runs the same numpy calls as a 2-D fit of that slice alone
+    (one gemm per slice in each stacked ``matmul``, elementwise ops, and
+    sums over the slice's own axes), so each slice's result is bit-identical
+    to fitting it on its own.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    if features.ndim != 2 or labels.shape != (features.shape[0],):
-        raise ShapeMismatch("features/labels shapes disagree")
+    if features.ndim != 3 or labels.shape != (features.shape[1],):
+        raise ShapeMismatch("features must be (C, m, d) with m labels")
     classes = np.unique(labels)
     if classes.size < 2:
         raise SingleClass("probing needs at least two classes")
-    col_sd = features.std(axis=0)
-    if float(col_sd.max(initial=0.0)) <= 1e-12:
-        raise DegenerateFeatures("feature matrix carries no variance")
+    C, m, d = features.shape
+    col_sd_max = features.std(axis=-2).max(axis=-1, initial=0.0)
+    degenerate = np.flatnonzero(col_sd_max <= 1e-12)
+    if degenerate.size:
+        raise DegenerateFeatures(
+            f"feature matrix {int(degenerate[0])} of {C} carries no variance")
 
-    m = features.shape[0]
     n_train = min(max(int(cfg.train_fraction * m), 1), m - 1)
     perm = rng.permutation(m)
     tr, ho = perm[:n_train], perm[n_train:]
-    x_tr, y_tr = features[tr], labels[tr]
-    x_ho, y_ho = features[ho], labels[ho]
+    x_tr, x_ho = features[:, tr], features[:, ho]
 
-    mu = x_tr.mean(axis=0)
-    sd = x_tr.std(axis=0)
+    mu = x_tr.mean(axis=-2, keepdims=True)
+    sd = x_tr.std(axis=-2, keepdims=True)
     sd = np.where(sd <= 1e-12, 1.0, sd)
-    x_tr = (x_tr - mu) / sd
-    x_ho = (x_ho - mu) / sd
+    for x in (x_tr, x_ho):  # fancy-indexed copies, standardized in place
+        x -= mu
+        x /= sd
 
-    remap = {int(c): k for k, c in enumerate(classes)}
-    y_idx = np.array([remap[int(c)] for c in y_tr], dtype=np.int64)
     k = classes.size
-    w = np.zeros((k, x_tr.shape[1]))
-    b = np.zeros(k)
     onehot = np.zeros((n_train, k))
-    onehot[np.arange(n_train), y_idx] = 1.0
+    onehot[np.arange(n_train), np.searchsorted(classes, labels[tr])] = 1.0
+    w = np.zeros((C, k, d))
+    b = np.zeros((C, k))
+    logits = np.empty((C, n_train, k))
+    row = np.empty((C, n_train))
+    grad_w = np.empty_like(w)
+    decay = np.empty_like(w)
+    grad_b = np.empty_like(b)
+    w_t, g_t = w.transpose(0, 2, 1), logits.transpose(0, 2, 1)
+    bias = b[:, None, :]
+    l2 = 2.0 * cfg.l2_penalty
     for _ in range(cfg.epochs):
-        probs = _softmax_rows(x_tr @ w.T + b)
-        g = (probs - onehot) / n_train
-        w -= cfg.lr * (g.T @ x_tr + 2.0 * cfg.l2_penalty * w)
-        b -= cfg.lr * g.sum(axis=0)
-    pred = classes[np.argmax(x_ho @ w.T + b, axis=1)]
-    return float(np.mean(pred == y_ho))
+        # logits becomes g = (softmax(x w^T + b) - onehot) / n_train in place
+        np.matmul(x_tr, w_t, out=logits)
+        logits += bias
+        logits -= _row_max(logits, row)[..., None]
+        np.exp(logits, out=logits)
+        logits /= np.sum(logits, axis=-1, out=row)[..., None]
+        logits -= onehot
+        logits /= n_train
+        np.matmul(g_t, x_tr, out=grad_w)
+        grad_w += np.multiply(l2, w, out=decay)
+        grad_w *= cfg.lr
+        w -= grad_w
+        np.sum(logits, axis=-2, out=grad_b)
+        grad_b *= cfg.lr
+        b -= grad_b
+    pred = classes[np.argmax(x_ho @ w_t + bias, axis=-1)]
+    return w, b, np.mean(pred == labels[ho], axis=-1)
+
+
+def linear_probe(features: np.ndarray, labels: np.ndarray, cfg: ProbeConfig,
+                 rng: Rng) -> np.ndarray:
+    """Multinomial logistic regression on C stacked frozen feature matrices.
+
+    ``features`` is ``(C, m, d)``: C feature matrices of the same m samples,
+    which share ``labels`` and one train/holdout split drawn from ``rng``.
+    Each slice is standardized by its own train-split statistics and fitted
+    as its own classifier, bit-identical to probing it alone. The classifier
+    starts at zero, so converged accuracy is exactly invariant under feature
+    column permutations. Returns the C top-1 accuracies on the holdout.
+    """
+    return _fit_probe(features, labels, cfg, rng)[2]
 
 
 def fill_accuracy_matrix(checkpoints: list[EncoderStack],
@@ -132,27 +177,27 @@ def fill_accuracy_matrix(checkpoints: list[EncoderStack],
     """Probe every task's holdout after every checkpoint.
 
     The train/holdout split of task i derives from the seed and i alone, so
-    all entries of row i (and its FT baseline) share one split.
+    all entries of row i (and its FT baseline) share one split, and one
+    stacked probe per task fits them all.
     """
     T = stream.T
     if len(checkpoints) != T:
         raise ShapeMismatch(f"{len(checkpoints)} checkpoints for {T} tasks")
+    if ft_checkpoints is not None and len(ft_checkpoints) != T:
+        raise ShapeMismatch(
+            f"{len(ft_checkpoints)} ft references for {T} tasks")
     root = Rng(seed)
     a = np.zeros((T, T))
+    ft = None if ft_checkpoints is None else np.zeros(T)
     for i, task in enumerate(stream.tasks):
-        for j, ckpt in enumerate(checkpoints):
-            feats = encoder_features(ckpt, task.x)
-            a[i, j] = linear_probe(feats, task.y, cfg,
-                                   root.derive(f"probe-split-{i}"))
-    ft = None
-    if ft_checkpoints is not None:
-        if len(ft_checkpoints) != T:
-            raise ShapeMismatch("ft reference count must equal T")
-        ft = np.zeros(T)
-        for i, task in enumerate(stream.tasks):
-            feats = encoder_features(ft_checkpoints[i], task.x)
-            ft[i] = linear_probe(feats, task.y, cfg,
-                                 root.derive(f"probe-split-{i}"))
+        probed = list(checkpoints)
+        if ft is not None:
+            probed.append(ft_checkpoints[i])
+        feats = np.stack([encoder_features(c, task.x) for c in probed])
+        acc = linear_probe(feats, task.y, cfg, root.derive(f"probe-split-{i}"))
+        a[i] = acc[:T]
+        if ft is not None:
+            ft[i] = acc[T]
     return AccuracyMatrix(a, ft)
 
 

@@ -2,10 +2,13 @@
 
 Everything here is deliberately written in the most naive style possible
 (scalar loops, a tiny tape-based autodiff) and shares no code with the
-package implementations it checks. The one exception is
-:func:`train_task_redraw`: it checks how ``train_task`` draws and replays a
+package implementations it checks. Two exceptions check a restructured
+package function bit for bit, so they keep its arithmetic:
+:func:`train_task_redraw` checks how ``train_task`` draws and replays a
 task's batches, so it reuses the package's step pieces and differs from
-``train_task`` only in its drawing.
+``train_task`` only in its drawing; :func:`per_checkpoint_probe` is the
+2-D probe of one feature matrix that the stacked ``linear_probe`` must
+match slice by slice.
 """
 
 from __future__ import annotations
@@ -241,6 +244,45 @@ def brute_force_plasticity(a, ft):
             inner += a[i - 1][j - 1] - ft[i - 1]
         total += inner / (T - j)
     return total / (T - 1)
+
+
+def per_checkpoint_probe(features, labels, cfg, rng):
+    """The linear probe of one ``(m, d)`` feature matrix, fitted alone:
+    returns the trained weights ``(k, d)``, biases ``(k,)`` and holdout
+    accuracy."""
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    classes = np.unique(labels)
+    m = features.shape[0]
+    n_train = min(max(int(cfg.train_fraction * m), 1), m - 1)
+    perm = rng.permutation(m)
+    tr, ho = perm[:n_train], perm[n_train:]
+    x_tr, y_tr = features[tr], labels[tr]
+    x_ho, y_ho = features[ho], labels[ho]
+
+    mu = x_tr.mean(axis=0)
+    sd = x_tr.std(axis=0)
+    sd = np.where(sd <= 1e-12, 1.0, sd)
+    x_tr = (x_tr - mu) / sd
+    x_ho = (x_ho - mu) / sd
+
+    remap = {int(c): k for k, c in enumerate(classes)}
+    y_idx = np.array([remap[int(c)] for c in y_tr], dtype=np.int64)
+    k = classes.size
+    w = np.zeros((k, x_tr.shape[1]))
+    b = np.zeros(k)
+    onehot = np.zeros((n_train, k))
+    onehot[np.arange(n_train), y_idx] = 1.0
+    for _ in range(cfg.epochs):
+        logits = x_tr @ w.T + b
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        e = np.exp(shifted)
+        probs = e / e.sum(axis=1, keepdims=True)
+        g = (probs - onehot) / n_train
+        w -= cfg.lr * (g.T @ x_tr + 2.0 * cfg.l2_penalty * w)
+        b -= cfg.lr * g.sum(axis=0)
+    pred = classes[np.argmax(x_ho @ w.T + b, axis=1)]
+    return w, b, float(np.mean(pred == y_ho))
 
 
 def naive_fifo(capacity):

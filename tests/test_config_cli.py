@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -224,6 +226,22 @@ class TestCli:
         assert "fewer than two labels" in capsys.readouterr().err
         assert not list(out_dir.glob("*.ckpt"))
 
+    def test_probe_rejects_partial_ft_refs(self, workdir, capsys):
+        tmp, cfg = workdir
+        data = str(tmp / "data.bin")
+        out_dir = tmp / "run"
+        assert cli_main(["gen-data", "--config", cfg, "--out", data]) == 0
+        assert cli_main(["train", "--config", cfg, "--data", data,
+                         "--out-dir", str(out_dir)]) == 0
+        missing = out_dir / "seed1_ft_task1.ckpt"
+        missing.unlink()
+        prefix = tmp / "m"
+        assert cli_main(["probe", "--config", cfg, "--data", data,
+                         "--checkpoints", str(out_dir),
+                         "--out", str(prefix)]) == 1
+        assert str(missing) in capsys.readouterr().err
+        assert not list(tmp.glob("m_*"))
+
     def test_bad_config_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text("scenario: bogus\n")
@@ -257,6 +275,25 @@ class TestCli:
 
     def test_gradcheck_unknown_loss(self, capsys):
         assert cli_main(["gradcheck", "--loss", "nope"]) == 1
+
+    def test_module_invocation_runs_cli(self):
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+
+        def run(module, *args):
+            return subprocess.run([sys.executable, "-m", module, *args],
+                                  env=env, capture_output=True, text=True,
+                                  timeout=120)
+
+        for module in ("cssl", "cssl.cli"):
+            ok = run(module, "gradcheck", "--loss", "byol_loss",
+                     "--trials", "1")
+            assert ok.returncode == 0, ok.stderr
+            assert "[PASS] embedding/byol_loss" in ok.stdout
+            assert "all gradient checks passed" in ok.stdout
+        assert run("cssl", "no-such-command").returncode != 0
 
     def test_default_config_round_trips(self, tmp_path, capsys):
         out = tmp_path / "default.yaml"

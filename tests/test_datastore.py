@@ -53,7 +53,7 @@ class TestGenSynthetic:
 
     def test_separability_oracle(self):
         ds = gen_synthetic(10, 32, 200, 1.0, 0.3, seed=42)
-        assert linear_probe(ds.x, ds.y, ProbeConfig(), Rng(1)) >= 0.95
+        assert linear_probe(ds.x[None], ds.y, ProbeConfig(), Rng(1))[0] >= 0.95
 
 
 class TestDatasetFile:

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from cssl.continual import build_class_il
+from cssl import evaluate
+from cssl.continual import build_class_il, build_domain_il, encoder_features
 from cssl.datastore import gen_synthetic
 from cssl.errors import (
     DegenerateFeatures,
     IndexOutOfRange,
     MissingFt,
+    ShapeMismatch,
     SingleClass,
     SingleTask,
 )
@@ -21,9 +23,14 @@ from cssl.evaluate import (
     plasticity,
     stability,
 )
+from cssl.model import init_stack
 from cssl.numerics import Rng
 
-from reference import brute_force_plasticity, brute_force_stability
+from reference import (
+    brute_force_plasticity,
+    brute_force_stability,
+    per_checkpoint_probe,
+)
 
 
 def blobs(n=100, margin=5.0, seed=3):
@@ -38,7 +45,7 @@ def blobs(n=100, margin=5.0, seed=3):
 class TestLinearProbe:
     def test_separable_blobs(self):
         x, y = blobs(margin=5.0)
-        acc = linear_probe(x, y, ProbeConfig(), Rng(1))
+        acc = linear_probe(x[None], y, ProbeConfig(), Rng(1))[0]
         assert acc >= 0.99
 
     def test_shuffled_labels_near_chance(self):
@@ -47,24 +54,25 @@ class TestLinearProbe:
         for seed in (1, 2, 3):
             perm = Rng(seed).permutation(500)
             y = np.repeat(np.arange(10), 50)[perm]
-            acc = linear_probe(x, y, ProbeConfig(), Rng(seed))
+            acc = linear_probe(x[None], y, ProbeConfig(), Rng(seed))[0]
             assert 0.05 <= acc <= 0.2
 
     def test_identical_features_raise(self):
         x = np.ones((40, 4))
         y = np.array([0, 1] * 20)
         with pytest.raises(DegenerateFeatures):
-            linear_probe(x, y, ProbeConfig(), Rng(1))
+            linear_probe(x[None], y, ProbeConfig(), Rng(1))
 
     def test_single_class_raises(self):
         x = Rng(1).gaussian_matrix(20, 3)
         with pytest.raises(SingleClass):
-            linear_probe(x, np.zeros(20, dtype=int), ProbeConfig(), Rng(1))
+            linear_probe(x[None], np.zeros(20, dtype=int), ProbeConfig(),
+                         Rng(1))
 
     def test_deterministic(self):
         x, y = blobs(margin=1.0)
-        a = linear_probe(x, y, ProbeConfig(), Rng(5))
-        b = linear_probe(x, y, ProbeConfig(), Rng(5))
+        a = linear_probe(x[None], y, ProbeConfig(), Rng(5))[0]
+        b = linear_probe(x[None], y, ProbeConfig(), Rng(5))[0]
         assert a == b
 
     def test_column_permutation_invariance(self):
@@ -72,13 +80,78 @@ class TestLinearProbe:
         x = rng.gaussian_matrix(200, 6)
         y = (x[:, 0] + 0.3 * x[:, 3] > 0).astype(int)
         perm = Rng(7).permutation(6)
-        a = linear_probe(x, y, ProbeConfig(), Rng(8))
-        b = linear_probe(x[:, perm], y, ProbeConfig(), Rng(8))
+        a = linear_probe(x[None], y, ProbeConfig(), Rng(8))[0]
+        b = linear_probe(x[None][..., perm], y, ProbeConfig(), Rng(8))[0]
         assert a == b
 
     def test_generator_separability_example(self):
         ds = gen_synthetic(10, 32, 200, 1.0, 0.3, seed=42)
-        assert linear_probe(ds.x, ds.y, ProbeConfig(), Rng(1)) >= 0.95
+        assert linear_probe(ds.x[None], ds.y, ProbeConfig(), Rng(1))[0] >= 0.95
+
+    def test_one_constant_slice_is_named(self):
+        rng = Rng(4)
+        x = np.stack([rng.gaussian_matrix(40, 4), np.ones((40, 4)),
+                      rng.gaussian_matrix(40, 4)])
+        y = np.array([0, 1] * 20)
+        with pytest.raises(DegenerateFeatures, match="feature matrix 1 of 3"):
+            linear_probe(x, y, ProbeConfig(), Rng(1))
+
+    @pytest.mark.parametrize("k", [2, 3, 8, 10])
+    def test_row_max_matches_numpy_max(self, k):
+        rng = Rng(k)
+        logits = rng.gaussian_matrix(3 * 16, k).reshape(3, 16, k)
+        logits[0, 0] = 0.0
+        logits[0, 1, ::2] = -0.0
+        logits[0, 2] = -0.0
+        logits[1, 0, :] = 1.5  # all tied
+        logits[1, 1, -2:] = 7.0  # tie at the maximum
+        logits[1, 2, 0] = 1e308
+        logits[1, 3, :] = -1e308
+        logits[2, 0, 1] = -1e300
+        out = np.empty((3, 16))
+        got = evaluate._row_max(logits, out)
+        want = logits.max(axis=-1)
+        assert got is out
+        np.testing.assert_array_equal(got, want)
+        # a -0.0 in place of +0.0 cannot move the softmax: x - (+-0) == x
+        # and exp(+-0) == 1
+        assert np.array_equal(np.exp(logits - got[..., None]),
+                              np.exp(logits - want[..., None]))
+
+    @pytest.mark.parametrize("scenario", ["class_il", "domain_il"])
+    @pytest.mark.parametrize("with_ft", [False, True])
+    def test_stacked_probe_equals_per_checkpoint(self, scenario, with_ft):
+        # class-IL: 5 tasks of 2 classes; domain-IL: 3 tasks of 10 classes,
+        # whose rows of 10 logits take numpy's 8-accumulator row sum
+        T = 5 if scenario == "class_il" else 3
+        ds = gen_synthetic(10, 8, 12, 1.0, 0.5, seed=2)
+        stream = (build_class_il(ds, T) if scenario == "class_il"
+                  else build_domain_il(ds, T, 2))
+        dims = dict(encoder_dims=[8, 10, 6], projector_dims=[6, 6],
+                    predictor_dims=[6, 6])
+        seq = [init_stack(Rng(10 + j), **dims) for j in range(T)]
+        ft = [init_stack(Rng(20 + j), **dims) for j in range(T)]
+        cfg = ProbeConfig(epochs=200)
+        am = fill_accuracy_matrix(seq, ft if with_ft else None, stream, cfg,
+                                  seed=3)
+        root = Rng(3)
+        for i, task in enumerate(stream.tasks):
+            probed = seq + ([ft[i]] if with_ft else [])
+            feats = np.stack([encoder_features(c, task.x) for c in probed])
+            split = f"probe-split-{i}"
+            w, b, acc = evaluate._fit_probe(feats, task.y, cfg,
+                                            root.derive(split))
+            assert w.shape[0] == b.shape[0] == acc.shape[0] == len(probed)
+            for c, x in enumerate(feats):
+                rw, rb, racc = per_checkpoint_probe(x, task.y, cfg,
+                                                    root.derive(split))
+                assert np.array_equal(w[c], rw) and np.array_equal(b[c], rb)
+                assert acc[c] == racc
+                if c < T:
+                    assert am.a[i, c] == racc
+                else:
+                    assert am.ft[i] == racc
+        assert (am.ft is not None) == with_ft
 
 
 class TestAccuracyMatrix:
@@ -99,6 +172,20 @@ class TestAccuracyMatrix:
         am2 = fill_accuracy_matrix(res.checkpoints, res.ft_checkpoints, stream,
                                    ProbeConfig(), seed=1)
         np.testing.assert_array_equal(am.a, am2.a)
+
+    def test_ft_count_checked_before_probing(self, monkeypatch):
+        ds = gen_synthetic(4, 8, 10, 1.0, 0.5, seed=1)
+        stream = build_class_il(ds, 2)
+        dims = dict(encoder_dims=[8, 6], projector_dims=[6, 6],
+                    predictor_dims=[6, 6])
+        stacks = [init_stack(Rng(j), **dims) for j in range(2)]
+        calls = []
+        monkeypatch.setattr(evaluate, "linear_probe",
+                            lambda *args: calls.append(args))
+        with pytest.raises(ShapeMismatch, match="1 ft references for 2"):
+            fill_accuracy_matrix(stacks, stacks[:1], stream, ProbeConfig(),
+                                 seed=1)
+        assert calls == []
 
     def test_entries_validated(self):
         with pytest.raises(ValueError):
