@@ -4,7 +4,8 @@ Desk-scale framework: small MLP stacks over synthetic vector data, exact
 analytic gradients for contrastive and non-contrastive objectives with
 pseudo-negative terms, class/data/domain-incremental task streams, linear
 probing, and stability/plasticity metrics. Everything is deterministic under
-a single root seed.
+a single root seed. Importing the package loads none of its submodules;
+import the ones you use (``from cssl import continual``).
 """
 
 import ctypes
@@ -19,19 +20,5 @@ if platform.libc_ver()[0] == "glibc":
     _libc = ctypes.CDLL(None)
     _libc.mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
     _libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-
-from . import (  # noqa: E402, F401
-    cli,
-    config,
-    continual,
-    datastore,
-    embedding_queue,
-    errors,
-    evaluate,
-    gradcheck,
-    losses,
-    model,
-    numerics,
-)
 
 __version__ = "0.1.0"

@@ -8,6 +8,7 @@ gradient check), 2 on I/O failure (missing/corrupt files).
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import sys
@@ -47,12 +48,15 @@ from .gradcheck import run_gradcheck
 _IO_ERRORS = (BadMagic, ChecksumFail, TruncatedFile, VersionMismatch, OSError)
 
 
-def _build_stream(cfg: ExperimentConfig, dataset) -> TaskStream:
+def _config_and_stream(args) -> tuple[ExperimentConfig, TaskStream]:
+    """The config and the task stream that every seed shares."""
+    cfg = load_config(args.config)
+    dataset = load_dataset(args.data)
     if cfg.scenario == Scenario.CLASS_IL:
-        return build_class_il(dataset, cfg.num_tasks)
+        return cfg, build_class_il(dataset, cfg.num_tasks)
     if cfg.scenario == Scenario.DATA_IL:
-        return build_data_il(dataset, cfg.num_tasks, cfg.seeds[0])
-    return build_domain_il(dataset, cfg.num_tasks, cfg.seeds[0])
+        return cfg, build_data_il(dataset, cfg.num_tasks, cfg.seeds[0])
+    return cfg, build_domain_il(dataset, cfg.num_tasks, cfg.seeds[0])
 
 
 def _cmd_gen_data(args) -> int:
@@ -71,14 +75,16 @@ def _ckpt_path(out_dir: str, seed: int, kind: str, t: int) -> str:
 
 
 def _cmd_train(args) -> int:
-    cfg = load_config(args.config)
-    dataset = load_dataset(args.data)
+    cfg, stream = _config_and_stream(args)
     os.makedirs(args.out_dir, exist_ok=True)
     log: dict = {"scenario": cfg.scenario, "num_tasks": cfg.num_tasks,
                  "method": cfg.train.loss.method.value,
                  "regime": cfg.train.loss.regime.value, "seeds": {}}
     for seed in cfg.seeds:
-        stream = _build_stream(cfg, dataset)
+        if args.no_ft_refs:  # else probe reads an earlier run's references
+            for path in glob.glob(os.path.join(glob.escape(args.out_dir),
+                                               f"seed{seed}_ft_task*.ckpt")):
+                os.remove(path)
         result = run_sequence(stream, cfg.train_for_seed(seed),
                               with_ft_refs=not args.no_ft_refs)
         for t, ckpt in enumerate(result.checkpoints, 1):
@@ -97,11 +103,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    cfg = load_config(args.config)
-    dataset = load_dataset(args.data)
+    cfg, stream = _config_and_stream(args)
     all_metrics = []
     for seed in cfg.seeds:
-        stream = _build_stream(cfg, dataset)
         tasks = range(1, cfg.num_tasks + 1)
         checkpoints = [load_checkpoint(_ckpt_path(args.checkpoints, seed,
                                                   "seq", t)) for t in tasks]

@@ -5,10 +5,10 @@ the configured objective on the new task only. The first task always runs in
 the fine-tuning regime because no previous model exists yet.
 
 Randomness: every consumer derives its own stream from the root seed
-(``Rng(seed).derive(tag)``). Each task draws its shuffle and two-view
-batches once, from its own stream, together with the frozen model's
-embeddings of those views, and every epoch replays that plan; with a zero
-learning rate the per-epoch loss trace is therefore exactly constant.
+(``Rng(seed).derive(tag)``). Each task draws its plan once, from its own
+stream: per step, a shuffled batch's two views and the frozen model's
+embeddings of them. Every epoch replays the plan; with a zero learning
+rate the per-epoch loss trace is therefore exactly constant.
 """
 
 from __future__ import annotations
@@ -290,14 +290,6 @@ def two_views(x: np.ndarray, cfg: AugmentConfig, rng: Rng) -> np.ndarray:
     return np.concatenate([_one_view(x, cfg, rng), _one_view(x, cfg, rng)])
 
 
-@dataclass
-class ViewEncodings:
-    """Everything the loss needs for one batch, plus the backward cache."""
-
-    views: ContrastiveViews
-    fwd: ForwardResult
-
-
 def on_sphere(method: Method) -> bool:
     """Whether the method's loss reads unit-norm embeddings: contrastive
     methods and BYOL do; VICReg and Barlow consume raw projections."""
@@ -319,10 +311,12 @@ def encode_views(stack: EncoderStack, x: np.ndarray,
                  z_prev: np.ndarray | None, cfg: PnrConfig,
                  target: EncoderStack | None = None,
                  queue_cur: np.ndarray | None = None,
-                 queue_prev: np.ndarray | None = None) -> ViewEncodings:
+                 queue_prev: np.ndarray | None = None
+                 ) -> tuple[ContrastiveViews, ForwardResult]:
     """Forward the stacked views once through the live stack (and once
-    through the EMA target where the method needs it) and package the loss
-    inputs with the frozen model's ``z_prev`` (see :func:`frozen_embedding`).
+    through the EMA target where the method needs it). Returns the loss
+    inputs, with the frozen model's ``z_prev`` (see :func:`frozen_embedding`),
+    and the live forward for :func:`backprop_views`.
 
     Without ``z_prev`` ``cfg`` must be the fine-tuning config (see
     :func:`train_task`).
@@ -341,17 +335,15 @@ def encode_views(stack: EncoderStack, x: np.ndarray,
         if target is None:
             raise ValueError("BYOL training needs a target network")
         z_target = row_l2_normalize(forward(target, x).proj)
-    views = ContrastiveViews(z, z_prev, g, z_target, queue_cur, queue_prev)
-    return ViewEncodings(views, fwd)
+    return ContrastiveViews(z, z_prev, g, z_target, queue_cur, queue_prev), fwd
 
 
-def backprop_views(stack: EncoderStack, enc: ViewEncodings, cfg: PnrConfig,
+def backprop_views(stack: EncoderStack, fwd: ForwardResult, cfg: PnrConfig,
                    res: LossResult) -> EncoderStack:
     """Chain loss gradients through normalization and the stack parameters."""
     normalized = on_sphere(cfg.method)
     if res.grad_z is None and res.grad_g is None:
         raise ValueError("loss produced no gradients")
-    fwd = enc.fwd
     grad_proj = grad_pred = None
     if res.grad_z is not None:
         grad_proj = (row_l2_normalize_backward(fwd.proj, res.grad_z)
@@ -399,38 +391,39 @@ def train_task(stack: EncoderStack, frozen_prev: EncoderStack | None,
     if method == Method.BYOL:
         target = stack.clone()
 
-    # Plan: (step of the epoch, batch size, views, z_prev), drawn once.
+    # Plan: (stacked views, z_prev) per batch, drawn once. Only a last batch
+    # of one is skipped (see TrainConfig), so an entry's position is its step.
     rng = Rng(cfg.seed).derive(f"task-{task_index}").derive("epoch-stream")
     M = task.num_samples
     order = rng.permutation(M)
     plan = []
-    for step, lo in enumerate(range(0, M, cfg.batch_size), 1):
+    for lo in range(0, M, cfg.batch_size):
         idx = order[lo:lo + cfg.batch_size]
         if idx.size < 2 and method in (Method.VICREG, Method.BARLOW):
             continue
-        views = two_views(task.x[idx], cfg.augment, rng)
+        x = two_views(task.x[idx], cfg.augment, rng)
         z_prev = (None if loss_cfg.regime == Regime.FT
-                  else frozen_embedding(frozen_prev, views, method))
-        plan.append((step, idx.size, views, z_prev))
+                  else frozen_embedding(frozen_prev, x, method))
+        plan.append((x, z_prev))
     epoch_losses: list[float] = []
     steps = 0
     for epoch in range(1, cfg.epochs_per_task + 1):
         batch_losses: list[float] = []
-        for step, n, views, z_prev in plan:
-            enc = encode_views(
-                stack, views, z_prev, loss_cfg, target=target,
+        for step, (x, z_prev) in enumerate(plan, 1):
+            views, fwd = encode_views(
+                stack, x, z_prev, loss_cfg, target=target,
                 queue_cur=(cur_queue.snapshot() if cur_queue else None),
                 queue_prev=(prev_queue.snapshot() if prev_queue else None))
-            res = (LossResult(np.nan) if _overflowed(enc.fwd)
-                   else total_loss(enc.views, loss_cfg))
+            res = (LossResult(np.nan) if _overflowed(fwd)
+                   else total_loss(views, loss_cfg))
             if not np.isfinite(res.value):
                 raise DivergenceDetected(
                     f"loss {res.value} at task {task_index}, epoch {epoch} "
                     f"of {cfg.epochs_per_task}, step {step} of the epoch")
-            grads = backprop_views(stack, enc, loss_cfg, res)
-            sgd_step(stack, grads, opt)
+            sgd_step(stack, backprop_views(stack, fwd, loss_cfg, res), opt)
             if method == Method.MOCO:
-                cur_queue.enqueue(enc.views.z[n:])
+                n = views.batch_size
+                cur_queue.enqueue(views.z[n:])
                 if z_prev is not None:
                     prev_queue.enqueue(z_prev[n:])
             if method == Method.BYOL:

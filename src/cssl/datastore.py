@@ -1,28 +1,26 @@
 """Synthetic data generation, binary file formats, and report writers.
 
-Binary layouts (all integers little-endian unsigned 32-bit, all floats
-little-endian IEEE-754 doubles, matrices row-major):
+Both binary formats share one envelope (integers little-endian unsigned
+32-bit, floats little-endian IEEE-754 doubles, matrices row-major)::
 
-Dataset file::
-
-    magic  8 bytes  b"CSSLDAT\\0"
+    magic  8 bytes
     u32    version (currently 1)
-    u32    M (samples), u32 D (input dim), u32 C (class count)
-    u32    domain tag (0xFFFFFFFF when absent)
-    f64[M*D]  samples, row-major
-    u32[M]    labels
-    u64    FNV-1a checksum over the sample + label bytes
-
-Checkpoint file::
-
-    magic  8 bytes  b"CSSLCKP\\0"
-    u32    version (currently 1)
-    payload: for each of encoder/projector/predictor:
-        u32 layer count, then per layer u32 out, u32 in,
-        f64[out*in] weight (row-major), f64[out] bias
+    u32    header words, as many as the format has
+    payload
     u64    FNV-1a checksum over the payload bytes
 
-Writes are atomic (temp file in the target directory, then rename).
+Dataset: magic ``b"CSSLDAT\\0"``; header M (samples), D (input dim), C
+(class count), domain tag (0xFFFFFFFF when absent); payload f64[M*D]
+samples, then u32[M] labels: exactly M*D*8 + M*4 bytes.
+
+Checkpoint: magic ``b"CSSLCKP\\0"``; no header words; payload, for each of
+encoder/projector/predictor: u32 layer count, then per layer u32 out, u32
+in, f64[out*in] weight (row-major), f64[out] bias; nothing else.
+
+Loads check the magic, the version, the length (``TruncatedFile`` when a
+dataset is shorter or longer than its header implies) and the checksum, in
+that order. Writes are atomic (temp file in the target directory, then
+rename).
 """
 
 from __future__ import annotations
@@ -106,49 +104,56 @@ def _atomic_write(path: str, data: bytes) -> None:
         raise
 
 
-class _Reader:
-    def __init__(self, data: bytes, path: str):
-        self.data = data
-        self.pos = 0
-        self.path = path
+def _take(data: bytes, pos: int, n: int, path: str) -> bytes:
+    if pos + n > len(data):
+        raise TruncatedFile(f"{path}: ended {pos + n - len(data)} bytes early")
+    return data[pos:pos + n]
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise TruncatedFile(f"{self.path}: ended {n} bytes early")
-        out = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return out
 
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
+def _write_envelope(path: str, magic: bytes, words: tuple[int, ...],
+                    payload: bytes) -> None:
+    _atomic_write(path, magic
+                  + struct.pack(f"<{len(words) + 1}I", FORMAT_VERSION, *words)
+                  + payload + struct.pack("<Q", fnv1a64(payload)))
 
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
+
+def _read_envelope(path: str, magic: bytes, what: str, n_words: int,
+                   payload_size=None) -> tuple[tuple[int, ...], bytes]:
+    """The header words and the checked payload of a file that
+    :func:`_write_envelope` wrote. The payload is ``payload_size(*words)``
+    bytes when that is given, else all that precedes the checksum."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if _take(data, 0, 8, path) != magic:
+        raise BadMagic(f"{path}: not a {what} file")
+    version = struct.unpack("<I", _take(data, 8, 4, path))[0]
+    if version != FORMAT_VERSION:
+        raise VersionMismatch(f"{path}: version {version} unsupported")
+    words = struct.unpack(f"<{n_words}I", _take(data, 12, 4 * n_words, path))
+    head = 12 + 4 * n_words
+    size = (len(data) - head - 8 if payload_size is None
+            else payload_size(*words))
+    if size < 0 or len(data) != head + size + 8:
+        raise TruncatedFile(f"{path}: {len(data)} bytes, but the header "
+                            f"implies {head + max(size, 0) + 8}")
+    payload = data[head:head + size]
+    if fnv1a64(payload) != struct.unpack("<Q", data[-8:])[0]:
+        raise ChecksumFail(f"{path}: {what} checksum mismatch")
+    return words, payload
 
 
 def save_dataset(ds: LabeledDataset, path: str) -> None:
     m, d = ds.x.shape
     c = int(ds.y.max()) + 1 if ds.y.size else 0
     domain = _NO_DOMAIN if ds.domain_id is None else int(ds.domain_id)
-    header = DATASET_MAGIC + struct.pack("<IIIII", FORMAT_VERSION, m, d, c, domain)
-    payload = ds.x.astype("<f8").tobytes() + ds.y.astype("<u4").tobytes()
-    checksum = struct.pack("<Q", fnv1a64(payload))
-    _atomic_write(path, header + payload + checksum)
+    _write_envelope(path, DATASET_MAGIC, (m, d, c, domain),
+                    ds.x.astype("<f8").tobytes() + ds.y.astype("<u4").tobytes())
 
 
 def load_dataset(path: str) -> LabeledDataset:
-    with open(path, "rb") as fh:
-        r = _Reader(fh.read(), path)
-    if r.take(8) != DATASET_MAGIC:
-        raise BadMagic(f"{path}: not a dataset file")
-    version = r.u32()
-    if version != FORMAT_VERSION:
-        raise VersionMismatch(f"{path}: version {version} unsupported")
-    m, d, _c, domain = r.u32(), r.u32(), r.u32(), r.u32()
-    payload = r.take(m * d * 8 + m * 4)
-    stored = r.u64()
-    if fnv1a64(payload) != stored:
-        raise ChecksumFail(f"{path}: dataset checksum mismatch")
+    (m, d, _c, domain), payload = _read_envelope(
+        path, DATASET_MAGIC, "dataset", 4,
+        lambda m, d, _c, _domain: m * d * 8 + m * 4)
     x = np.frombuffer(payload[:m * d * 8], dtype="<f8").reshape(m, d).copy()
     y = np.frombuffer(payload[m * d * 8:], dtype="<u4").astype(np.int64)
     return LabeledDataset(x, y, domain_id=None if domain == _NO_DOMAIN else domain)
@@ -170,46 +175,30 @@ def stack_bytes(stack: EncoderStack) -> bytes:
 
 
 def save_checkpoint(stack: EncoderStack, path: str) -> None:
-    payload = stack_bytes(stack)
-    data = (CHECKPOINT_MAGIC + struct.pack("<I", FORMAT_VERSION) + payload
-            + struct.pack("<Q", fnv1a64(payload)))
-    _atomic_write(path, data)
-
-
-def _read_mlp(r: _Reader) -> MlpParams:
-    n_layers = r.u32()
-    if n_layers == 0 or n_layers > 1000:
-        raise TruncatedFile(f"{r.path}: implausible layer count {n_layers}")
-    weights, biases = [], []
-    for _ in range(n_layers):
-        out_dim, in_dim = r.u32(), r.u32()
-        weights.append(np.frombuffer(r.take(out_dim * in_dim * 8),
-                                     dtype="<f8").reshape(out_dim, in_dim))
-        biases.append(np.frombuffer(r.take(out_dim * 8), dtype="<f8"))
-    return MlpParams(weights, biases)
+    _write_envelope(path, CHECKPOINT_MAGIC, (), stack_bytes(stack))
 
 
 def load_checkpoint(path: str) -> EncoderStack:
-    with open(path, "rb") as fh:
-        r = _Reader(fh.read(), path)
-    if r.take(8) != CHECKPOINT_MAGIC:
-        raise BadMagic(f"{path}: not a checkpoint file")
-    version = r.u32()
-    if version != FORMAT_VERSION:
-        raise VersionMismatch(f"{path}: version {version} unsupported")
-    payload_start = r.pos
-    if len(r.data) < payload_start + 8:
-        raise TruncatedFile(f"{path}: missing checksum")
-    payload = r.data[payload_start:-8]
-    stored = struct.unpack("<Q", r.data[-8:])[0]
-    if fnv1a64(payload) != stored:
-        raise ChecksumFail(f"{path}: checkpoint checksum mismatch")
-    encoder = _read_mlp(r)
-    projector = _read_mlp(r)
-    predictor = _read_mlp(r)
-    if r.pos != len(r.data) - 8:
+    _, payload = _read_envelope(path, CHECKPOINT_MAGIC, "checkpoint", 0)
+    mlps, pos = [], 0
+    for _ in range(3):
+        n_layers = struct.unpack("<I", _take(payload, pos, 4, path))[0]
+        if n_layers == 0 or n_layers > 1000:
+            raise TruncatedFile(f"{path}: implausible layer count {n_layers}")
+        pos += 4
+        weights, biases = [], []
+        for _ in range(n_layers):
+            out_dim, in_dim = struct.unpack("<II", _take(payload, pos, 8, path))
+            n = out_dim * in_dim
+            layer = np.frombuffer(
+                _take(payload, pos + 8, (n + out_dim) * 8, path), dtype="<f8")
+            pos += 8 + layer.nbytes
+            weights.append(layer[:n].reshape(out_dim, in_dim))
+            biases.append(layer[n:])
+        mlps.append(MlpParams(weights, biases))
+    if pos != len(payload):
         raise TruncatedFile(f"{path}: trailing bytes before checksum")
-    return EncoderStack(encoder, projector, predictor)
+    return EncoderStack(*mlps)
 
 
 def accuracy_csv(am: AccuracyMatrix) -> str:

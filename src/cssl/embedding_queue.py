@@ -5,10 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimMismatch, NormViolation
-from .numerics import row_norms
+from .numerics import NORM_TOL, row_norms
 
 DEFAULT_CAPACITY = 1024
-NORM_TOL = 1e-9
 
 
 class EmbeddingQueue:

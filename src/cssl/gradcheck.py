@@ -143,12 +143,10 @@ def _embedding_trial(name: str, rng: Rng) -> float:
     d = 5 + int(rng.uniform(1)[0] * 4)
     if name == "pnr_l1":
         v = random_views(rng, n, d, queue_rows=3)
-        return _check_views_loss(
-            lambda vv: pnr_l1(vv, 0.2, norm_tol=None), v, {"z": "grad_z"})
+        return _check_views_loss(pnr_l1, v, {"z": "grad_z"})
     if name == "pnr_l2":
         v = random_views(rng, n, d, queue_rows=3)
-        return _check_views_loss(
-            lambda vv: pnr_l2(vv, 0.2, norm_tol=None), v, _LIVE_FIELDS)
+        return _check_views_loss(pnr_l2, v, _LIVE_FIELDS)
     if name == "cssl_total":
         cfg = PnrConfig(method=Method.MOCO, regime=Regime.PNR, tau=0.2)
         v = random_views(rng, n, d, queue_rows=4)
@@ -259,15 +257,16 @@ def check_param_gradients(trials: int = 4, seed: int = 515
             z_prev = frozen_embedding(frozen, x, cfg.method)
 
             def loss_at(theta: np.ndarray) -> float:
-                enc = encode_views(stack.like(theta), x, z_prev, cfg,
-                                   target=target, queue_cur=queue_cur,
-                                   queue_prev=queue_prev)
-                return total_loss(enc.views, cfg, norm_tol=None).value
+                views, _ = encode_views(stack.like(theta), x, z_prev, cfg,
+                                        target=target, queue_cur=queue_cur,
+                                        queue_prev=queue_prev)
+                return total_loss(views, cfg, norm_tol=None).value
 
-            enc = encode_views(stack, x, z_prev, cfg, target=target,
-                               queue_cur=queue_cur, queue_prev=queue_prev)
-            res = total_loss(enc.views, cfg, norm_tol=None)
-            analytic = backprop_views(stack, enc, cfg, res).flat
+            views, fwd = encode_views(stack, x, z_prev, cfg, target=target,
+                                      queue_cur=queue_cur,
+                                      queue_prev=queue_prev)
+            res = total_loss(views, cfg, norm_tol=None)
+            analytic = backprop_views(stack, fwd, cfg, res).flat
             fd = finite_difference_gradient(loss_at, stack.flat, FD_EPS)
             worst = max(worst, rel_err(analytic, fd))
             done += 1
@@ -301,8 +300,7 @@ def check_closed_form(instances: int = 50, seed: int = 99) -> list[CheckReport]:
         cf = closed_form_grad(v, 0.2)
         plastic = replace(v, z=np.stack([v.z[0], v.z_prev[0]]),
                           z_prev=np.stack([v.z[1], v.z_prev[1]]))
-        full = (pnr_l2(plastic, 0.2, norm_tol=None).grad_g[0]
-                + pnr_l2(v, 0.2, norm_tol=None).grad_g[0])
+        full = pnr_l2(plastic, 0.2).grad_g[0] + pnr_l2(v, 0.2).grad_g[0]
         worst_grad = max(worst_grad, float(np.max(np.abs(cf - full))))
     elapsed = time.perf_counter() - t0
     return [
@@ -316,6 +314,8 @@ def check_closed_form(instances: int = 50, seed: int = 99) -> list[CheckReport]:
 def run_gradcheck(trials: int = 20, loss: str | None = None,
                   seed: int = 2024) -> list[CheckReport]:
     """The CI gate: embedding + parameter + closed-form checks."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     if loss is not None:
         if loss not in EMBEDDING_LOSSES:
             raise ValueError(f"unknown loss {loss!r}; pick from "

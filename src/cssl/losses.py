@@ -57,7 +57,7 @@ from .errors import (
     ShapeMismatch,
     ZeroVarianceColumn,
 )
-from .numerics import logsumexp_rows, row_norms
+from .numerics import NORM_TOL, logsumexp_rows, row_norms
 
 DEFAULT_TAU = 0.2
 
@@ -177,7 +177,7 @@ class ContrastiveViews:
         """N, the number of samples: half the rows."""
         return self.z.shape[0] // 2
 
-    def validate_norms(self, tol: float = 1e-9) -> None:
+    def validate_norms(self, tol: float = NORM_TOL) -> None:
         """Check every present row is unit-norm within ``tol``."""
         for name in ("z", "z_prev", "g", "z_target", "queue_cur", "queue_prev"):
             m = getattr(self, name)
@@ -227,16 +227,13 @@ def _info_nce(anchors: np.ndarray, pool: np.ndarray, pos_col: np.ndarray,
 
 
 def pnr_l1(v: ContrastiveViews, tau: float = DEFAULT_TAU, *,
-           include_pn: bool = True, norm_tol: float | None = 1e-9) -> LossResult:
+           include_pn: bool = True) -> LossResult:
     """Plasticity InfoNCE with previous-model pseudo-negatives.
 
     ``include_pn=False`` drops the pseudo-negative block, which is exactly
-    the CaSSLe / plain-SimCLR plasticity loss (and the FT objective).
-    ``norm_tol=None`` skips the unit-norm precondition so finite-difference
-    probes can evaluate at perturbed points.
+    the CaSSLe / plain-SimCLR plasticity loss (and the FT objective). This
+    and :func:`pnr_l2` read unit-norm rows; :func:`cssl_total` checks them.
     """
-    if norm_tol is not None:
-        v.validate_norms(norm_tol)
     m = v.z.shape[0]
     pool, _ = _pool(v, include_cur=True, include_prev=include_pn)
     value, probs = _info_nce(v.z, pool, partner(np.arange(m)), True, tau)
@@ -248,7 +245,7 @@ def pnr_l1(v: ContrastiveViews, tau: float = DEFAULT_TAU, *,
 
 
 def pnr_l2(v: ContrastiveViews, tau: float = DEFAULT_TAU, *,
-           include_pn: bool = True, norm_tol: float | None = 1e-9) -> LossResult:
+           include_pn: bool = True) -> LossResult:
     """Contrastive distillation with current-model pseudo-negatives.
 
     The anchor is the predictor output g[i]; the positive is the frozen
@@ -257,8 +254,6 @@ def pnr_l2(v: ContrastiveViews, tau: float = DEFAULT_TAU, *,
     """
     if v.g is None:
         raise MissingPredictorOutput("pnr_l2 needs predictor outputs g")
-    if norm_tol is not None:
-        v.validate_norms(norm_tol)
     m = v.z.shape[0]
     pool, prev_start = _pool(v, include_cur=include_pn, include_prev=True)
     value, probs = _info_nce(v.g, pool, prev_start + np.arange(m), include_pn,
@@ -270,18 +265,19 @@ def pnr_l2(v: ContrastiveViews, tau: float = DEFAULT_TAU, *,
 
 
 def cssl_total(v: ContrastiveViews, cfg: PnrConfig, *,
-               norm_tol: float | None = 1e-9) -> LossResult:
+               norm_tol: float | None = NORM_TOL) -> LossResult:
     """Contrastive objective over both views: pnr_l1 + pnr_l2 in regime
     ``pnr``; CaSSLe empties the pseudo-negative blocks; FT keeps only pnr_l1
-    without them. Unit norms are validated once, here.
+    without them. Unit norms are validated once, here; ``norm_tol=None``
+    skips that so finite-difference probes can evaluate at perturbed points.
     """
     if norm_tol is not None:
         v.validate_norms(norm_tol)
     include_pn = (cfg.regime == Regime.PNR) and cfg.include_pseudo_negatives
-    l1 = pnr_l1(v, cfg.tau, include_pn=include_pn, norm_tol=None)
+    l1 = pnr_l1(v, cfg.tau, include_pn=include_pn)
     if cfg.regime == Regime.FT:
         return l1
-    l2 = pnr_l2(v, cfg.tau, include_pn=include_pn, norm_tol=None)
+    l2 = pnr_l2(v, cfg.tau, include_pn=include_pn)
     grad_z = l1.grad_z if l2.grad_z is None else l1.grad_z + l2.grad_z
     return LossResult(l1.value + l2.value, grad_z=grad_z, grad_g=l2.grad_g)
 
@@ -510,7 +506,7 @@ def noncontrastive_pnr_total(v: ContrastiveViews, cfg: PnrConfig
 
 
 def total_loss(v: ContrastiveViews, cfg: PnrConfig, *,
-               norm_tol: float | None = 1e-9) -> LossResult:
+               norm_tol: float | None = NORM_TOL) -> LossResult:
     """Dispatch on the configured method family."""
     if cfg.method in CONTRASTIVE_METHODS:
         return cssl_total(v, cfg, norm_tol=norm_tol)

@@ -21,6 +21,8 @@ import numpy as np
 from .errors import EmptyInput, NonFiniteEvaluation, ShapeMismatch, ZeroRow
 
 EPS_NORM = 1e-12
+# How far a row norm may stray from 1 where unit rows are required.
+NORM_TOL = 1e-9
 
 _U64 = np.uint64
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15

@@ -334,25 +334,25 @@ def train_task_redraw(stack, frozen_prev, task, cfg, *, task_index=1):
             idx = order[lo:lo + cfg.batch_size]
             if idx.size < 2 and method in (Method.VICREG, Method.BARLOW):
                 continue
-            views = continual.two_views(task.x[idx], cfg.augment, rng)
+            x = continual.two_views(task.x[idx], cfg.augment, rng)
             z_prev = (None if frozen_prev is None else
-                      continual.frozen_embedding(frozen_prev, views, method))
-            enc = continual.encode_views(
-                stack, views, z_prev, loss_cfg, target=target,
+                      continual.frozen_embedding(frozen_prev, x, method))
+            views, fwd = continual.encode_views(
+                stack, x, z_prev, loss_cfg, target=target,
                 queue_cur=(cur_queue.snapshot() if cur_queue else None),
                 queue_prev=(prev_queue.snapshot() if prev_queue else None))
-            res = (LossResult(np.nan) if continual._overflowed(enc.fwd)
-                   else total_loss(enc.views, loss_cfg))
+            res = (LossResult(np.nan) if continual._overflowed(fwd)
+                   else total_loss(views, loss_cfg))
             if not np.isfinite(res.value):
                 raise DivergenceDetected(
                     f"loss {res.value} at task {task_index}, epoch {epoch} "
                     f"of {cfg.epochs_per_task}, step {step} of the epoch")
-            sgd_step(stack, continual.backprop_views(stack, enc, loss_cfg,
+            sgd_step(stack, continual.backprop_views(stack, fwd, loss_cfg,
                                                      res), opt)
             if method == Method.MOCO:
-                cur_queue.enqueue(enc.views.z[idx.size:])
+                cur_queue.enqueue(views.z[idx.size:])
                 if frozen_prev is not None:
-                    prev_queue.enqueue(enc.views.z_prev[idx.size:])
+                    prev_queue.enqueue(views.z_prev[idx.size:])
             if method == Method.BYOL:
                 ema_update(target, stack, cfg.ema_momentum)
             batch_losses.append(res.value)

@@ -38,6 +38,24 @@ probe: {epochs: 120, lr: 0.5, l2_penalty: 1.0e-4, train_fraction: 0.8}
 """
 
 
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports the package from ``src``."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_package_import_loads_no_submodule():
+    # The CLI's modules and yaml load only where they are imported.
+    out = _python("-c", "import sys, cssl; print(sorted(m for m in "
+                        "sys.modules if m.startswith('cssl') or m == 'yaml'))")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "['cssl']"
+
+
 class TestConfigParsing:
     def test_default_yaml_parses(self):
         cfg = parse_config(yaml.safe_load(DEFAULT_CONFIG_YAML))
@@ -242,6 +260,25 @@ class TestCli:
         assert str(missing) in capsys.readouterr().err
         assert not list(tmp.glob("m_*"))
 
+    def test_no_ft_refs_removes_earlier_references(self, workdir):
+        # Left in place, probe would score P and ft from the earlier run.
+        tmp, cfg = workdir
+        data = str(tmp / "data.bin")
+        out_dir = tmp / "run"
+        train = ["train", "--config", cfg, "--data", data,
+                 "--out-dir", str(out_dir)]
+        assert cli_main(["gen-data", "--config", cfg, "--out", data]) == 0
+        assert cli_main(train) == 0
+        assert len(list(out_dir.glob("seed1_ft_task*.ckpt"))) == 2
+        assert cli_main(train + ["--no-ft-refs"]) == 0
+        assert not list(out_dir.glob("seed1_ft_task*.ckpt"))
+        prefix = tmp / "m"
+        assert cli_main(["probe", "--config", cfg, "--data", data,
+                         "--checkpoints", str(out_dir),
+                         "--out", str(prefix)]) == 0
+        metrics = json.loads((tmp / "m_seed1.json").read_text())
+        assert "P" not in metrics and "ft" not in metrics
+
     def test_bad_config_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text("scenario: bogus\n")
@@ -276,24 +313,23 @@ class TestCli:
     def test_gradcheck_unknown_loss(self, capsys):
         assert cli_main(["gradcheck", "--loss", "nope"]) == 1
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_gradcheck_rejects_fewer_than_one_trial(self, trials, capsys):
+        assert cli_main(["gradcheck", "--loss", "pnr_l1",
+                         "--trials", trials]) == 1
+        captured = capsys.readouterr()
+        assert "trials" in captured.err
+        assert "passed" not in captured.out
+
     def test_module_invocation_runs_cli(self):
-        src = os.path.join(os.path.dirname(__file__), "..", "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-
-        def run(module, *args):
-            return subprocess.run([sys.executable, "-m", module, *args],
-                                  env=env, capture_output=True, text=True,
-                                  timeout=120)
-
         for module in ("cssl", "cssl.cli"):
-            ok = run(module, "gradcheck", "--loss", "byol_loss",
-                     "--trials", "1")
+            ok = _python("-m", module, "gradcheck", "--loss", "byol_loss",
+                         "--trials", "1")
             assert ok.returncode == 0, ok.stderr
             assert "[PASS] embedding/byol_loss" in ok.stdout
             assert "all gradient checks passed" in ok.stdout
-        assert run("cssl", "no-such-command").returncode != 0
+            assert "RuntimeWarning" not in ok.stderr, ok.stderr
+        assert _python("-m", "cssl", "no-such-command").returncode != 0
 
     def test_default_config_round_trips(self, tmp_path, capsys):
         out = tmp_path / "default.yaml"

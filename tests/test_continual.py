@@ -162,15 +162,15 @@ class TestEncodeViews:
         stack = init_stack(Rng(3), **SMALL_MODEL)
         frozen = init_stack(Rng(4), **SMALL_MODEL)
         cfg = PnrConfig(method=Method.SIMCLR, regime=Regime.PNR)
-        enc = encode_views(stack, x2,
-                           frozen_embedding(frozen, x2, cfg.method), cfg)
+        views, enc_fwd = encode_views(
+            stack, x2, frozen_embedding(frozen, x2, cfg.method), cfg)
         for half, x in ((slice(None, n), x2[:n]), (slice(n, None), x2[n:])):
             fwd = forward(stack, x, want_pred=True)
             for got, want in (
-                    (enc.fwd.proj, fwd.proj), (enc.fwd.pred, fwd.pred),
-                    (enc.views.z, row_l2_normalize(fwd.proj)),
-                    (enc.views.g, row_l2_normalize(fwd.pred)),
-                    (enc.views.z_prev,
+                    (enc_fwd.proj, fwd.proj), (enc_fwd.pred, fwd.pred),
+                    (views.z, row_l2_normalize(fwd.proj)),
+                    (views.g, row_l2_normalize(fwd.pred)),
+                    (views.z_prev,
                      row_l2_normalize(forward(frozen, x).proj))):
                 np.testing.assert_allclose(got[half], want, rtol=1e-12,
                                            atol=1e-14)

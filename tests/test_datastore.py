@@ -1,6 +1,7 @@
 """Synthetic generation, binary round-trips, checksums, report writers."""
 
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -16,10 +17,16 @@ from cssl.datastore import (
     save_dataset,
     stack_bytes,
 )
-from cssl.errors import BadMagic, ChecksumFail, RejectionExhausted, TruncatedFile
+from cssl.errors import (
+    BadMagic,
+    ChecksumFail,
+    RejectionExhausted,
+    TruncatedFile,
+    VersionMismatch,
+)
 from cssl.evaluate import AccuracyMatrix, ProbeConfig, linear_probe
 from cssl.model import EncoderStack, MlpParams, init_stack
-from cssl.numerics import Rng
+from cssl.numerics import Rng, fnv1a64
 
 
 class TestGenSynthetic:
@@ -95,6 +102,42 @@ class TestDatasetFile:
         with pytest.raises(TruncatedFile):
             load_dataset(str(path))
 
+    def test_bytes_after_checksum_rejected(self, tmp_path):
+        ds = gen_synthetic(3, 6, 10, 1.0, 0.4, seed=2)
+        path = tmp_path / "ds.bin"
+        save_dataset(ds, str(path))
+        path.write_bytes(path.read_bytes() + b"\0" * 22)
+        with pytest.raises(TruncatedFile):
+            load_dataset(str(path))
+
+
+def _dataset_bytes(tmp_path) -> bytes:
+    path = tmp_path / "ds.bin"
+    save_dataset(gen_synthetic(3, 6, 10, 1.0, 0.4, seed=2), str(path))
+    return path.read_bytes()
+
+
+def _checkpoint_bytes(tmp_path) -> bytes:
+    path = tmp_path / "s.ckpt"
+    save_checkpoint(init_stack(Rng(4), [4, 4], [4, 4], [4, 4]), str(path))
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("make, load", [(_dataset_bytes, load_dataset),
+                                        (_checkpoint_bytes, load_checkpoint)])
+def test_envelope_checks_magic_then_version_then_length(tmp_path, make, load):
+    raw = make(tmp_path)
+    path = tmp_path / "f.bin"
+    for data, error in ((raw[:5], TruncatedFile),
+                        (b"X" + raw[1:10], BadMagic),
+                        (raw[:8] + b"\2" + raw[9:10], TruncatedFile),
+                        (raw[:8] + b"\2" + raw[9:12], VersionMismatch),
+                        (raw[:8] + b"\2" + raw[9:], VersionMismatch),
+                        (raw[:19], TruncatedFile)):
+        path.write_bytes(data)
+        with pytest.raises(error):
+            load(str(path))
+
 
 class TestCheckpointFile:
     def test_round_trip_bitwise(self, tmp_path):
@@ -136,6 +179,17 @@ class TestCheckpointFile:
         path.write_bytes(bytes(raw))
         with pytest.raises(ChecksumFail):
             load_checkpoint(str(path))
+
+    def test_payload_holds_three_mlps_exactly(self, tmp_path):
+        # Each payload carries a valid checksum, so only parsing rejects it.
+        payload = stack_bytes(init_stack(Rng(4), [4, 4], [4, 4], [4, 4]))
+        path = tmp_path / "s.ckpt"
+        for bad in (payload + b"\0" * 8, payload[:-8],
+                    struct.pack("<I", 0) + payload[4:]):
+            path.write_bytes(b"CSSLCKP\0" + struct.pack("<I", 1) + bad
+                             + struct.pack("<Q", fnv1a64(bad)))
+            with pytest.raises(TruncatedFile):
+                load_checkpoint(str(path))
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"

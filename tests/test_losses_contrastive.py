@@ -146,7 +146,7 @@ class TestSetSemantics:
         v = random_views(Rng(105), 3, 5)
         bad = replace(v, z=v.z * 1.5)
         with pytest.raises(NormViolation):
-            pnr_l1(bad, 0.2)
+            cssl_total(bad, PnrConfig(method=Method.SIMCLR, regime=Regime.PNR))
 
 
 class TestReductions:
@@ -212,11 +212,10 @@ class TestGradients:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_l1_fd(self, seed):
         v = random_views(Rng(200 + seed), 4, 6, queue_rows=2)
-        res = pnr_l1(v, 0.2, norm_tol=None)
+        res = pnr_l1(v, 0.2)
         for field, grad in (("z", res.grad_z),):
             fd = finite_difference_gradient(
-                lambda x, f=field: pnr_l1(replace(v, **{f: x}), 0.2,
-                                          norm_tol=None).value,
+                lambda x, f=field: pnr_l1(replace(v, **{f: x}), 0.2).value,
                 getattr(v, field))
             scale = max(float(np.max(np.abs(fd))), 1e-10)
             assert float(np.max(np.abs(grad - fd))) / scale < 1e-6
@@ -224,11 +223,10 @@ class TestGradients:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_l2_fd_and_frozen_structure(self, seed):
         v = random_views(Rng(300 + seed), 4, 6, queue_rows=2)
-        res = pnr_l2(v, 0.2, norm_tol=None)
+        res = pnr_l2(v, 0.2)
         for field, grad in (("z", res.grad_z), ("g", res.grad_g)):
             fd = finite_difference_gradient(
-                lambda x, f=field: pnr_l2(replace(v, **{f: x}), 0.2,
-                                          norm_tol=None).value,
+                lambda x, f=field: pnr_l2(replace(v, **{f: x}), 0.2).value,
                 getattr(v, field))
             scale = max(float(np.max(np.abs(fd))), 1e-10)
             assert float(np.max(np.abs(grad - fd))) / scale < 1e-6
