@@ -154,6 +154,8 @@ def _cmd_report(args) -> int:
     for path in args.metrics:
         with open(path, "r", encoding="utf-8") as fh:
             dicts.append(json.load(fh))
+        if not isinstance(dicts[-1], dict):
+            raise ValueError(f"{path}: metrics must be a JSON object")
     csv = aggregate_metrics(dicts)
     if args.out:
         write_text(args.out, csv)

@@ -386,7 +386,8 @@ def train_task(stack: EncoderStack, frozen_prev: EncoderStack | None,
     cur_queue = prev_queue = None
     if method == Method.MOCO:
         cur_queue = EmbeddingQueue(cfg.queue_capacity, proj_dim)
-        prev_queue = EmbeddingQueue(cfg.queue_capacity, proj_dim)
+        if loss_cfg.regime != Regime.FT:  # only then is z_prev read
+            prev_queue = EmbeddingQueue(cfg.queue_capacity, proj_dim)
     target = None
     if method == Method.BYOL:
         target = stack.clone()
@@ -424,7 +425,7 @@ def train_task(stack: EncoderStack, frozen_prev: EncoderStack | None,
             if method == Method.MOCO:
                 n = views.batch_size
                 cur_queue.enqueue(views.z[n:])
-                if z_prev is not None:
+                if prev_queue is not None:
                     prev_queue.enqueue(z_prev[n:])
             if method == Method.BYOL:
                 ema_update(target, stack, cfg.ema_momentum)

@@ -225,9 +225,9 @@ def metrics_json(metrics: dict) -> str:
 def aggregate_metrics(metric_dicts: list[dict]) -> str:
     """Mean +/- std table (CSV) over per-seed metrics JSON objects.
 
-    Aggregates every top-level scalar key of the first object except
-    ``seed``, which labels a run; the sample std uses ddof=1 when more than
-    one run is present, else 0.
+    Aggregates every top-level scalar key that any object holds, except
+    ``seed``, which labels a run; ``n`` counts the objects holding the key.
+    The sample std uses ddof=1 when more than one value is present, else 0.
     """
     if not metric_dicts:
         raise ValueError("nothing to aggregate")
@@ -235,7 +235,7 @@ def aggregate_metrics(metric_dicts: list[dict]) -> str:
                 if isinstance(v, (int, float)) and k != "seed"}
                for m in metric_dicts]
     lines = ["metric,mean,std,n"]
-    for key in sorted(scalars[0]):
+    for key in sorted(set().union(*scalars)):
         vals = np.array([float(m[key]) for m in scalars if key in m])
         std = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
         lines.append(f"{key},{repr(float(vals.mean()))},{repr(std)},{vals.size}")

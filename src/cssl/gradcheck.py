@@ -37,8 +37,6 @@ from .losses import (
     closed_form_parts,
     cssl_total,
     noncontrastive_pnr_total,
-    pnr_l1,
-    pnr_l2,
     pnr_regularizer,
     total_loss,
     vicreg_loss,
@@ -56,8 +54,8 @@ REL_TOL = 1e-6
 RELU_MARGIN = 1e-4
 
 EMBEDDING_LOSSES = (
-    "pnr_l1", "pnr_l2", "cssl_total", "byol_loss", "vicreg_loss",
-    "barlow_loss", "pnr_regularizer", "noncontrastive_pnr_total",
+    "cssl_total", "byol_loss", "vicreg_loss", "barlow_loss",
+    "pnr_regularizer", "noncontrastive_pnr_total",
 )
 PARAM_METHODS = ("simclr", "moco", "byol", "vicreg", "barlow")
 
@@ -141,17 +139,13 @@ _LIVE_FIELDS = {"z": "grad_z", "g": "grad_g"}
 def _embedding_trial(name: str, rng: Rng) -> float:
     n = 3 + int(rng.uniform(1)[0] * 4)  # batch in [3, 6]
     d = 5 + int(rng.uniform(1)[0] * 4)
-    if name == "pnr_l1":
-        v = random_views(rng, n, d, queue_rows=3)
-        return _check_views_loss(pnr_l1, v, {"z": "grad_z"})
-    if name == "pnr_l2":
-        v = random_views(rng, n, d, queue_rows=3)
-        return _check_views_loss(pnr_l2, v, _LIVE_FIELDS)
     if name == "cssl_total":
-        cfg = PnrConfig(method=Method.MOCO, regime=Regime.PNR, tau=0.2)
         v = random_views(rng, n, d, queue_rows=4)
-        return _check_views_loss(
-            lambda vv: cssl_total(vv, cfg, norm_tol=None), v, _LIVE_FIELDS)
+        cfgs = [PnrConfig(method=Method.MOCO, regime=r, tau=0.2)
+                for r in Regime]
+        return max(_check_views_loss(
+            lambda vv, c=c: cssl_total(vv, c, norm_tol=None), v,
+            _LIVE_FIELDS) for c in cfgs)
     if name == "byol_loss":
         p, t = _unit_rows(rng, n, d), _unit_rows(rng, n, d)
         fd = finite_difference_gradient(lambda x: byol_loss(x, t).value, p,
@@ -279,16 +273,17 @@ def check_closed_form(instances: int = 50, seed: int = 99) -> list[CheckReport]:
     """Closed-form per-anchor gradient vs the production loss gradients.
 
     With batch size 1 and an identity predictor (g := z), anchor z[0]'s two
-    terms share one pool and differ only in their positive. pnr_l2's anchor
-    g enters only as a query, and each term averages over the 2 anchors, so
-    pnr_l2's grad_g[0] is half the distillation term's query gradient. Moving
-    the plasticity positive z[1] to the lead of the frozen block
-    (z = [z0; zp0], z_prev = [z1; zp1]) leaves the pool's rows unchanged, and
-    pnr_l2's grad_g[0] is then half the plasticity term's. The closed form
-    must equal their sum. The softmax mass identity is checked on every
-    instance.
+    terms share one pool and differ only in their positive. The anchor g
+    enters PNR's loss only as a distillation query, and each term averages
+    over the 2 anchors, so ``cssl_total``'s grad_g[0] is half the
+    distillation term's query gradient. Moving the plasticity positive z[1]
+    to the lead of the frozen block (z = [z0; zp0], z_prev = [z1; zp1])
+    leaves the pool's rows unchanged, and grad_g[0] is then half the
+    plasticity term's. The closed form must equal their sum. The softmax
+    mass identity is checked on every instance.
     """
     t0 = time.perf_counter()
+    cfg = PnrConfig(method=Method.SIMCLR, regime=Regime.PNR, tau=0.2)
     worst_grad = 0.0
     worst_mass = 0.0
     for k in range(instances):
@@ -300,7 +295,8 @@ def check_closed_form(instances: int = 50, seed: int = 99) -> list[CheckReport]:
         cf = closed_form_grad(v, 0.2)
         plastic = replace(v, z=np.stack([v.z[0], v.z_prev[0]]),
                           z_prev=np.stack([v.z[1], v.z_prev[1]]))
-        full = pnr_l2(plastic, 0.2).grad_g[0] + pnr_l2(v, 0.2).grad_g[0]
+        full = (cssl_total(plastic, cfg).grad_g[0]
+                + cssl_total(v, cfg).grad_g[0])
         worst_grad = max(worst_grad, float(np.max(np.abs(cf - full))))
     elapsed = time.perf_counter() - t0
     return [

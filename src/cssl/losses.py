@@ -8,26 +8,27 @@ stacked this way (see :class:`ContrastiveViews`).
 Contrastive side
 ----------------
 The current model emits ``z`` (and predictor outputs ``g``); the frozen
-previous-task model emits ``z_prev``. Each of the 2N rows is an anchor once,
-and both terms are InfoNCE over the same pool [z; z_prev]:
+previous-task model emits ``z_prev``. Each of the 2N rows is an anchor once
+in each of two InfoNCE terms over the same pool [z; z_prev]:
 
-* plasticity term ``pnr_l1``: anchor z[i], positive its partner; negatives
-  N1(i) = the other 2N-1 current rows (the positive included), plus
-  pseudo-negatives PN1(i) = all 2N previous-model rows.
-* distillation term ``pnr_l2``: the anchor is the predictor output g[i], the
-  positive is z_prev[i]; negatives N2(i) = all 2N previous-model rows (the
-  positive included), plus pseudo-negatives PN2(i) = the current rows minus
-  z[i].
+* plasticity term: anchor z[i], positive its partner; negatives N1(i) = the
+  other 2N-1 current rows (the positive included), plus pseudo-negatives
+  PN1(i) = all 2N previous-model rows.
+* distillation term: the anchor is the predictor output g[i], the positive
+  is z_prev[i]; negatives N2(i) = all 2N previous-model rows (the positive
+  included), plus pseudo-negatives PN2(i) = the current rows minus z[i].
 
 These two denominators range over the identical 4N-1 embeddings. In MoCo
 mode a queue of past current-model keys joins the current-model block (N1
 and PN2) and a queue of past frozen-model keys joins the previous-model
 block (PN1 and N2): the pool is [z; queue_cur; z_prev; queue_prev].
 
-Regimes: ``pnr`` keeps all sets, ``cassle`` empties the pseudo-negative
-blocks, ``ft`` keeps only the plasticity loss with its original negatives.
-The mean over 2N anchors is the average of the (A, B) and (B, A) orderings,
-as in SimCLR's NT-Xent (Chen et al. 2020).
+:func:`cssl_total` computes both as one InfoNCE: anchors [z; g], one
+logits matrix, one softmax. Each regime is a set of masked cells: ``pnr``
+masks the anchors' own rows, ``cassle`` also the pseudo-negative blocks;
+``ft`` keeps only the plasticity term, without them. The mean over 2N
+anchors is the average of the (A, B) and (B, A) orderings, as in SimCLR's
+NT-Xent (Chen et al. 2020).
 
 Non-contrastive side
 --------------------
@@ -105,8 +106,8 @@ class PnrConfig:
     vicreg_var: float = VICREG_VAR
     vicreg_cov: float = VICREG_COV
     barlow_lambda: float = BARLOW_LAMBDA
-    # Diagnostic knob: force-empty pseudo-negative blocks while keeping the
-    # PNR code path. PNR with this set reproduces CaSSLe bit for bit.
+    # Diagnostic knob: mask the pseudo-negative blocks in regime PNR. The
+    # masks are CaSSLe's, so PNR with this off reproduces CaSSLe bit for bit.
     include_pseudo_negatives: bool = True
 
     def __post_init__(self):
@@ -188,98 +189,73 @@ class ContrastiveViews:
                 raise NormViolation(f"{name}: row norm off unit by {dev:.3e}")
 
 
-def _pool(v: ContrastiveViews, include_cur: bool, include_prev: bool
-          ) -> tuple[np.ndarray, int]:
-    """The negative pool in the frozen summation order [z; queue_cur;
-    z_prev; queue_prev], either block possibly left out, and the row where
-    its frozen block starts."""
-    cur = [v.z, v.queue_cur] if include_cur else []
-    prev = [v.z_prev, v.queue_prev] if include_prev else []
-    blocks = [b for b in cur + prev if b is not None]
-    return (np.concatenate(blocks, axis=0),
-            sum(b.shape[0] for b in cur if b is not None))
+def _keys(v: ContrastiveViews, frozen: bool) -> tuple[np.ndarray, int]:
+    """The pool every anchor is scored against, in the frozen summation
+    order [z; queue_cur; z_prev; queue_prev] (the frozen block only when
+    ``frozen``), and c, the row where its frozen block starts."""
+    cur = [b for b in (v.z, v.queue_cur) if b is not None]
+    prev = [b for b in (v.z_prev, v.queue_prev) if frozen and b is not None]
+    return np.concatenate(cur + prev), sum(b.shape[0] for b in cur)
 
 
 def _info_nce(anchors: np.ndarray, pool: np.ndarray, pos_col: np.ndarray,
-              mask_own: bool, tau: float) -> tuple[float, np.ndarray]:
-    """Shared InfoNCE kernel.
+              m: int, tau: float, mask_pn_at: int | None = None
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-anchor InfoNCE losses logsumexp(logits_i - logits_i[pos_col[i]])
+    and the softmax, for anchors stacked as m z rows, then any g rows.
 
-    Per anchor i the loss is logsumexp(logits_i - logits_i[pos_col[i]]) with
-    the anchor's own current-model column (column i) removed when
-    ``mask_own``. Shifting by the positive logit drawn from the same logits
-    matrix keeps uniform-similarity inputs exactly at log(pool cardinality).
-    Returns (mean loss, softmax probabilities with masked columns at zero);
-    the probabilities overwrite the logits in place to keep one
-    anchors x pool matrix alive.
+    Anchor i never sees its own current row, column i mod m. With
+    ``mask_pn_at`` = c, the z anchors also lose the frozen block (columns
+    c:) and the g anchors the current block (:c): CaSSLe's masks. Shifting
+    by the positive logit from the same row keeps uniform-similarity inputs
+    exactly at log(pool cardinality). The softmax overwrites the logits, so
+    one anchors x pool matrix is alive.
     """
-    m = anchors.shape[0]
-    if m == 0:
-        raise EmptyBatch("contrastive loss on empty batch")
-    rows = np.arange(m)
+    rows = np.arange(anchors.shape[0])
     logits = anchors @ pool.T
     logits /= tau
-    if mask_own:
-        logits[rows, rows] = -np.inf
+    logits[rows, rows % m] = -np.inf
+    if mask_pn_at is not None:
+        logits[:m, mask_pn_at:] = -np.inf
+        logits[m:, :mask_pn_at] = -np.inf
     logits -= logits[rows, pos_col][:, None]
-    per_anchor = logsumexp_rows(logits)
-    logits -= per_anchor[:, None]
-    return float(np.mean(per_anchor)), np.exp(logits, out=logits)
-
-
-def pnr_l1(v: ContrastiveViews, tau: float = DEFAULT_TAU, *,
-           include_pn: bool = True) -> LossResult:
-    """Plasticity InfoNCE with previous-model pseudo-negatives.
-
-    ``include_pn=False`` drops the pseudo-negative block, which is exactly
-    the CaSSLe / plain-SimCLR plasticity loss (and the FT objective). This
-    and :func:`pnr_l2` read unit-norm rows; :func:`cssl_total` checks them.
-    """
-    m = v.z.shape[0]
-    pool, _ = _pool(v, include_cur=True, include_prev=include_pn)
-    value, probs = _info_nce(v.z, pool, partner(np.arange(m)), True, tau)
-    # Row i is an anchor (positive: its partner) and the positive of its
-    # partner; as a pool column it is weighted by every anchor's softmax.
-    z_pos = partner(v.z)
-    grad_z = (probs @ pool + probs[:, :m].T @ v.z - 2.0 * z_pos) / (m * tau)
-    return LossResult(value, grad_z=grad_z)
-
-
-def pnr_l2(v: ContrastiveViews, tau: float = DEFAULT_TAU, *,
-           include_pn: bool = True) -> LossResult:
-    """Contrastive distillation with current-model pseudo-negatives.
-
-    The anchor is the predictor output g[i]; the positive is the frozen
-    z_prev[i]. Gradients flow through g and through z where it appears as
-    pseudo-negatives, never through the frozen block.
-    """
-    if v.g is None:
-        raise MissingPredictorOutput("pnr_l2 needs predictor outputs g")
-    m = v.z.shape[0]
-    pool, prev_start = _pool(v, include_cur=include_pn, include_prev=True)
-    value, probs = _info_nce(v.g, pool, prev_start + np.arange(m), include_pn,
-                             tau)
-    inv = 1.0 / (m * tau)
-    grad_g = (probs @ pool - v.z_prev) * inv
-    grad_z = (probs[:, :m].T @ v.g) * inv if include_pn else None
-    return LossResult(value, grad_z=grad_z, grad_g=grad_g)
+    return logsumexp_rows(logits), logits
 
 
 def cssl_total(v: ContrastiveViews, cfg: PnrConfig, *,
                norm_tol: float | None = NORM_TOL) -> LossResult:
-    """Contrastive objective over both views: pnr_l1 + pnr_l2 in regime
-    ``pnr``; CaSSLe empties the pseudo-negative blocks; FT keeps only pnr_l1
-    without them. Unit norms are validated once, here; ``norm_tol=None``
-    skips that so finite-difference probes can evaluate at perturbed points.
+    """The contrastive objective over both views: the mean InfoNCE of the
+    m = 2N anchors z (positive: the partner row) plus, unless the regime is
+    ``ft``, that of the m anchors g (positive: z_prev[i], column c + i).
+    Unit norms are validated once, here; ``norm_tol=None`` skips that so
+    finite-difference probes can evaluate at perturbed points.
     """
     if norm_tol is not None:
         v.validate_norms(norm_tol)
-    include_pn = (cfg.regime == Regime.PNR) and cfg.include_pseudo_negatives
-    l1 = pnr_l1(v, cfg.tau, include_pn=include_pn)
-    if cfg.regime == Regime.FT:
-        return l1
-    l2 = pnr_l2(v, cfg.tau, include_pn=include_pn)
-    grad_z = l1.grad_z if l2.grad_z is None else l1.grad_z + l2.grad_z
-    return LossResult(l1.value + l2.value, grad_z=grad_z, grad_g=l2.grad_g)
+    m = v.z.shape[0]
+    if m == 0:
+        raise EmptyBatch("contrastive loss on empty batch")
+    ft = cfg.regime == Regime.FT
+    if not ft and v.g is None:
+        raise MissingPredictorOutput("distillation needs predictor outputs g")
+    pool, c = _keys(v, frozen=not ft)
+    rows = np.arange(m)
+    anchors, pos_col = ((v.z, partner(rows)) if ft else
+                        (np.concatenate([v.z, v.g]),
+                         np.concatenate([partner(rows), c + rows])))
+    pn = cfg.regime == Regime.PNR and cfg.include_pseudo_negatives
+    per_anchor, probs = _info_nce(anchors, pool, pos_col, m, cfg.tau,
+                                  None if pn else c)
+    # Row i is an anchor (positive: its partner), the positive of its
+    # partner, and, as a pool column, weighted by every anchor's softmax.
+    inv = 1.0 / (m * cfg.tau)
+    repel = probs @ pool
+    grad_z = (repel[:m] + probs[:, :m].T @ anchors - 2.0 * partner(v.z)) * inv
+    if ft:
+        return LossResult(float(np.mean(per_anchor)), grad_z=grad_z)
+    return LossResult(
+        float(np.mean(per_anchor[:m])) + float(np.mean(per_anchor[m:])),
+        grad_z=grad_z, grad_g=(repel[m:] - v.z_prev) * inv)
 
 
 def closed_form_parts(v: ContrastiveViews, tau: float = DEFAULT_TAU
@@ -295,8 +271,8 @@ def closed_form_parts(v: ContrastiveViews, tau: float = DEFAULT_TAU
     half of the same softmax.
     """
     n = v.batch_size
-    pool, _ = _pool(v, include_cur=True, include_prev=True)
-    _, probs = _info_nce(v.z[:n], pool, n + np.arange(n), True, tau)
+    pool, _ = _keys(v, frozen=True)
+    _, probs = _info_nce(v.z[:n], pool, n + np.arange(n), n, tau)
     attract = 0.5 * (v.z[n:] + v.z_prev[:n])
     return attract, probs @ pool, probs.sum(axis=1)
 

@@ -81,12 +81,16 @@ def row_l2_normalize_backward(raw: np.ndarray, grad_normalized: np.ndarray) -> n
 
 
 def logsumexp_rows(m: np.ndarray) -> np.ndarray:
-    """Row-wise logsumexp for matrices; tolerates -inf entries (masked columns)."""
+    """Row-wise logsumexp for matrices; tolerates -inf entries (masked
+    columns). Overwrites ``m`` with its row softmax (a masked entry becomes
+    0), so every entry is exponentiated once."""
     if m.shape[1] == 0:
         raise EmptyInput("logsumexp over zero columns")
     mx = np.max(m, axis=1)
-    e = m - mx[:, None]
-    return mx + np.log(np.sum(np.exp(e, out=e), axis=1))
+    m -= mx[:, None]
+    total = np.sum(np.exp(m, out=m), axis=1)
+    m /= total[:, None]
+    return mx + np.log(total)
 
 
 def finite_difference_gradient(

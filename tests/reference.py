@@ -20,7 +20,7 @@ import numpy as np
 from cssl import continual
 from cssl.embedding_queue import EmbeddingQueue
 from cssl.errors import DivergenceDetected
-from cssl.losses import LossResult, Method, total_loss
+from cssl.losses import LossResult, Method, Regime, total_loss
 from cssl.model import OptimizerState, ema_update, sgd_step
 from cssl.numerics import Rng
 
@@ -220,6 +220,31 @@ def reference_pnr_l1(zA, zB, zpA, zpB, tau):
     return total / n
 
 
+def reference_pnr_l2(gA, zA, zB, zpA, zpB, tau):
+    """Contrastive distillation with current-model pseudo-negatives: anchor
+    gA[i], positive zpA[i], negatives the full previous batch (both views,
+    positive included) plus the current batch minus the anchor's own row
+    zA[i]."""
+    n = gA.shape[0]
+    total = 0.0
+    for i in range(n):
+        pos = float(gA[i] @ zpA[i]) / tau
+        terms = []
+        for j in range(n):
+            terms.append(float(gA[i] @ zpA[j]) / tau)
+        for j in range(n):
+            terms.append(float(gA[i] @ zpB[j]) / tau)
+        for j in range(n):
+            if j != i:
+                terms.append(float(gA[i] @ zA[j]) / tau)
+        for j in range(n):
+            terms.append(float(gA[i] @ zB[j]) / tau)
+        m = max(terms)
+        denom = sum(math.exp(t - m) for t in terms)
+        total += -(pos - (m + math.log(denom)))
+    return total / n
+
+
 def brute_force_stability(a):
     """Literal loop of the stability formula on a T x T grid (1-based i, t)."""
     T = a.shape[0]
@@ -316,8 +341,9 @@ def train_task_redraw(stack, frozen_prev, task, cfg, *, task_index=1):
     if method == Method.MOCO:
         cur_queue = EmbeddingQueue(cfg.queue_capacity,
                                    stack.projector.out_dim)
-        prev_queue = EmbeddingQueue(cfg.queue_capacity,
-                                    stack.projector.out_dim)
+        if loss_cfg.regime != Regime.FT:
+            prev_queue = EmbeddingQueue(cfg.queue_capacity,
+                                        stack.projector.out_dim)
     target = None
     if method == Method.BYOL:
         target = stack.clone()
@@ -351,7 +377,7 @@ def train_task_redraw(stack, frozen_prev, task, cfg, *, task_index=1):
                                                      res), opt)
             if method == Method.MOCO:
                 cur_queue.enqueue(views.z[idx.size:])
-                if frozen_prev is not None:
+                if prev_queue is not None:
                     prev_queue.enqueue(views.z_prev[idx.size:])
             if method == Method.BYOL:
                 ema_update(target, stack, cfg.ema_momentum)

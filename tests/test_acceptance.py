@@ -43,8 +43,6 @@ from cssl.losses import (
     cssl_total,
     noncontrastive_pnr_total,
     partner,
-    pnr_l1,
-    pnr_l2,
     pnr_regularizer,
     vicreg_loss,
 )
@@ -143,18 +141,20 @@ def test_criterion_3_reduction_identities():
 
 
 def test_criterion_4_counting_and_symmetry():
-    """Uniform similarity => loss is exactly ln(pool size); A<->B swap
-    moves the symmetrized total by < 1e-12."""
+    """Uniform similarity => each InfoNCE term is exactly ln(pool size), so
+    PNR's total is 2 ln(4N-1) and FT's ln(2N-1); A<->B swap moves the
+    symmetrized total by < 1e-12."""
+    pnr = PnrConfig(method=Method.SIMCLR, regime=Regime.PNR)
+    ft = PnrConfig(method=Method.SIMCLR, regime=Regime.FT)
     for n in (1, 2, 4):
         row = np.zeros((2 * n, 3))
         row[:, 0] = 1.0
         v = ContrastiveViews(row.copy(), row.copy(), g=row.copy())
-        want = np.log((2 * n - 1) + 2 * n)
-        assert pnr_l1(v, 0.2).value == want
-        assert pnr_l2(v, 0.2).value == want
+        assert cssl_total(v, pnr).value == 2 * np.log((2 * n - 1) + 2 * n)
+        assert cssl_total(v, ft).value == np.log(2 * n - 1)
     n1 = ContrastiveViews(*[np.array([[1.0, 0.0], [1.0, 0.0]])
                             for _ in range(3)])
-    assert pnr_l1(n1, 0.2).value == np.log(3.0)
+    assert cssl_total(n1, pnr).value == 2 * np.log(3.0)
 
     v = random_views(Rng(7400), 5, 7, queue_rows=3)
     cfg = PnrConfig(method=Method.MOCO, regime=Regime.PNR)
@@ -162,7 +162,7 @@ def test_criterion_4_counting_and_symmetry():
                       g=partner(v.g))
     delta = abs(cssl_total(v, cfg).value - cssl_total(swapped, cfg).value)
     assert delta < 1e-12
-    _report(4, f"uniform batches hit ln(4N-1) exactly (N=1: ln 3); "
+    _report(4, f"uniform batches hit 2 ln(4N-1) exactly (N=1: 2 ln 3); "
                f"swap delta {delta:.1e} < 1e-12")
 
 

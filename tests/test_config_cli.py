@@ -225,6 +225,27 @@ class TestCli:
         assert any(line.startswith("A_2,") for line in body.splitlines())
         assert not any(line.startswith("seed,") for line in body.splitlines())
 
+    def test_report_keys_do_not_depend_on_file_order(self, tmp_path):
+        # a seed probed without FT references has no P
+        m1 = tmp_path / "m1.json"
+        m2 = tmp_path / "m2.json"
+        m1.write_text(json.dumps({"A_2": 0.8, "seed": 1}))
+        m2.write_text(json.dumps({"A_2": 0.9, "P": 0.1, "seed": 2}))
+        bodies = []
+        for order in ([m1, m2], [m2, m1]):
+            out = tmp_path / "agg.csv"
+            assert cli_main(["report", "--metrics", *map(str, order),
+                             "--out", str(out)]) == 0
+            bodies.append(out.read_text())
+        assert bodies[0] == bodies[1]
+        assert "P,0.1,0.0,1" in bodies[0].splitlines()
+
+    def test_report_rejects_non_object_json(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("[1, 2]")
+        assert cli_main(["report", "--metrics", str(bad)]) == 1
+        assert str(bad) in capsys.readouterr().err
+
     def test_single_label_task_fails_before_training(self, tmp_path, capsys):
         # data_il: 20 samples of 2 classes in 10 tasks of 2 samples leave
         # some task with one label, which probing could not score
@@ -312,10 +333,12 @@ class TestCli:
 
     def test_gradcheck_unknown_loss(self, capsys):
         assert cli_main(["gradcheck", "--loss", "nope"]) == 1
+        # the two contrastive terms are checked as one loss, cssl_total
+        assert cli_main(["gradcheck", "--loss", "pnr_l1"]) == 1
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_gradcheck_rejects_fewer_than_one_trial(self, trials, capsys):
-        assert cli_main(["gradcheck", "--loss", "pnr_l1",
+        assert cli_main(["gradcheck", "--loss", "cssl_total",
                          "--trials", trials]) == 1
         captured = capsys.readouterr()
         assert "trials" in captured.err

@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from cssl import continual
 from cssl.continual import (
     AugmentConfig,
     LabeledDataset,
@@ -281,6 +282,28 @@ class TestTrainTask:
                 out.append((stack.flat.tobytes(), str(err)))
             runs.append(out)
         assert runs[0] == runs[1]
+
+    def test_moco_queues_only_what_the_regime_reads(self, monkeypatch):
+        # FT never reads z_prev, so it keeps no previous-model queue
+        made = []
+
+        class Counted(continual.EmbeddingQueue):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(continual, "EmbeddingQueue", Counted)
+        task = build_class_il(toy_dataset(), 5).tasks[0]
+        stack = init_stack(Rng(1), **SMALL_MODEL)
+        for regime, frozen, want in ((Regime.PNR, None, 1),
+                                     (Regime.FT, stack.clone(), 1),
+                                     (Regime.PNR, stack.clone(), 2)):
+            made.clear()
+            cfg = small_cfg(epochs_per_task=1, queue_capacity=8,
+                            loss=PnrConfig(method=Method.MOCO, regime=regime))
+            train_task(stack, frozen, task, cfg)
+            assert len(made) == want
+            assert all(len(q) == 8 for q in made)
 
     def test_divergence_names_task_epoch_and_step(self):
         # VICReg on raw projections overflows at lr 1e3. SimCLR and MoCo

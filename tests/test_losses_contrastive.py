@@ -1,15 +1,21 @@
 """Contrastive losses: hand values, set counting, reductions, gradients,
-closed-form decomposition against an independent scalar autodiff."""
+closed-form decomposition against an independent scalar autodiff.
+
+``cssl_total`` computes both InfoNCE terms in one pass; the tests of one
+term read it off regime differences (see :func:`plasticity_term` and
+:func:`distillation_term`)."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from cssl import losses
 from cssl.errors import EmptyBatch, MissingPredictorOutput, NormViolation
 from cssl.gradcheck import random_views
 from cssl.losses import (
     ContrastiveViews,
+    LossResult,
     Method,
     PnrConfig,
     Regime,
@@ -17,8 +23,6 @@ from cssl.losses import (
     closed_form_parts,
     cssl_total,
     partner,
-    pnr_l1,
-    pnr_l2,
 )
 from cssl.numerics import Rng, finite_difference_gradient, row_l2_normalize
 
@@ -26,6 +30,7 @@ from reference import (
     per_anchor_cssl_grad,
     reference_cassle_distill,
     reference_pnr_l1,
+    reference_pnr_l2,
     reference_simclr,
 )
 
@@ -50,25 +55,50 @@ def halves(m):
     return m[:n], m[n:]
 
 
+def total(v, regime, tau=0.2):
+    return cssl_total(v, PnrConfig(method=Method.MOCO, regime=regime,
+                                   tau=tau), norm_tol=None)
+
+
+def plasticity_term(v, tau, pseudo_negatives=True):
+    """The plasticity InfoNCE alone. FT scores z against [z; queue_cur], so
+    handing it the frozen blocks as that queue gives the pool [z;
+    queue_cur; z_prev; queue_prev] that the z anchors see in PNR."""
+    if pseudo_negatives:
+        blocks = (v.queue_cur, v.z_prev, v.queue_prev)
+        v = replace(v, queue_cur=np.concatenate(
+            [b for b in blocks if b is not None]), queue_prev=None)
+    return total(v, Regime.FT, tau)
+
+
+def distillation_term(v, tau, pseudo_negatives=True):
+    """The distillation InfoNCE alone: PNR's total (CaSSLe's without
+    pseudo-negatives) minus the plasticity term."""
+    both = total(v, Regime.PNR if pseudo_negatives else Regime.CASSLE, tau)
+    l1 = plasticity_term(v, tau, pseudo_negatives)
+    return LossResult(both.value - l1.value, grad_z=both.grad_z - l1.grad_z,
+                      grad_g=both.grad_g)
+
+
 class TestHandValues:
     def test_l1_uniform_n1_ln3(self):
-        assert pnr_l1(uniform_views(), 0.2).value == np.log(3.0)
+        assert plasticity_term(uniform_views(), 0.2).value == np.log(3.0)
 
     def test_l2_uniform_n1_ln3(self):
-        assert pnr_l2(uniform_views(), 0.2).value == np.log(3.0)
+        assert distillation_term(uniform_views(), 0.2).value == np.log(3.0)
 
     def test_l1_orthogonal_pseudo_negatives(self):
         # positive dot 1, both previous-model dots 0, tau 1
         v = ContrastiveViews(np.vstack([E1, E1]), np.vstack([E2, E2]))
-        assert pnr_l1(v, 1.0).value == pytest.approx(np.log(np.e + 2) - 1,
-                                                     abs=1e-12)
+        assert plasticity_term(v, 1.0).value == pytest.approx(
+            np.log(np.e + 2) - 1, abs=1e-12)
 
     def test_l2_orthogonal_pseudo_negatives(self):
         # distill dot 1, pseudo-negative dots 0, tau 1 (for both anchors)
         v = ContrastiveViews(z=np.vstack([E1, E2]), z_prev=np.vstack([E1, E2]),
                              g=np.vstack([E1, E2]))
-        assert pnr_l2(v, 1.0).value == pytest.approx(np.log(np.e + 2) - 1,
-                                                     abs=1e-12)
+        assert distillation_term(v, 1.0).value == pytest.approx(
+            np.log(np.e + 2) - 1, abs=1e-12)
 
     def test_ft_n2_uniform_ln3(self):
         v = uniform_views(n=2)
@@ -87,22 +117,34 @@ class TestHandValues:
         v = ContrastiveViews(row.copy(), row.copy(), g=row.copy(),
                              queue_cur=qc, queue_prev=qp)
         want = np.log((2 * n - 1 + kc) + (2 * n + kp))
-        assert pnr_l1(v, 0.2).value == want
-        assert pnr_l2(v, 0.2).value == want
+        assert plasticity_term(v, 0.2).value == want
+        assert distillation_term(v, 0.2).value == want
+        assert total(v, Regime.PNR).value == 2 * want
 
 
 class TestSetSemantics:
     def test_l1_matches_naive_reference(self):
         v = random_views(Rng(100), 4, 6)
-        got = pnr_l1(v, 0.2).value
+        got = plasticity_term(v, 0.2).value
         (zA, zB), (zpA, zpB) = halves(v.z), halves(v.z_prev)
         want = 0.5 * (reference_pnr_l1(zA, zB, zpA, zpB, 0.2)
                       + reference_pnr_l1(zB, zA, zpB, zpA, 0.2))
         assert got == pytest.approx(want, abs=1e-12)
 
+    def test_pnr_matches_naive_reference(self):
+        v = random_views(Rng(100), 4, 6)
+        got = total(v, Regime.PNR).value
+        (zA, zB), (zpA, zpB), (gA, gB) = (halves(v.z), halves(v.z_prev),
+                                          halves(v.g))
+        want = 0.5 * (reference_pnr_l1(zA, zB, zpA, zpB, 0.2)
+                      + reference_pnr_l2(gA, zA, zB, zpA, zpB, 0.2)
+                      + reference_pnr_l1(zB, zA, zpB, zpA, 0.2)
+                      + reference_pnr_l2(gB, zB, zA, zpB, zpA, 0.2))
+        assert got == pytest.approx(want, abs=1e-12)
+
     def test_l1_without_pn_is_simclr(self):
         v = random_views(Rng(101), 5, 6)
-        got = pnr_l1(v, 0.2, include_pn=False).value
+        got = plasticity_term(v, 0.2, pseudo_negatives=False).value
         zA, zB = halves(v.z)
         want = 0.5 * (reference_simclr(zA, zB, 0.2)
                       + reference_simclr(zB, zA, 0.2))
@@ -110,43 +152,61 @@ class TestSetSemantics:
 
     def test_l2_without_pn_is_cassle_distill(self):
         v = random_views(Rng(102), 5, 6)
-        got = pnr_l2(v, 0.2, include_pn=False).value
+        got = distillation_term(v, 0.2, pseudo_negatives=False).value
         (gA, gB), (zpA, zpB) = halves(v.g), halves(v.z_prev)
         want = 0.5 * (reference_cassle_distill(gA, zpA, zpB, 0.2)
                       + reference_cassle_distill(gB, zpB, zpA, 0.2))
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_denominators_identical_under_identity_predictor(self):
-        # with g = id the two losses differ only in which column is the
+        # with g = id the two terms differ only in which column is the
         # positive; uniform inputs make them exactly equal
         v = uniform_views(n=3, d=4)
-        assert pnr_l1(v, 0.2).value == pnr_l2(v, 0.2).value
+        assert (plasticity_term(v, 0.2).value
+                == distillation_term(v, 0.2).value)
 
     def test_no_gradient_slots_for_previous_model(self):
         v = random_views(Rng(103), 4, 6)
-        res = pnr_l1(v, 0.2)
+        res = total(v, Regime.PNR)
         assert not hasattr(res, "grad_z_prev")
         assert not hasattr(res, "grad_z_target")
-        res2 = pnr_l2(v, 0.2)
-        for g in (res.grad_z, res2.grad_z, res2.grad_g):
+        for g in (res.grad_z, res.grad_g):
             assert g is not None and np.all(np.isfinite(g))
 
     def test_missing_predictor_raises(self):
         v = random_views(Rng(104), 3, 5, with_pred=False)
-        with pytest.raises(MissingPredictorOutput):
-            pnr_l2(v, 0.2)
+        for regime in (Regime.CASSLE, Regime.PNR):
+            with pytest.raises(MissingPredictorOutput):
+                total(v, regime)
 
     def test_empty_batch_raises(self):
         z = np.zeros((0, 4))
         v = ContrastiveViews(z, z.copy(), g=z.copy())
         with pytest.raises(EmptyBatch):
-            pnr_l1(v, 0.2)
+            total(v, Regime.FT)
 
     def test_norm_violation_raises(self):
         v = random_views(Rng(105), 3, 5)
         bad = replace(v, z=v.z * 1.5)
         with pytest.raises(NormViolation):
             cssl_total(bad, PnrConfig(method=Method.SIMCLR, regime=Regime.PNR))
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    def test_one_softmax_per_call(self, regime, monkeypatch):
+        calls = []
+        lse = losses.logsumexp_rows
+
+        def counted(m):
+            calls.append(m.shape)
+            return lse(m)
+
+        monkeypatch.setattr(losses, "logsumexp_rows", counted)
+        v = random_views(Rng(106), 3, 5, queue_rows=2)
+        total(v, regime)
+        m = v.z.shape[0]
+        pool = m + 2 if regime == Regime.FT else 2 * (m + 2)
+        anchors = m if regime == Regime.FT else 2 * m
+        assert calls == [(anchors, pool)]
 
 
 class TestReductions:
@@ -204,33 +264,41 @@ class TestSymmetry:
         cfg = PnrConfig(method=Method.SIMCLR, regime=Regime.PNR)
         one = cssl_total(v, cfg)
         parts_ab = (reference_pnr_l1(z, z, zp, zp, cfg.tau)
-                    + pnr_l2(v, cfg.tau).value)
+                    + distillation_term(v, cfg.tau).value)
         assert one.value == pytest.approx(parts_ab, abs=1e-12)
+
+
+def _assert_fd(loss_fn, v, res):
+    for field, grad in (("z", res.grad_z), ("g", res.grad_g)):
+        fd = finite_difference_gradient(
+            lambda x, f=field: loss_fn(replace(v, **{f: x})).value,
+            getattr(v, field))
+        if grad is None:
+            grad = np.zeros_like(fd)
+        scale = max(float(np.max(np.abs(fd))), 1e-10)
+        assert float(np.max(np.abs(grad - fd))) / scale < 1e-6
 
 
 class TestGradients:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_l1_fd(self, seed):
         v = random_views(Rng(200 + seed), 4, 6, queue_rows=2)
-        res = pnr_l1(v, 0.2)
-        for field, grad in (("z", res.grad_z),):
-            fd = finite_difference_gradient(
-                lambda x, f=field: pnr_l1(replace(v, **{f: x}), 0.2).value,
-                getattr(v, field))
-            scale = max(float(np.max(np.abs(fd))), 1e-10)
-            assert float(np.max(np.abs(grad - fd))) / scale < 1e-6
+        res = plasticity_term(v, 0.2)
+        assert res.grad_g is None
+        _assert_fd(lambda vv: plasticity_term(vv, 0.2), v, res)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_l2_fd_and_frozen_structure(self, seed):
         v = random_views(Rng(300 + seed), 4, 6, queue_rows=2)
-        res = pnr_l2(v, 0.2)
-        for field, grad in (("z", res.grad_z), ("g", res.grad_g)):
-            fd = finite_difference_gradient(
-                lambda x, f=field: pnr_l2(replace(v, **{f: x}), 0.2).value,
-                getattr(v, field))
-            scale = max(float(np.max(np.abs(fd))), 1e-10)
-            assert float(np.max(np.abs(grad - fd))) / scale < 1e-6
+        res = distillation_term(v, 0.2)
+        _assert_fd(lambda vv: distillation_term(vv, 0.2), v, res)
         assert not hasattr(res, "grad_z_prev")
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("regime", list(Regime))
+    def test_total_fd(self, regime, seed):
+        v = random_views(Rng(350 + seed), 4, 6, queue_rows=2)
+        _assert_fd(lambda vv: total(vv, regime), v, total(v, regime))
 
 
 class TestClosedForm:
@@ -267,10 +335,10 @@ class TestClosedForm:
             v = random_views(Rng(600 + k), 1, 6)
             v = replace(v, g=v.z.copy())
             cf = closed_form_grad(v, 0.2)
-            # pnr_l2's g is a pure query; with the plasticity positive z[1]
-            # at the lead of the frozen block it gives that term's half.
+            # g is a pure distillation query; with the plasticity positive
+            # z[1] at the lead of the frozen block it gives that term's half.
             plastic = replace(v, z=np.stack([v.z[0], v.z_prev[0]]),
                               z_prev=np.stack([v.z[1], v.z_prev[1]]))
-            full = (pnr_l2(plastic, 0.2).grad_g[:1]
-                    + pnr_l2(v, 0.2).grad_g[:1])
+            full = (total(plastic, Regime.PNR).grad_g[:1]
+                    + total(v, Regime.PNR).grad_g[:1])
             assert np.max(np.abs(cf - full)) < 1e-10

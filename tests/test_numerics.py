@@ -91,6 +91,21 @@ class TestLogsumexp:
         with pytest.raises(EmptyInput):
             logsumexp_rows(np.zeros((1, 0)))
 
+    def test_leaves_row_softmax_in_place(self):
+        m = Rng(3).gaussian_matrix(4, 7)
+        m[1, 2] = -np.inf
+        mx = np.max(m, axis=1, keepdims=True)
+        want = mx + np.log(np.sum(np.exp(m - mx), axis=1, keepdims=True))
+        probs = np.exp(m - want)  # the two-pass softmax
+        out = logsumexp_rows(m)
+        assert np.max(np.abs(out - want[:, 0])) <= 1e-15
+        assert np.max(np.abs(m - probs)) <= 1e-15
+        assert m[1, 2] == 0.0
+        assert np.max(np.abs(m.sum(axis=1) - 1.0)) <= 1e-15
+        single = np.array([[-3.5], [1234.5678]])
+        logsumexp_rows(single)
+        assert np.all(single == 1.0)
+
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=30))
     def test_bounds(self, vals):
