@@ -33,19 +33,9 @@ from .datastore import (
     save_dataset,
     write_text,
 )
-from .errors import (
-    BadMagic,
-    ChecksumFail,
-    ConfigError,
-    CsslError,
-    MissingFt,
-    TruncatedFile,
-    VersionMismatch,
-)
+from .errors import ConfigError, CorruptFile, CsslError
 from .evaluate import avg_accuracy, fill_accuracy_matrix, plasticity, stability
 from .gradcheck import run_gradcheck
-
-_IO_ERRORS = (BadMagic, ChecksumFail, TruncatedFile, VersionMismatch, OSError)
 
 
 def _config_and_stream(args) -> tuple[ExperimentConfig, TaskStream]:
@@ -112,7 +102,7 @@ def _cmd_probe(args) -> int:
         ft_paths = [_ckpt_path(args.checkpoints, seed, "ft", t) for t in tasks]
         missing = [p for p in ft_paths if not os.path.exists(p)]
         if missing and len(missing) < len(ft_paths):
-            raise MissingFt(f"{missing[0]} is missing, but other FT "
+            raise CsslError(f"{missing[0]} is missing, but other FT "
                             "reference checkpoints of this seed exist")
         ft = None if missing else [load_checkpoint(p) for p in ft_paths]
         am = fill_accuracy_matrix(checkpoints, ft, stream, cfg.probe, seed)
@@ -155,7 +145,7 @@ def _cmd_report(args) -> int:
         with open(path, "r", encoding="utf-8") as fh:
             dicts.append(json.load(fh))
         if not isinstance(dicts[-1], dict):
-            raise ValueError(f"{path}: metrics must be a JSON object")
+            raise CsslError(f"{path}: metrics must be a JSON object")
     csv = aggregate_metrics(dicts)
     if args.out:
         write_text(args.out, csv)
@@ -226,10 +216,10 @@ def cli_main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except _IO_ERRORS as exc:
+    except (CorruptFile, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
-    except (CsslError, ValueError) as exc:
+    except ValueError as exc:  # CsslError, and json's decode errors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

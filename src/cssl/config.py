@@ -18,7 +18,7 @@ from dataclasses import MISSING, dataclass, field, replace
 import yaml
 
 from .continual import AugmentConfig, Scenario, TrainConfig
-from .errors import ConfigError
+from .errors import ConfigError, CsslError
 from .evaluate import ProbeConfig
 from .losses import DEFAULT_LAMBDA_PNR, Method, PnrConfig, Regime
 
@@ -32,13 +32,15 @@ class DatasetParams:
     sigma: float = 2.0
 
     def __post_init__(self):
-        for name in ("input_dim", "samples_per_class", "radius"):
+        for name in ("samples_per_class", "radius"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.classes < 2:
-            raise ValueError("classes must be >= 2")
+                raise CsslError(f"{name} must be positive")
+        # Two dims: gen_synthetic's sphere and domain_il's rotations need them.
+        for name in ("classes", "input_dim"):
+            if getattr(self, name) < 2:
+                raise CsslError(f"{name} must be >= 2")
         if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
+            raise CsslError("sigma must be non-negative")
 
 
 @dataclass
@@ -52,28 +54,28 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.scenario not in Scenario.ALL:
-            raise ValueError(f"scenario {self.scenario!r} is not one of "
-                             f"{' | '.join(Scenario.ALL)}")
+            raise CsslError(f"scenario {self.scenario!r} is not one of "
+                            f"{' | '.join(Scenario.ALL)}")
         if self.num_tasks < 1:
-            raise ValueError("num_tasks must be >= 1")
+            raise CsslError("num_tasks must be >= 1")
         if not self.seeds:
-            raise ValueError("seeds must be a non-empty list")
+            raise CsslError("seeds must be a non-empty list")
         if self.train.encoder_dims[0] != self.dataset.input_dim:
-            raise ValueError(
+            raise CsslError(
                 f"model.encoder_dims: first dim {self.train.encoder_dims[0]} "
                 f"must equal dataset.input_dim {self.dataset.input_dim}")
         if self.scenario == Scenario.CLASS_IL:
             if self.dataset.classes % self.num_tasks != 0:
-                raise ValueError(f"num_tasks: {self.dataset.classes} classes "
-                                 f"not divisible by {self.num_tasks}")
+                raise CsslError(f"num_tasks: {self.dataset.classes} classes "
+                                f"not divisible by {self.num_tasks}")
             if self.dataset.classes // self.num_tasks < 2:
-                raise ValueError(f"num_tasks: {self.num_tasks} tasks leave "
-                                 f"fewer than two of {self.dataset.classes} "
-                                 f"classes per task")
+                raise CsslError(f"num_tasks: {self.num_tasks} tasks leave "
+                                f"fewer than two of {self.dataset.classes} "
+                                f"classes per task")
         samples = self.dataset.classes * self.dataset.samples_per_class
         if self.scenario == Scenario.DATA_IL and self.num_tasks > samples:
-            raise ValueError(f"num_tasks: {samples} samples cannot form "
-                             f"{self.num_tasks} tasks")
+            raise CsslError(f"num_tasks: {samples} samples cannot form "
+                            f"{self.num_tasks} tasks")
 
     def train_for_seed(self, seed: int) -> TrainConfig:
         return replace(self.train, seed=seed)
@@ -105,9 +107,8 @@ def _field_default(cls: type, key: str):
     return f.default if f.default_factory is MISSING else f.default_factory()
 
 
-def _type_error(path: str, expected: str, value) -> ConfigError:
-    return ConfigError(
-        f"{path}: expected {expected}, got {type(value).__name__}")
+def _expected(path: str, expected: str, value) -> str:
+    return f"{path}: expected {expected}, got {type(value).__name__}"
 
 
 def _coerce(value, default, path: str):
@@ -115,12 +116,12 @@ def _coerce(value, default, path: str):
     a ``None`` default stands for an optional float (``lambda_pnr``)."""
     if isinstance(default, (list, tuple)):
         if not isinstance(value, list):
-            raise _type_error(path, "a list", value)
+            raise ConfigError(_expected(path, "a list", value))
         return type(default)(_coerce(v, default[0], f"{path}[{i}]")
                              for i, v in enumerate(value))
     if isinstance(default, str):
         if not isinstance(value, str):
-            raise _type_error(path, "a string", value)
+            raise ConfigError(_expected(path, "a string", value))
         if not isinstance(default, enum.Enum):
             return value
         choices = [m.value for m in type(default)]
@@ -130,10 +131,10 @@ def _coerce(value, default, path: str):
         return type(default)(value)
     if isinstance(default, int):
         if isinstance(value, bool) or not isinstance(value, int):
-            raise _type_error(path, "an int", value)
+            raise ConfigError(_expected(path, "an int", value))
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _type_error(path, "a float", value)
+        raise ConfigError(_expected(path, "a float", value))
     if not math.isfinite(value):
         raise ConfigError(f"{path}: must be finite, got {value}")
     return float(value)

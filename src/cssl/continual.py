@@ -19,13 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .embedding_queue import DEFAULT_CAPACITY, EmbeddingQueue
-from .errors import (
-    DivergenceDetected,
-    IndivisibleClasses,
-    ShapeMismatch,
-    SingleClass,
-    TooFewSamples,
-)
+from .errors import CsslError, DivergenceDetected
 from .losses import (
     CONTRASTIVE_METHODS,
     ContrastiveViews,
@@ -63,10 +57,10 @@ class LabeledDataset:
         self.x = as_matrix(self.x, "dataset x")
         self.y = np.asarray(self.y, dtype=np.int64)
         if self.y.ndim != 1 or self.y.shape[0] != self.x.shape[0]:
-            raise ShapeMismatch(
+            raise CsslError(
                 f"labels {self.y.shape} vs samples {self.x.shape[0]}")
         if self.y.size and self.y.min() < 0:
-            raise ValueError("labels must be non-negative")
+            raise CsslError("labels must be non-negative")
 
     @property
     def num_samples(self) -> int:
@@ -94,19 +88,19 @@ class TaskStream:
 
     def __post_init__(self):
         if self.scenario not in Scenario.ALL:
-            raise ValueError(f"unknown scenario {self.scenario!r}")
+            raise CsslError(f"unknown scenario {self.scenario!r}")
         if not self.tasks:
-            raise ValueError("empty task stream")
+            raise CsslError("empty task stream")
         for k, t in enumerate(self.tasks):
             if len(t.label_set()) < 2:
-                raise SingleClass(f"task {k} holds fewer than two labels; "
-                                  f"probing needs two")
+                raise CsslError(f"task {k} holds fewer than two labels; "
+                                f"probing needs two")
         if self.scenario == Scenario.CLASS_IL:
             seen: set[int] = set()
             for k, t in enumerate(self.tasks):
                 labels = t.label_set()
                 if labels & seen:
-                    raise ValueError(f"task {k} reuses classes {labels & seen}")
+                    raise CsslError(f"task {k} reuses classes {labels & seen}")
                 seen |= labels
         elif self.scenario == Scenario.DATA_IL:
             full = self.tasks[0].label_set()
@@ -117,7 +111,7 @@ class TaskStream:
             base = self.tasks[0].label_set()
             for k, t in enumerate(self.tasks):
                 if t.label_set() != base:
-                    raise ValueError(f"domain_il task {k} changes the label set")
+                    raise CsslError(f"domain_il task {k} changes the label set")
 
     @property
     def T(self) -> int:
@@ -136,11 +130,11 @@ class AugmentConfig:
     def __post_init__(self):
         if len(self.scale_range) != 2 or not (0.0 < self.scale_range[0]
                                               <= self.scale_range[1]):
-            raise ValueError("scale_range must be [lo, hi] with 0 < lo <= hi")
+            raise CsslError("scale_range must be [lo, hi] with 0 < lo <= hi")
         if not (0.0 <= self.dropout_p < 1.0):
-            raise ValueError("dropout_p must be in [0, 1)")
+            raise CsslError("dropout_p must be in [0, 1)")
         if self.noise_std < 0:
-            raise ValueError("noise_std must be non-negative")
+            raise CsslError("noise_std must be non-negative")
 
 
 @dataclass
@@ -164,29 +158,29 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("epochs_per_task", "batch_size", "queue_capacity"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+                raise CsslError(f"{name} must be >= 1")
         if self.batch_size < 2 and self.loss.method in (Method.VICREG,
                                                         Method.BARLOW):
-            raise ValueError(f"batch_size must be >= 2 for "
-                             f"{self.loss.method.value}")
+            raise CsslError(f"batch_size must be >= 2 for "
+                            f"{self.loss.method.value}")
         for name in ("lr", "momentum", "weight_decay"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+                raise CsslError(f"{name} must be non-negative")
         if not (0.0 <= self.ema_momentum < 1.0):
-            raise ValueError("ema_momentum must be in [0, 1)")
+            raise CsslError("ema_momentum must be in [0, 1)")
         for name in ("encoder_dims", "projector_dims", "predictor_dims"):
             dims = getattr(self, name)
             if len(dims) < 2 or not all(isinstance(n, int) and n >= 1
                                         for n in dims):
-                raise ValueError(f"{name} must be a list of >= 2 positive "
-                                 f"ints, got {dims}")
+                raise CsslError(f"{name} must be a list of >= 2 positive "
+                                f"ints, got {dims}")
         if self.projector_dims[0] != self.encoder_dims[-1]:
-            raise ValueError(f"projector_dims must start at encoder_dims[-1] = "
-                             f"{self.encoder_dims[-1]}, got {self.projector_dims}")
+            raise CsslError(f"projector_dims must start at encoder_dims[-1] = "
+                            f"{self.encoder_dims[-1]}, got {self.projector_dims}")
         d = self.projector_dims[-1]
         if self.predictor_dims[0] != d or self.predictor_dims[-1] != d:
-            raise ValueError(f"predictor_dims must map projector_dims[-1] = {d} "
-                             f"to itself, got {self.predictor_dims}")
+            raise CsslError(f"predictor_dims must map projector_dims[-1] = {d} "
+                            f"to itself, got {self.predictor_dims}")
 
 
 @dataclass
@@ -200,7 +194,7 @@ def build_class_il(ds: LabeledDataset, T: int) -> TaskStream:
     classes = np.unique(ds.y)
     C = classes.size
     if T < 1 or C % T != 0:
-        raise IndivisibleClasses(f"{C} classes not divisible into {T} tasks")
+        raise CsslError(f"{C} classes not divisible into {T} tasks")
     per = C // T
     tasks = []
     for k in range(T):
@@ -219,7 +213,7 @@ def build_data_il(ds: LabeledDataset, T: int, seed: int) -> TaskStream:
     """
     M = ds.num_samples
     if M < T:
-        raise TooFewSamples(f"{M} samples cannot form {T} tasks")
+        raise CsslError(f"{M} samples cannot form {T} tasks")
     perm = Rng(seed).derive("data-il-shuffle").permutation(M)
     sizes = [M // T + (1 if k < M % T else 0) for k in range(T)]
     tasks, pos = [], 0
@@ -247,20 +241,19 @@ def random_orthogonal(rng: Rng, d: int) -> np.ndarray:
     return q * signs[None, :]
 
 
-def build_domain_il(ds: LabeledDataset, T: int, seed: int,
-                    bias_scale: float = 1.0) -> TaskStream:
+def build_domain_il(ds: LabeledDataset, T: int, seed: int) -> TaskStream:
     """Task 1 is the base dataset unchanged; task k >= 2 applies a fixed
-    seeded orthogonal rotation plus bias shift to a fresh bootstrap resample
-    of the base data. Labels travel with their samples."""
+    seeded orthogonal rotation plus a standard Gaussian bias shift to a fresh
+    bootstrap resample of the base data. Labels travel with their samples."""
     if ds.input_dim < 2:
-        raise ValueError("domain_il needs input dim >= 2")
+        raise CsslError("domain_il needs input dim >= 2")
     tasks = [LabeledDataset(ds.x.copy(), ds.y.copy(), domain_id=0)]
     M = ds.num_samples
     root = Rng(seed)
     for k in range(1, T):
         rng = root.derive(f"domain-{k}")
         rot = random_orthogonal(rng, ds.input_dim)
-        bias = rng.gaussian(ds.input_dim, 0.0, bias_scale)
+        bias = rng.gaussian(ds.input_dim)
         draw = rng.uniform(M)
         idx = np.minimum((draw * M).astype(np.int64), M - 1)
         x = ds.x[idx] @ rot.T + bias
@@ -279,7 +272,11 @@ def _one_view(x: np.ndarray, cfg: AugmentConfig, rng: Rng) -> np.ndarray:
     if cfg.noise_std > 0:
         out += rng.gaussian(n * d, 0.0, cfg.noise_std).reshape(n, d)
     if cfg.dropout_p > 0:
-        keep = rng.uniform(n * d).reshape(n, d) >= cfg.dropout_p
+        u = rng.uniform(n * d).reshape(n, d)
+        keep = u >= cfg.dropout_p
+        # A row keeps its largest draw, so no view row is all zero (a zero
+        # input row has no direction to normalize).
+        keep[np.arange(n), np.argmax(u, axis=1)] = True
         out *= keep
     return out
 
@@ -333,7 +330,7 @@ def encode_views(stack: EncoderStack, x: np.ndarray,
     z_target = None
     if cfg.method == Method.BYOL:
         if target is None:
-            raise ValueError("BYOL training needs a target network")
+            raise CsslError("BYOL training needs a target network")
         z_target = row_l2_normalize(forward(target, x).proj)
     return ContrastiveViews(z, z_prev, g, z_target, queue_cur, queue_prev), fwd
 
@@ -343,7 +340,7 @@ def backprop_views(stack: EncoderStack, fwd: ForwardResult, cfg: PnrConfig,
     """Chain loss gradients through normalization and the stack parameters."""
     normalized = on_sphere(cfg.method)
     if res.grad_z is None and res.grad_g is None:
-        raise ValueError("loss produced no gradients")
+        raise CsslError("loss produced no gradients")
     grad_proj = grad_pred = None
     if res.grad_z is not None:
         grad_proj = (row_l2_normalize_backward(fwd.proj, res.grad_z)

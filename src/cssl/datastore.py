@@ -17,10 +17,10 @@ Checkpoint: magic ``b"CSSLCKP\\0"``; no header words; payload, for each of
 encoder/projector/predictor: u32 layer count, then per layer u32 out, u32
 in, f64[out*in] weight (row-major), f64[out] bias; nothing else.
 
-Loads check the magic, the version, the length (``TruncatedFile`` when a
-dataset is shorter or longer than its header implies) and the checksum, in
-that order. Writes are atomic (temp file in the target directory, then
-rename).
+Loads check the magic, the version, the length (a dataset shorter or
+longer than its header implies fails) and the checksum, in that order, and
+raise ``CorruptFile`` naming the check that failed. Writes are atomic
+(temp file in the target directory, then rename).
 """
 
 from __future__ import annotations
@@ -33,13 +33,7 @@ import tempfile
 import numpy as np
 
 from .continual import LabeledDataset
-from .errors import (
-    BadMagic,
-    ChecksumFail,
-    RejectionExhausted,
-    TruncatedFile,
-    VersionMismatch,
-)
+from .errors import CorruptFile, CsslError
 from .evaluate import AccuracyMatrix
 from .model import EncoderStack, MlpParams
 from .numerics import Rng, fnv1a64
@@ -62,15 +56,19 @@ def gen_synthetic(C: int, D_in: int, n_per_class: int, radius: float,
     distance ~sigma*radius from its mean regardless of dimension. sigma = 0
     collapses every sample onto its class mean.
     """
-    if C < 2 or D_in < 2 or n_per_class < 1 or radius <= 0 or sigma < 0:
-        raise ValueError("bad synthetic dataset parameters")
+    for rule, value, ok in (("C >= 2", C, C >= 2), ("D_in >= 2", D_in, D_in >= 2),
+                            ("n_per_class >= 1", n_per_class, n_per_class >= 1),
+                            ("radius > 0", radius, radius > 0),
+                            ("sigma >= 0", sigma, sigma >= 0)):
+        if not ok:
+            raise CsslError(f"synthetic dataset needs {rule}, got {value}")
     rng = Rng(seed).derive("synthetic-data")
     min_sep = radius / np.sqrt(C)
     means: list[np.ndarray] = []
     tries = 0
     while len(means) < C:
         if tries >= MAX_MEAN_TRIES:
-            raise RejectionExhausted(
+            raise CsslError(
                 f"could not place {C} means separated by {min_sep:.3g} "
                 f"in {D_in} dims after {MAX_MEAN_TRIES} tries")
         tries += 1
@@ -106,7 +104,7 @@ def _atomic_write(path: str, data: bytes) -> None:
 
 def _take(data: bytes, pos: int, n: int, path: str) -> bytes:
     if pos + n > len(data):
-        raise TruncatedFile(f"{path}: ended {pos + n - len(data)} bytes early")
+        raise CorruptFile(f"{path}: ended {pos + n - len(data)} bytes early")
     return data[pos:pos + n]
 
 
@@ -125,20 +123,20 @@ def _read_envelope(path: str, magic: bytes, what: str, n_words: int,
     with open(path, "rb") as fh:
         data = fh.read()
     if _take(data, 0, 8, path) != magic:
-        raise BadMagic(f"{path}: not a {what} file")
+        raise CorruptFile(f"{path}: not a {what} file")
     version = struct.unpack("<I", _take(data, 8, 4, path))[0]
     if version != FORMAT_VERSION:
-        raise VersionMismatch(f"{path}: version {version} unsupported")
+        raise CorruptFile(f"{path}: version {version} unsupported")
     words = struct.unpack(f"<{n_words}I", _take(data, 12, 4 * n_words, path))
     head = 12 + 4 * n_words
     size = (len(data) - head - 8 if payload_size is None
             else payload_size(*words))
     if size < 0 or len(data) != head + size + 8:
-        raise TruncatedFile(f"{path}: {len(data)} bytes, but the header "
-                            f"implies {head + max(size, 0) + 8}")
+        raise CorruptFile(f"{path}: {len(data)} bytes, but the header "
+                          f"implies {head + max(size, 0) + 8}")
     payload = data[head:head + size]
     if fnv1a64(payload) != struct.unpack("<Q", data[-8:])[0]:
-        raise ChecksumFail(f"{path}: {what} checksum mismatch")
+        raise CorruptFile(f"{path}: {what} checksum mismatch")
     return words, payload
 
 
@@ -184,7 +182,7 @@ def load_checkpoint(path: str) -> EncoderStack:
     for _ in range(3):
         n_layers = struct.unpack("<I", _take(payload, pos, 4, path))[0]
         if n_layers == 0 or n_layers > 1000:
-            raise TruncatedFile(f"{path}: implausible layer count {n_layers}")
+            raise CorruptFile(f"{path}: implausible layer count {n_layers}")
         pos += 4
         weights, biases = [], []
         for _ in range(n_layers):
@@ -197,7 +195,7 @@ def load_checkpoint(path: str) -> EncoderStack:
             biases.append(layer[n:])
         mlps.append(MlpParams(weights, biases))
     if pos != len(payload):
-        raise TruncatedFile(f"{path}: trailing bytes before checksum")
+        raise CorruptFile(f"{path}: trailing bytes before checksum")
     return EncoderStack(*mlps)
 
 
@@ -230,7 +228,7 @@ def aggregate_metrics(metric_dicts: list[dict]) -> str:
     The sample std uses ddof=1 when more than one value is present, else 0.
     """
     if not metric_dicts:
-        raise ValueError("nothing to aggregate")
+        raise CsslError("nothing to aggregate")
     scalars = [{k: v for k, v in m.items()
                 if isinstance(v, (int, float)) and k != "seed"}
                for m in metric_dicts]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimMismatch, NormViolation
+from .errors import CsslError
 from .numerics import NORM_TOL, row_norms
 
 DEFAULT_CAPACITY = 1024
@@ -17,7 +17,7 @@ class EmbeddingQueue:
 
     def __init__(self, capacity: int, dim: int):
         if capacity < 1 or dim < 1:
-            raise ValueError("capacity and dim must be positive")
+            raise CsslError("capacity and dim must be positive")
         self.capacity = int(capacity)
         self.dim = int(dim)
         self._rows = np.zeros((0, self.dim))
@@ -27,12 +27,12 @@ class EmbeddingQueue:
 
     def enqueue(self, batch: np.ndarray) -> "EmbeddingQueue":
         if batch.ndim != 2 or batch.shape[1] != self.dim:
-            raise DimMismatch(f"batch {batch.shape} vs queue dim {self.dim}")
+            raise CsslError(f"batch {batch.shape} vs queue dim {self.dim}")
         if batch.shape[0] == 0:
             return self
         dev = float(np.max(np.abs(row_norms(batch) - 1.0)))
         if dev > NORM_TOL:
-            raise NormViolation(f"enqueued row off unit norm by {dev:.3e}")
+            raise CsslError(f"enqueued row off unit norm by {dev:.3e}")
         rows = np.concatenate([self._rows, batch])[-self.capacity:]
         rows.flags.writeable = False
         self._rows = rows

@@ -1,127 +1,26 @@
-"""Exception types shared across the package.
+"""The package's exception types: one per way a caller reacts.
 
-Every failure mode raised by library code derives from CsslError so callers
-(and the CLI) can distinguish our validation errors from genuine bugs.
+Every input the package rejects raises :class:`CsslError` or one of its
+three subclasses, with a message that names what failed. The message, not
+the class, tells checks apart; the subclasses exist because callers handle
+them differently: the CLI reports a :class:`ConfigError` as a config error
+and exits 2 on a :class:`CorruptFile`, and a caller that tries another
+learning rate catches :class:`DivergenceDetected`.
 """
 
 
-class CsslError(Exception):
-    """Base class for all package errors."""
+class CsslError(ValueError):
+    """An input the package rejects."""
 
 
-# --- numerics ---------------------------------------------------------------
-
-class ShapeMismatch(CsslError):
-    """Operands have incompatible dimensions."""
+class ConfigError(CsslError):
+    """A configuration field failed validation; the message names the field."""
 
 
-class ZeroRow(CsslError):
-    """A row with (near-)zero norm cannot be normalized."""
-
-
-class EmptyInput(CsslError):
-    """An operation received an empty vector or matrix where data is required."""
-
-
-class NonFiniteEvaluation(CsslError):
-    """A probed function returned NaN or Inf."""
-
-
-# --- model ------------------------------------------------------------------
-
-class BadDims(CsslError):
-    """Layer size lists do not chain or violate stack invariants."""
-
-
-# --- losses -----------------------------------------------------------------
-
-class EmptyBatch(CsslError):
-    """Loss evaluated on a zero-row batch."""
-
-
-class NormViolation(CsslError):
-    """An embedding row deviates from unit norm beyond tolerance."""
-
-
-class MissingPredictorOutput(CsslError):
-    """A loss that needs predictor outputs got none."""
-
-
-class MissingTargetOutput(CsslError):
-    """A loss that needs EMA-target projections got none."""
-
-
-class BatchTooSmall(CsslError):
-    """Batch statistics (variance/covariance) need more samples."""
-
-
-class ZeroVarianceColumn(CsslError):
-    """Column standardization hit a zero-variance dimension."""
-
-
-# --- queue ------------------------------------------------------------------
-
-class DimMismatch(CsslError):
-    """Enqueued rows do not match the queue's embedding dimension."""
-
-
-# --- continual --------------------------------------------------------------
-
-class IndivisibleClasses(CsslError):
-    """Class count is not divisible by the task count."""
-
-
-class TooFewSamples(CsslError):
-    """Dataset is too small for the requested split."""
+class CorruptFile(CsslError):
+    """A dataset or checkpoint file failed its magic, version, length or
+    checksum check; the message names the file and the check."""
 
 
 class DivergenceDetected(CsslError):
     """Training loss became NaN or Inf."""
-
-
-# --- eval -------------------------------------------------------------------
-
-class SingleClass(CsslError):
-    """Probing needs at least two classes."""
-
-
-class DegenerateFeatures(CsslError):
-    """The feature matrix carries no variance at all."""
-
-
-class SingleTask(CsslError):
-    """Stability/plasticity need at least two tasks."""
-
-
-class MissingFt(CsslError):
-    """Plasticity needs the single-task fine-tuning baselines."""
-
-
-class IndexOutOfRange(CsslError):
-    """A task index is outside [1, T]."""
-
-
-# --- datastore / config -----------------------------------------------------
-
-class RejectionExhausted(CsslError):
-    """Could not place well-separated class means within the retry budget."""
-
-
-class BadMagic(CsslError):
-    """File does not start with the expected magic bytes."""
-
-
-class VersionMismatch(CsslError):
-    """File format version is unsupported."""
-
-
-class ChecksumFail(CsslError):
-    """Stored checksum does not match the payload."""
-
-
-class TruncatedFile(CsslError):
-    """File ended before the declared payload was read."""
-
-
-class ConfigError(CsslError):
-    """A configuration field failed validation; message names the field."""

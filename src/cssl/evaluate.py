@@ -20,14 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .continual import TaskStream, encoder_features
-from .errors import (
-    DegenerateFeatures,
-    IndexOutOfRange,
-    MissingFt,
-    ShapeMismatch,
-    SingleClass,
-    SingleTask,
-)
+from .errors import CsslError
 from .model import EncoderStack
 from .numerics import Rng
 
@@ -44,13 +37,13 @@ class ProbeConfig:
 
     def __post_init__(self):
         if not (0.0 < self.train_fraction < 1.0):
-            raise ValueError("train_fraction must be in (0, 1)")
+            raise CsslError("train_fraction must be in (0, 1)")
         if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+            raise CsslError("epochs must be >= 1")
         if self.lr <= 0:
-            raise ValueError("lr must be positive")
+            raise CsslError("lr must be positive")
         if self.l2_penalty < 0:
-            raise ValueError("l2_penalty must be non-negative")
+            raise CsslError("l2_penalty must be non-negative")
 
 
 @dataclass
@@ -63,13 +56,13 @@ class AccuracyMatrix:
     def __post_init__(self):
         self.a = np.asarray(self.a, dtype=np.float64)
         if self.a.ndim != 2 or self.a.shape[0] != self.a.shape[1]:
-            raise ShapeMismatch(f"accuracy grid must be square, got {self.a.shape}")
+            raise CsslError(f"accuracy grid must be square, got {self.a.shape}")
         if self.a.size and (self.a.min() < 0 or self.a.max() > 1):
-            raise ValueError("accuracies must lie in [0, 1]")
+            raise CsslError("accuracies must lie in [0, 1]")
         if self.ft is not None:
             self.ft = np.asarray(self.ft, dtype=np.float64)
             if self.ft.shape != (self.a.shape[0],):
-                raise ShapeMismatch("ft length must equal T")
+                raise CsslError("ft length must equal T")
 
     @property
     def T(self) -> int:
@@ -100,15 +93,15 @@ def _fit_probe(features: np.ndarray, labels: np.ndarray, cfg: ProbeConfig,
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if features.ndim != 3 or labels.shape != (features.shape[1],):
-        raise ShapeMismatch("features must be (C, m, d) with m labels")
+        raise CsslError("features must be (C, m, d) with m labels")
     classes = np.unique(labels)
     if classes.size < 2:
-        raise SingleClass("probing needs at least two classes")
+        raise CsslError("probing needs at least two classes")
     C, m, d = features.shape
     col_sd_max = features.std(axis=-2).max(axis=-1, initial=0.0)
     degenerate = np.flatnonzero(col_sd_max <= 1e-12)
     if degenerate.size:
-        raise DegenerateFeatures(
+        raise CsslError(
             f"feature matrix {int(degenerate[0])} of {C} carries no variance")
 
     n_train = min(max(int(cfg.train_fraction * m), 1), m - 1)
@@ -182,10 +175,9 @@ def fill_accuracy_matrix(checkpoints: list[EncoderStack],
     """
     T = stream.T
     if len(checkpoints) != T:
-        raise ShapeMismatch(f"{len(checkpoints)} checkpoints for {T} tasks")
+        raise CsslError(f"{len(checkpoints)} checkpoints for {T} tasks")
     if ft_checkpoints is not None and len(ft_checkpoints) != T:
-        raise ShapeMismatch(
-            f"{len(ft_checkpoints)} ft references for {T} tasks")
+        raise CsslError(f"{len(ft_checkpoints)} ft references for {T} tasks")
     root = Rng(seed)
     a = np.zeros((T, T))
     ft = None if ft_checkpoints is None else np.zeros(T)
@@ -204,7 +196,7 @@ def fill_accuracy_matrix(checkpoints: list[EncoderStack],
 def avg_accuracy(am: AccuracyMatrix, t: int) -> float:
     """A_t: mean accuracy over tasks 1..t after training task t (1-based)."""
     if not 1 <= t <= am.T:
-        raise IndexOutOfRange(f"t={t} outside [1, {am.T}]")
+        raise CsslError(f"t={t} outside [1, {am.T}]")
     total = 0.0
     for i in range(t):
         total += am.a[i, t - 1]
@@ -216,7 +208,7 @@ def stability(am: AccuracyMatrix) -> float:
     accuracy drop, i.e. forgetting."""
     T = am.T
     if T < 2:
-        raise SingleTask("stability needs T >= 2")
+        raise CsslError("stability needs T >= 2")
     total = 0.0
     for i in range(T - 1):
         best = am.a[i, 0] - am.a[i, T - 1]
@@ -233,9 +225,9 @@ def plasticity(am: AccuracyMatrix) -> float:
     on future tasks i > j relative to their single-task FT baselines."""
     T = am.T
     if T < 2:
-        raise SingleTask("plasticity needs T >= 2")
+        raise CsslError("plasticity needs T >= 2")
     if am.ft is None:
-        raise MissingFt("plasticity needs FT baselines")
+        raise CsslError("plasticity needs FT baselines")
     total = 0.0
     for j in range(1, T):  # 1-based checkpoint index j = 1..T-1
         inner = 0.0

@@ -26,6 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .continual import backprop_views, encode_views, frozen_embedding
+from .errors import CsslError
 from .losses import (
     ContrastiveViews,
     Method,
@@ -175,7 +176,7 @@ def _embedding_trial(name: str, rng: Rng) -> float:
             worst = max(worst, _check_views_loss(
                 lambda vv, c=cfg: loss_fn(vv, c), v, fields))
         return worst
-    raise ValueError(f"unknown loss {name}")
+    raise CsslError(f"unknown loss {name}")
 
 
 def check_embedding_gradients(trials: int = 20, seed: int = 2024,
@@ -311,11 +312,11 @@ def run_gradcheck(trials: int = 20, loss: str | None = None,
                   seed: int = 2024) -> list[CheckReport]:
     """The CI gate: embedding + parameter + closed-form checks."""
     if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+        raise CsslError(f"trials must be >= 1, got {trials}")
     if loss is not None:
         if loss not in EMBEDDING_LOSSES:
-            raise ValueError(f"unknown loss {loss!r}; pick from "
-                             f"{', '.join(EMBEDDING_LOSSES)}")
+            raise CsslError(f"unknown loss {loss!r}; pick from "
+                            f"{', '.join(EMBEDDING_LOSSES)}")
         return check_embedding_gradients(trials, seed, (loss,))
     reports = check_embedding_gradients(trials, seed)
     reports.extend(check_param_gradients(trials=4, seed=seed + 1))

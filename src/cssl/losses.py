@@ -49,15 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BatchTooSmall,
-    EmptyBatch,
-    MissingPredictorOutput,
-    MissingTargetOutput,
-    NormViolation,
-    ShapeMismatch,
-    ZeroVarianceColumn,
-)
+from .errors import CsslError
 from .numerics import NORM_TOL, logsumexp_rows, row_norms
 
 DEFAULT_TAU = 0.2
@@ -114,12 +106,12 @@ class PnrConfig:
         self.method = Method(self.method)
         self.regime = Regime(self.regime)
         if self.tau <= 0:
-            raise ValueError("tau must be positive")
+            raise CsslError("tau must be positive")
         if self.lambda_pnr is None:
             self.lambda_pnr = DEFAULT_LAMBDA_PNR.get(self.method.value, 0.0)
         for name in ("lambda_pnr", "lambda_cassle"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+                raise CsslError(f"{name} must be non-negative")
 
 
 @dataclass
@@ -163,15 +155,15 @@ class ContrastiveViews:
     def __post_init__(self):
         m, d = self.z.shape
         if m % 2:
-            raise ShapeMismatch(f"z: {m} rows do not stack two views")
+            raise CsslError(f"z: {m} rows do not stack two views")
         for name in ("z_prev", "g", "z_target"):
             a = getattr(self, name)
             if a is not None and a.shape != (m, d):
-                raise ShapeMismatch(f"{name}: {a.shape} != {(m, d)}")
+                raise CsslError(f"{name}: {a.shape} != {(m, d)}")
         for name in ("queue_cur", "queue_prev"):
             a = getattr(self, name)
             if a is not None and (a.ndim != 2 or a.shape[1] != d):
-                raise ShapeMismatch(f"{name}: {a.shape} incompatible with dim {d}")
+                raise CsslError(f"{name}: {a.shape} incompatible with dim {d}")
 
     @property
     def batch_size(self) -> int:
@@ -186,7 +178,7 @@ class ContrastiveViews:
                 continue
             dev = float(np.max(np.abs(row_norms(m) - 1.0)))
             if dev > tol:
-                raise NormViolation(f"{name}: row norm off unit by {dev:.3e}")
+                raise CsslError(f"{name}: row norm off unit by {dev:.3e}")
 
 
 def _keys(v: ContrastiveViews, frozen: bool) -> tuple[np.ndarray, int]:
@@ -234,10 +226,10 @@ def cssl_total(v: ContrastiveViews, cfg: PnrConfig, *,
         v.validate_norms(norm_tol)
     m = v.z.shape[0]
     if m == 0:
-        raise EmptyBatch("contrastive loss on empty batch")
+        raise CsslError("contrastive loss on empty batch")
     ft = cfg.regime == Regime.FT
     if not ft and v.g is None:
-        raise MissingPredictorOutput("distillation needs predictor outputs g")
+        raise CsslError("distillation needs predictor outputs g")
     pool, c = _keys(v, frozen=not ft)
     rows = np.arange(m)
     anchors, pos_col = ((v.z, partner(rows)) if ft else
@@ -258,7 +250,7 @@ def cssl_total(v: ContrastiveViews, cfg: PnrConfig, *,
         grad_z=grad_z, grad_g=(repel[m:] - v.z_prev) * inv)
 
 
-def closed_form_parts(v: ContrastiveViews, tau: float = DEFAULT_TAU
+def closed_form_parts(v: ContrastiveViews, tau: float
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Attract/repel decomposition of the view-A anchors' gradient under an
     identity predictor (g := z).
@@ -277,7 +269,7 @@ def closed_form_parts(v: ContrastiveViews, tau: float = DEFAULT_TAU
     return attract, probs @ pool, probs.sum(axis=1)
 
 
-def closed_form_grad(v: ContrastiveViews, tau: float = DEFAULT_TAU) -> np.ndarray:
+def closed_form_grad(v: ContrastiveViews, tau: float) -> np.ndarray:
     """Per-anchor gradient of half the combined plasticity+distillation loss
     of the (A, B) ordering with respect to the anchors z[:N], assuming an
     identity predictor: (repel - attract) / tau. The softmax mass identity
@@ -285,7 +277,7 @@ def closed_form_grad(v: ContrastiveViews, tau: float = DEFAULT_TAU) -> np.ndarra
     """
     attract, repel, mass = closed_form_parts(v, tau)
     if float(np.max(np.abs(mass - 1.0))) > 1e-9:
-        raise NormViolation("softmax masses failed to sum to 1")
+        raise CsslError("softmax masses failed to sum to 1")
     return (repel - attract) / tau
 
 
@@ -294,7 +286,7 @@ def closed_form_grad(v: ContrastiveViews, tau: float = DEFAULT_TAU) -> np.ndarra
 
 def _check_same_shape(a: np.ndarray, b: np.ndarray, what: str) -> None:
     if a.shape != b.shape:
-        raise ShapeMismatch(f"{what}: {a.shape} vs {b.shape}")
+        raise CsslError(f"{what}: {a.shape} vs {b.shape}")
 
 
 def _sq_dist(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
@@ -309,7 +301,7 @@ def byol_loss(online_pred: np.ndarray, target_proj: np.ndarray) -> LossResult:
     predictions only (returned in the ``g`` slot)."""
     _check_same_shape(online_pred, target_proj, "byol_loss")
     if online_pred.shape[0] == 0:
-        raise EmptyBatch("byol_loss on empty batch")
+        raise CsslError("byol_loss on empty batch")
     value, grad = _sq_dist(online_pred, target_proj)
     return LossResult(value, grad_g=grad)
 
@@ -354,7 +346,7 @@ def vicreg_loss(zA: np.ndarray, zB: np.ndarray,
     _check_same_shape(zA, zB, "vicreg_loss")
     n = zA.shape[0]
     if n < 2:
-        raise BatchTooSmall("vicreg_loss needs at least 2 samples")
+        raise CsslError("vicreg_loss needs at least 2 samples")
     s, ds = _sq_dist(zA, zB)
     vA, gvA = _variance_hinge(zA, gamma, eps)
     vB, gvB = _variance_hinge(zB, gamma, eps)
@@ -375,7 +367,7 @@ def _standardize_columns(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     centered = z - mu
     sd = np.sqrt(np.sum(centered * centered, axis=0) / n)
     if float(np.min(sd)) <= 1e-12:
-        raise ZeroVarianceColumn(
+        raise CsslError(
             f"column {int(np.argmin(sd))} has (near-)zero variance")
     return centered / sd, centered, sd
 
@@ -393,7 +385,7 @@ def _barlow_core(zA: np.ndarray, zB: np.ndarray, lambda_bt: float
     _check_same_shape(zA, zB, "barlow_loss")
     n, d = zA.shape
     if n < 2:
-        raise BatchTooSmall("barlow_loss needs at least 2 samples")
+        raise CsslError("barlow_loss needs at least 2 samples")
     ta, ca, sda = _standardize_columns(zA)
     tb, cb, sdb = _standardize_columns(zB)
     corr = ta.T @ tb / n
@@ -431,8 +423,7 @@ def pnr_regularizer(v: ContrastiveViews, cfg: PnrConfig) -> LossResult:
     off skips it entirely, so that reduction to CaSSLe is bitwise.
     """
     if v.g is None:
-        raise MissingPredictorOutput(
-            f"{cfg.method.value} distillation needs g outputs")
+        raise CsslError(f"{cfg.method.value} distillation needs g outputs")
     lam = (cfg.lambda_pnr if cfg.regime == Regime.PNR
            and cfg.include_pseudo_negatives else 0.0)
     if cfg.method == Method.BARLOW:
@@ -460,13 +451,13 @@ def noncontrastive_pnr_total(v: ContrastiveViews, cfg: PnrConfig
     ``ft``."""
     method = cfg.method
     if method in CONTRASTIVE_METHODS:
-        raise ValueError(f"{method} is contrastive; use cssl_total")
+        raise CsslError(f"{method} is contrastive; use cssl_total")
     n = v.batch_size
     if method == Method.BYOL:
         if v.g is None:
-            raise MissingPredictorOutput("BYOL needs predictor outputs")
+            raise CsslError("BYOL needs predictor outputs")
         if v.z_target is None:
-            raise MissingTargetOutput("BYOL needs EMA target projections")
+            raise CsslError("BYOL needs EMA target projections")
         native = byol_loss(v.g, partner(v.z_target))
     elif method == Method.VICREG:
         native = vicreg_loss(v.z[:n], v.z[n:], cfg.vicreg_sim, cfg.vicreg_var,

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadDims, ShapeMismatch
+from .errors import CsslError
 from .numerics import Rng, check_finite
 
 # Layer shapes (out, in) per MLP; with a flat vector it fixes every view.
@@ -37,12 +37,12 @@ class MlpParams:
 
 def _check_mlp(p: MlpParams, name: str) -> None:
     if len(p.weights) != len(p.biases) or not p.weights:
-        raise BadDims(f"{name}: weights/biases length mismatch or empty MLP")
+        raise CsslError(f"{name}: weights/biases length mismatch or empty MLP")
     for k, (w, b) in enumerate(zip(p.weights, p.biases)):
         if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
-            raise BadDims(f"{name} layer {k}: weight {w.shape} vs bias {b.shape}")
+            raise CsslError(f"{name} layer {k}: weight {w.shape} vs bias {b.shape}")
         if k > 0 and w.shape[1] != p.weights[k - 1].shape[0]:
-            raise BadDims(
+            raise CsslError(
                 f"{name} layer {k}: in dim {w.shape[1]} != previous out "
                 f"{p.weights[k - 1].shape[0]}")
         check_finite(w, f"{name} layer {k} weight")
@@ -84,10 +84,10 @@ class EncoderStack:
         for name, p in zip(("encoder", "projector", "predictor"), mlps):
             _check_mlp(p, name)
         if projector.in_dim != encoder.out_dim:
-            raise BadDims("projector input does not chain with encoder output")
+            raise CsslError("projector input does not chain with encoder output")
         d = projector.out_dim
         if predictor.in_dim != d or predictor.out_dim != d:
-            raise BadDims(
+            raise CsslError(
                 f"predictor must map projection space ({d}) to itself, got "
                 f"{predictor.in_dim} -> {predictor.out_dim}")
         self._bind(tuple(tuple(w.shape for w in p.weights) for p in mlps),
@@ -121,10 +121,10 @@ class OptimizerState:
     buffers: EncoderStack
 
     @classmethod
-    def for_stack(cls, stack: EncoderStack, lr: float, momentum: float = 0.9,
-                  weight_decay: float = 0.0) -> "OptimizerState":
+    def for_stack(cls, stack: EncoderStack, lr: float, momentum: float,
+                  weight_decay: float) -> "OptimizerState":
         if lr < 0:
-            raise ValueError("lr must be non-negative")
+            raise CsslError("lr must be non-negative")
         return cls(lr, momentum, weight_decay,
                    stack.like(np.zeros_like(stack.flat)))
 
@@ -132,7 +132,7 @@ class OptimizerState:
 def init_mlp(rng: Rng, dims: list[int]) -> MlpParams:
     """He-initialized weights (Gaussian, std sqrt(2/fan_in)), zero biases."""
     if len(dims) < 2 or any(d < 1 for d in dims):
-        raise BadDims(f"bad layer size list {dims}")
+        raise CsslError(f"bad layer size list {dims}")
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         std = float(np.sqrt(2.0 / fan_in))
@@ -156,7 +156,7 @@ def mlp_forward(p: MlpParams, x: np.ndarray, cache: list | None = None) -> np.nd
     """ReLU on all layers except the last. Optionally records (input, pre)
     pairs per layer into ``cache`` for the backward pass."""
     if x.ndim != 2 or x.shape[1] != p.in_dim:
-        raise ShapeMismatch(f"mlp forward: input {x.shape} vs in_dim {p.in_dim}")
+        raise CsslError(f"mlp forward: input {x.shape} vs in_dim {p.in_dim}")
     out = x
     last = len(p.weights) - 1
     for k, (w, b) in enumerate(zip(p.weights, p.biases)):
@@ -222,19 +222,19 @@ def backward(stack: EncoderStack, fwd: ForwardResult,
     may be None.
     """
     if grad_pred is not None and "predictor" not in fwd._caches:
-        raise ShapeMismatch("grad_pred given but forward ran without predictor")
+        raise CsslError("grad_pred given but forward ran without predictor")
 
     grads = stack.like(np.zeros_like(stack.flat))
     total_grad_proj = np.zeros_like(fwd.proj)
     if grad_pred is not None:
         if grad_pred.shape != fwd.pred.shape:  # type: ignore[union-attr]
-            raise ShapeMismatch("grad_pred shape mismatch")
+            raise CsslError("grad_pred shape mismatch")
         total_grad_proj += mlp_backward(
             stack.predictor, fwd._caches["predictor"], grad_pred,
             grads.predictor)
     if grad_proj is not None:
         if grad_proj.shape != fwd.proj.shape:
-            raise ShapeMismatch("grad_proj shape mismatch")
+            raise CsslError("grad_proj shape mismatch")
         total_grad_proj += grad_proj
 
     g_into_feat = mlp_backward(stack.projector, fwd._caches["projector"],
@@ -261,7 +261,7 @@ def ema_update(target: EncoderStack, online: EncoderStack,
     BYOL's target reads only the encoder and projector; its predictor part
     is blended too but never read."""
     if target.layout != online.layout:
-        raise ShapeMismatch("target/online layouts differ")
+        raise CsslError("target/online layouts differ")
     target.flat *= m
     target.flat += (1.0 - m) * online.flat
     return target

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EmptyInput, NonFiniteEvaluation, ShapeMismatch, ZeroRow
+from .errors import CsslError
 
 EPS_NORM = 1e-12
 # How far a row norm may stray from 1 where unit rows are required.
@@ -34,34 +34,32 @@ _TWO53_INV = 2.0 ** -53
 
 
 def as_matrix(data, name: str = "matrix") -> np.ndarray:
-    """Coerce to a validated 2-D float64 C-contiguous array.
-
-    Raises ShapeMismatch for non-2-D input and NonFiniteEvaluation if any
-    entry is NaN or Inf.
-    """
+    """Coerce to a validated 2-D float64 C-contiguous array; input that is
+    not 2-D or holds NaN or Inf is rejected."""
     m = np.ascontiguousarray(data, dtype=np.float64)
     if m.ndim != 2:
-        raise ShapeMismatch(f"{name}: expected 2-D array, got ndim={m.ndim}")
+        raise CsslError(f"{name}: expected 2-D array, got ndim={m.ndim}")
     if m.size and not np.all(np.isfinite(m)):
-        raise NonFiniteEvaluation(f"{name}: contains NaN or Inf")
+        raise CsslError(f"{name}: contains NaN or Inf")
     return m
 
 
 def check_finite(m: np.ndarray, name: str = "array") -> None:
     if m.size and not np.all(np.isfinite(m)):
-        raise NonFiniteEvaluation(f"{name}: contains NaN or Inf")
+        raise CsslError(f"{name}: contains NaN or Inf")
 
 
 def row_norms(m: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(m * m, axis=1))
 
 
-def row_l2_normalize(m: np.ndarray, eps: float = EPS_NORM) -> np.ndarray:
-    """Scale every row to unit L2 norm. Raises ZeroRow if a norm is <= eps."""
+def row_l2_normalize(m: np.ndarray) -> np.ndarray:
+    """Scale every row to unit L2 norm; a norm <= EPS_NORM is rejected."""
     norms = row_norms(m)
-    if m.shape[0] and np.min(norms) <= eps:
+    if m.shape[0] and np.min(norms) <= EPS_NORM:
         bad = int(np.argmin(norms))
-        raise ZeroRow(f"row {bad} has norm {norms[bad]:.3e} <= {eps:.0e}")
+        raise CsslError(
+            f"row {bad} has norm {norms[bad]:.3e} <= {EPS_NORM:.0e}")
     return m / norms[:, None]
 
 
@@ -72,7 +70,7 @@ def row_l2_normalize_backward(raw: np.ndarray, grad_normalized: np.ndarray) -> n
     respect to it given the gradient with respect to the normalized rows.
     """
     if raw.shape != grad_normalized.shape:
-        raise ShapeMismatch(
+        raise CsslError(
             f"normalize backward: {raw.shape} vs {grad_normalized.shape}")
     norms = row_norms(raw)[:, None]
     y = raw / norms
@@ -85,7 +83,7 @@ def logsumexp_rows(m: np.ndarray) -> np.ndarray:
     columns). Overwrites ``m`` with its row softmax (a masked entry becomes
     0), so every entry is exponentiated once."""
     if m.shape[1] == 0:
-        raise EmptyInput("logsumexp over zero columns")
+        raise CsslError("logsumexp over zero columns")
     mx = np.max(m, axis=1)
     m -= mx[:, None]
     total = np.sum(np.exp(m, out=m), axis=1)
@@ -105,7 +103,7 @@ def finite_difference_gradient(
     checked against; it must never share code with the gradients it verifies.
     """
     if eps <= 0:
-        raise ValueError("eps must be positive")
+        raise CsslError("eps must be positive")
     x = np.array(x, dtype=np.float64)
     grad = np.zeros_like(x)
     flat = x.ravel()
@@ -118,7 +116,7 @@ def finite_difference_gradient(
         lo = float(f(x))
         flat[k] = orig
         if not (np.isfinite(hi) and np.isfinite(lo)):
-            raise NonFiniteEvaluation(
+            raise CsslError(
                 f"finite differences: f returned non-finite at entry {k}")
         gflat[k] = (hi - lo) / (2.0 * eps)
     return grad
@@ -176,7 +174,7 @@ class Rng:
     def gaussian(self, n: int, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
         """n Gaussian draws via Box-Muller. std == 0 returns exact copies of mean."""
         if std < 0:
-            raise ValueError("std must be non-negative")
+            raise CsslError("std must be non-negative")
         if n <= 0:
             return np.empty(0, dtype=np.float64)
         if std == 0.0:

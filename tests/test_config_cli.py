@@ -120,6 +120,9 @@ class TestConfigParsing:
          "train.batch_size"),
         # class_il: one class per task cannot be probed
         ({"num_tasks": 10}, "num_tasks"),
+        # gen_synthetic and domain_il need two input dims
+        ({"dataset": {"input_dim": 1}, "model": {"encoder_dims": [1, 32, 8]}},
+         "dataset.input_dim"),
     ])
     def test_invalid_fields_named(self, patch, field):
         raw = yaml.safe_load(DEFAULT_CONFIG_YAML)
@@ -315,15 +318,35 @@ class TestCli:
         assert code == 2
         assert "i/o error" in capsys.readouterr().err
 
-    def test_corrupt_data_exit_two(self, workdir):
+    @pytest.mark.parametrize("name, corrupt, message", [
+        pytest.param("data.bin", lambda raw: b"X" + raw[1:],
+                     "not a dataset file", id="magic"),
+        pytest.param("data.bin", lambda raw: raw[:8] + b"\2" + raw[9:],
+                     "version 2 unsupported", id="version"),
+        pytest.param("data.bin", lambda raw: raw[:-20],
+                     "3280 bytes, but the header implies 3300", id="short"),
+        pytest.param("data.bin", lambda raw: raw + b"\0",
+                     "3301 bytes, but the header implies 3300", id="trailing"),
+        pytest.param("data.bin",
+                     lambda raw: raw[:40] + bytes([raw[40] ^ 1]) + raw[41:],
+                     "dataset checksum mismatch", id="checksum"),
+        pytest.param("run/seed1_seq_task1.ckpt", lambda raw: raw[:10],
+                     "ended 2 bytes early", id="checkpoint"),
+    ])
+    def test_corrupt_file_exit_two(self, workdir, capsys, name, corrupt,
+                                   message):
         tmp, cfg = workdir
         data = str(tmp / "data.bin")
         assert cli_main(["gen-data", "--config", cfg, "--out", data]) == 0
-        raw = bytearray(open(data, "rb").read())
-        raw[30] ^= 0xFF
-        open(data, "wb").write(bytes(raw))
         assert cli_main(["train", "--config", cfg, "--data", data,
-                         "--out-dir", str(tmp / "o")]) == 2
+                         "--out-dir", str(tmp / "run")]) == 0
+        path = tmp / name
+        path.write_bytes(corrupt(path.read_bytes()))
+        capsys.readouterr()
+        assert cli_main(["probe", "--config", cfg, "--data", data,
+                         "--checkpoints", str(tmp / "run"),
+                         "--out", str(tmp / "m")]) == 2
+        assert capsys.readouterr().err == f"i/o error: {path}: {message}\n"
 
     def test_gradcheck_subset(self, capsys):
         assert cli_main(["gradcheck", "--loss", "byol_loss",

@@ -22,7 +22,7 @@ from cssl.continual import (
     two_views,
 )
 from cssl.datastore import gen_synthetic, stack_bytes
-from cssl.errors import DivergenceDetected, IndivisibleClasses, TooFewSamples
+from cssl.errors import CsslError, DivergenceDetected
 from cssl.losses import Method, PnrConfig, Regime
 from cssl.model import forward, init_stack
 from cssl.numerics import Rng, row_l2_normalize
@@ -65,7 +65,7 @@ class TestClassIl:
             [0, 1], [2, 3], [4, 5], [6, 7], [8, 9]]
 
     def test_indivisible_raises(self):
-        with pytest.raises(IndivisibleClasses):
+        with pytest.raises(CsslError, match="10 classes not divisible into 3"):
             build_class_il(toy_dataset(), 3)
 
     def test_index_partition(self):
@@ -89,7 +89,7 @@ class TestDataIl:
         assert_row_partition(ds, build_data_il(ds, 4, seed=9))
 
     def test_too_few_samples(self):
-        with pytest.raises(TooFewSamples):
+        with pytest.raises(CsslError, match="2 samples cannot form 5 tasks"):
             build_data_il(toy_dataset(C=2, n_per=1), 5, seed=1)
 
     def test_healthy_splits_pass_soft_check_silently(self, caplog):
@@ -152,6 +152,21 @@ class TestTwoViews:
         # dropout_p = 1 would zero every coordinate; normalization then fails.
         with pytest.raises(ValueError, match="dropout_p"):
             AugmentConfig(0.0, 1.0, (1.0, 1.0))
+
+    def test_heavy_dropout_keeps_a_coordinate_per_row(self):
+        # At p = 0.99 over 8 dims about 92% of rows would drop every
+        # coordinate, and a zero input row has a zero projection at init.
+        x = Rng(1).gaussian_matrix(64, 8)
+        views = two_views(x, AugmentConfig(0.0, 0.99, (1.0, 1.0)), Rng(3))
+        assert np.all(np.any(views != 0.0, axis=1))
+        stream = build_class_il(toy_dataset(), 5)
+        for method in (Method.SIMCLR, Method.MOCO, Method.BYOL):
+            cfg = small_cfg(augment=AugmentConfig(0.2, 0.99, (0.8, 1.2)),
+                            loss=PnrConfig(method=method, regime=Regime.PNR))
+            res = run_sequence(stream, cfg)
+            assert len(res.ft_checkpoints) == 5
+            for log in res.task_logs + res.ft_logs:
+                assert np.all(np.isfinite(log.epoch_losses))
 
 
 class TestEncodeViews:

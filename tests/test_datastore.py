@@ -17,13 +17,7 @@ from cssl.datastore import (
     save_dataset,
     stack_bytes,
 )
-from cssl.errors import (
-    BadMagic,
-    ChecksumFail,
-    RejectionExhausted,
-    TruncatedFile,
-    VersionMismatch,
-)
+from cssl.errors import CorruptFile, CsslError
 from cssl.evaluate import AccuracyMatrix, ProbeConfig, linear_probe
 from cssl.model import EncoderStack, MlpParams, init_stack
 from cssl.numerics import Rng, fnv1a64
@@ -55,8 +49,12 @@ class TestGenSynthetic:
 
     def test_rejection_exhausted(self):
         # 40 means on a 2-sphere with separation r/sqrt(40) is impossible
-        with pytest.raises(RejectionExhausted):
+        with pytest.raises(CsslError, match="could not place 500 means"):
             gen_synthetic(500, 2, 1, 1.0, 0.0, seed=1)
+
+    def test_bad_parameter_named(self):
+        with pytest.raises(CsslError, match="needs D_in >= 2, got 1"):
+            gen_synthetic(4, 1, 10, 1.0, 0.5, seed=1)
 
     def test_separability_oracle(self):
         ds = gen_synthetic(10, 32, 200, 1.0, 0.3, seed=42)
@@ -84,13 +82,13 @@ class TestDatasetFile:
         raw = bytearray(path.read_bytes())
         raw[40] ^= 0xFF  # inside the float payload
         path.write_bytes(bytes(raw))
-        with pytest.raises(ChecksumFail):
+        with pytest.raises(CorruptFile, match="dataset checksum mismatch"):
             load_dataset(str(path))
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOTMAGIC" + b"\0" * 64)
-        with pytest.raises(BadMagic):
+        with pytest.raises(CorruptFile, match="not a dataset file"):
             load_dataset(str(path))
 
     def test_truncated(self, tmp_path):
@@ -99,7 +97,7 @@ class TestDatasetFile:
         save_dataset(ds, str(path))
         raw = path.read_bytes()
         path.write_bytes(raw[:len(raw) // 2])
-        with pytest.raises(TruncatedFile):
+        with pytest.raises(CorruptFile, match="but the header implies"):
             load_dataset(str(path))
 
     def test_bytes_after_checksum_rejected(self, tmp_path):
@@ -107,7 +105,7 @@ class TestDatasetFile:
         path = tmp_path / "ds.bin"
         save_dataset(ds, str(path))
         path.write_bytes(path.read_bytes() + b"\0" * 22)
-        with pytest.raises(TruncatedFile):
+        with pytest.raises(CorruptFile, match="but the header implies"):
             load_dataset(str(path))
 
 
@@ -128,14 +126,17 @@ def _checkpoint_bytes(tmp_path) -> bytes:
 def test_envelope_checks_magic_then_version_then_length(tmp_path, make, load):
     raw = make(tmp_path)
     path = tmp_path / "f.bin"
-    for data, error in ((raw[:5], TruncatedFile),
-                        (b"X" + raw[1:10], BadMagic),
-                        (raw[:8] + b"\2" + raw[9:10], TruncatedFile),
-                        (raw[:8] + b"\2" + raw[9:12], VersionMismatch),
-                        (raw[:8] + b"\2" + raw[9:], VersionMismatch),
-                        (raw[:19], TruncatedFile)):
+    short = "bytes early|but the header implies"
+    magic = "not a (dataset|checkpoint) file"
+    version = "version 2 unsupported"
+    for data, message in ((raw[:5], short),
+                          (b"X" + raw[1:10], magic),
+                          (raw[:8] + b"\2" + raw[9:10], short),
+                          (raw[:8] + b"\2" + raw[9:12], version),
+                          (raw[:8] + b"\2" + raw[9:], version),
+                          (raw[:19], short)):
         path.write_bytes(data)
-        with pytest.raises(error):
+        with pytest.raises(CorruptFile, match=message):
             load(str(path))
 
 
@@ -177,24 +178,26 @@ class TestCheckpointFile:
         raw = bytearray(path.read_bytes())
         raw[-20] ^= 0x01
         path.write_bytes(bytes(raw))
-        with pytest.raises(ChecksumFail):
+        with pytest.raises(CorruptFile, match="checkpoint checksum mismatch"):
             load_checkpoint(str(path))
 
     def test_payload_holds_three_mlps_exactly(self, tmp_path):
         # Each payload carries a valid checksum, so only parsing rejects it.
         payload = stack_bytes(init_stack(Rng(4), [4, 4], [4, 4], [4, 4]))
         path = tmp_path / "s.ckpt"
-        for bad in (payload + b"\0" * 8, payload[:-8],
-                    struct.pack("<I", 0) + payload[4:]):
+        for bad, message in ((payload + b"\0" * 8, "trailing bytes"),
+                             (payload[:-8], "ended 8 bytes early"),
+                             (struct.pack("<I", 0) + payload[4:],
+                              "implausible layer count 0")):
             path.write_bytes(b"CSSLCKP\0" + struct.pack("<I", 1) + bad
                              + struct.pack("<Q", fnv1a64(bad)))
-            with pytest.raises(TruncatedFile):
+            with pytest.raises(CorruptFile, match=message):
                 load_checkpoint(str(path))
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"WHATEVER" + b"\0" * 32)
-        with pytest.raises(BadMagic):
+        with pytest.raises(CorruptFile, match="not a checkpoint file"):
             load_checkpoint(str(path))
 
 

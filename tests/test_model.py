@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cssl.datastore import stack_bytes
-from cssl.errors import BadDims, NonFiniteEvaluation
+from cssl.errors import CsslError
 from cssl.model import (
     EncoderStack,
     MlpParams,
@@ -43,17 +43,18 @@ class TestInit:
         assert stack_bytes(a) == stack_bytes(b)
 
     def test_bad_predictor_dims(self):
-        with pytest.raises(BadDims):
+        with pytest.raises(CsslError, match="predictor must map projection"):
             init_stack(Rng(1), [8, 16, 8], [8, 8], [8, 4])
 
     def test_chain_violation(self):
-        with pytest.raises(BadDims):
+        with pytest.raises(CsslError, match="projector input does not chain"):
             init_stack(Rng(1), [8, 16, 8], [4, 8], [8, 8])
 
     def test_non_finite_rejected(self):
         bad = MlpParams([np.array([[np.nan]])], [np.zeros(1)])
         one = MlpParams([np.eye(1)], [np.zeros(1)])
-        with pytest.raises(NonFiniteEvaluation):
+        with pytest.raises(CsslError,
+                           match="encoder layer 0 weight: contains NaN"):
             EncoderStack(bad, one, one)
 
     def test_he_variance(self):
