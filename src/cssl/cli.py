@@ -143,7 +143,10 @@ def _cmd_report(args) -> int:
     dicts = []
     for path in args.metrics:
         with open(path, "r", encoding="utf-8") as fh:
-            dicts.append(json.load(fh))
+            try:
+                dicts.append(json.load(fh))
+            except ValueError as exc:  # not UTF-8, or not JSON
+                raise CsslError(f"{path}: {exc}") from exc
         if not isinstance(dicts[-1], dict):
             raise CsslError(f"{path}: metrics must be a JSON object")
     csv = aggregate_metrics(dicts)
@@ -219,7 +222,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     except (CorruptFile, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:  # CsslError, and json's decode errors
+    except ValueError as exc:  # CsslError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -20,7 +20,7 @@ import yaml
 from .continual import AugmentConfig, Scenario, TrainConfig
 from .errors import ConfigError, CsslError
 from .evaluate import ProbeConfig
-from .losses import DEFAULT_LAMBDA_PNR, Method, PnrConfig, Regime
+from .losses import DEFAULT_LAMBDA_PNR, PnrConfig
 
 
 @dataclass
@@ -45,7 +45,7 @@ class DatasetParams:
 
 @dataclass
 class ExperimentConfig:
-    scenario: str = Scenario.CLASS_IL
+    scenario: Scenario = Scenario.CLASS_IL
     num_tasks: int = 5
     seeds: list[int] = field(default_factory=lambda: [1, 2, 3])
     dataset: DatasetParams = field(default_factory=DatasetParams)
@@ -53,9 +53,7 @@ class ExperimentConfig:
     probe: ProbeConfig = field(default_factory=ProbeConfig)
 
     def __post_init__(self):
-        if self.scenario not in Scenario.ALL:
-            raise CsslError(f"scenario {self.scenario!r} is not one of "
-                            f"{' | '.join(Scenario.ALL)}")
+        self.scenario = Scenario(self.scenario)
         if self.num_tasks < 1:
             raise CsslError("num_tasks must be >= 1")
         if not self.seeds:
@@ -181,13 +179,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
     return cfg
 
 
-# Comments that list a key's choices in the generated default file.
+# Comments in the generated default file: an enum key lists its choices.
 _CHOICES = {
-    "scenario": " | ".join(Scenario.ALL),
-    "method": " | ".join(m.value for m in Method),
-    "regime": " | ".join(r.value for r in Regime),
     "lambda_pnr": "null = per-method default (" + ", ".join(
-        f"{m} {lam:g}" for m, lam in DEFAULT_LAMBDA_PNR.items()) + ")",
+        f"{m.value} {lam:g}" for m, lam in DEFAULT_LAMBDA_PNR.items()) + ")",
 }
 
 
@@ -209,11 +204,11 @@ def _default_config_yaml() -> str:
         if section:
             lines += ["", f"{section}:"]
         for key in keys:
-            line = (f"{'  ' if section else ''}{key}: "
-                    f"{_yaml_value(_field_default(cls, key))}")
-            if key in _CHOICES:
-                line = f"{line:<28}# {_CHOICES[key]}"
-            lines.append(line)
+            default = _field_default(cls, key)
+            line = f"{'  ' if section else ''}{key}: {_yaml_value(default)}"
+            note = (" | ".join(m.value for m in type(default))
+                    if isinstance(default, enum.Enum) else _CHOICES.get(key))
+            lines.append(f"{line:<28}# {note}" if note else line)
     return "\n".join(lines) + "\n"
 
 
@@ -228,4 +223,4 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
-    return parse_config(raw or {})
+    return parse_config({} if raw is None else raw)

@@ -13,6 +13,7 @@ rate the per-epoch loss trace is therefore exactly constant.
 
 from __future__ import annotations
 
+import enum
 import logging
 from dataclasses import dataclass, field, replace
 
@@ -51,7 +52,6 @@ class LabeledDataset:
 
     x: np.ndarray
     y: np.ndarray
-    domain_id: int | None = None
 
     def __post_init__(self):
         self.x = as_matrix(self.x, "dataset x")
@@ -74,21 +74,19 @@ class LabeledDataset:
         return set(int(c) for c in np.unique(self.y))
 
 
-class Scenario:
+class Scenario(str, enum.Enum):
     CLASS_IL = "class_il"
     DATA_IL = "data_il"
     DOMAIN_IL = "domain_il"
-    ALL = (CLASS_IL, DATA_IL, DOMAIN_IL)
 
 
 @dataclass
 class TaskStream:
-    scenario: str
+    scenario: Scenario
     tasks: list[LabeledDataset]
 
     def __post_init__(self):
-        if self.scenario not in Scenario.ALL:
-            raise CsslError(f"unknown scenario {self.scenario!r}")
+        self.scenario = Scenario(self.scenario)
         if not self.tasks:
             raise CsslError("empty task stream")
         for k, t in enumerate(self.tasks):
@@ -247,7 +245,7 @@ def build_domain_il(ds: LabeledDataset, T: int, seed: int) -> TaskStream:
     bootstrap resample of the base data. Labels travel with their samples."""
     if ds.input_dim < 2:
         raise CsslError("domain_il needs input dim >= 2")
-    tasks = [LabeledDataset(ds.x.copy(), ds.y.copy(), domain_id=0)]
+    tasks = [LabeledDataset(ds.x.copy(), ds.y.copy())]
     M = ds.num_samples
     root = Rng(seed)
     for k in range(1, T):
@@ -257,7 +255,7 @@ def build_domain_il(ds: LabeledDataset, T: int, seed: int) -> TaskStream:
         draw = rng.uniform(M)
         idx = np.minimum((draw * M).astype(np.int64), M - 1)
         x = ds.x[idx] @ rot.T + bias
-        tasks.append(LabeledDataset(x, ds.y[idx], domain_id=k))
+        tasks.append(LabeledDataset(x, ds.y[idx]))
     return TaskStream(Scenario.DOMAIN_IL, tasks)
 
 
@@ -270,7 +268,7 @@ def _one_view(x: np.ndarray, cfg: AugmentConfig, rng: Rng) -> np.ndarray:
     else:
         out = x.copy()
     if cfg.noise_std > 0:
-        out += rng.gaussian(n * d, 0.0, cfg.noise_std).reshape(n, d)
+        out += rng.gaussian(n * d, cfg.noise_std).reshape(n, d)
     if cfg.dropout_p > 0:
         u = rng.uniform(n * d).reshape(n, d)
         keep = u >= cfg.dropout_p

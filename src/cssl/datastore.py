@@ -10,8 +10,9 @@ Both binary formats share one envelope (integers little-endian unsigned
     u64    FNV-1a checksum over the payload bytes
 
 Dataset: magic ``b"CSSLDAT\\0"``; header M (samples), D (input dim), C
-(class count), domain tag (0xFFFFFFFF when absent); payload f64[M*D]
-samples, then u32[M] labels: exactly M*D*8 + M*4 bytes.
+(class count), a reserved word (written as 0xFFFFFFFF); payload f64[M*D]
+samples, then u32[M] labels: exactly M*D*8 + M*4 bytes. Loads ignore C
+and the reserved word.
 
 Checkpoint: magic ``b"CSSLCKP\\0"``; no header words; payload, for each of
 encoder/projector/predictor: u32 layer count, then per layer u32 out, u32
@@ -41,7 +42,6 @@ from .numerics import Rng, fnv1a64
 DATASET_MAGIC = b"CSSLDAT\0"
 CHECKPOINT_MAGIC = b"CSSLCKP\0"
 FORMAT_VERSION = 1
-_NO_DOMAIN = 0xFFFFFFFF
 
 MAX_MEAN_TRIES = 10_000
 
@@ -82,7 +82,7 @@ def gen_synthetic(C: int, D_in: int, n_per_class: int, radius: float,
     per_dim_std = sigma * radius / np.sqrt(D_in)
     x = np.repeat(np.stack(means), n_per_class, axis=0)
     if per_dim_std > 0:
-        x = x + rng.gaussian(C * n_per_class * D_in, 0.0,
+        x = x + rng.gaussian(C * n_per_class * D_in,
                              per_dim_std).reshape(C * n_per_class, D_in)
     y = np.repeat(np.arange(C, dtype=np.int64), n_per_class)
     return LabeledDataset(x, y)
@@ -143,18 +143,17 @@ def _read_envelope(path: str, magic: bytes, what: str, n_words: int,
 def save_dataset(ds: LabeledDataset, path: str) -> None:
     m, d = ds.x.shape
     c = int(ds.y.max()) + 1 if ds.y.size else 0
-    domain = _NO_DOMAIN if ds.domain_id is None else int(ds.domain_id)
-    _write_envelope(path, DATASET_MAGIC, (m, d, c, domain),
+    _write_envelope(path, DATASET_MAGIC, (m, d, c, 0xFFFFFFFF),  # reserved
                     ds.x.astype("<f8").tobytes() + ds.y.astype("<u4").tobytes())
 
 
 def load_dataset(path: str) -> LabeledDataset:
-    (m, d, _c, domain), payload = _read_envelope(
+    (m, d, _c, _reserved), payload = _read_envelope(
         path, DATASET_MAGIC, "dataset", 4,
-        lambda m, d, _c, _domain: m * d * 8 + m * 4)
+        lambda m, d, _c, _reserved: m * d * 8 + m * 4)
     x = np.frombuffer(payload[:m * d * 8], dtype="<f8").reshape(m, d).copy()
     y = np.frombuffer(payload[m * d * 8:], dtype="<u4").astype(np.int64)
-    return LabeledDataset(x, y, domain_id=None if domain == _NO_DOMAIN else domain)
+    return LabeledDataset(x, y)
 
 
 def stack_bytes(stack: EncoderStack) -> bytes:

@@ -80,10 +80,17 @@ def _row_max(logits: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fit_probe(features: np.ndarray, labels: np.ndarray, cfg: ProbeConfig,
-               rng: Rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The stacked fit behind :func:`linear_probe`: returns the trained
-    weights ``(C, k, d)``, biases ``(C, k)`` and holdout accuracies ``(C,)``.
+def linear_probe(features: np.ndarray, labels: np.ndarray, cfg: ProbeConfig,
+                 rng: Rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Multinomial logistic regression on C stacked frozen feature matrices.
+
+    ``features`` is ``(C, m, d)``: C feature matrices of the same m samples,
+    which share ``labels`` and one train/holdout split drawn from ``rng``.
+    Each slice is standardized by its own train-split statistics and fitted
+    as its own classifier. The classifier starts at zero, so converged
+    accuracy is exactly invariant under feature column permutations. Returns
+    the trained weights ``(C, k, d)``, biases ``(C, k)`` and top-1 holdout
+    accuracies ``(C,)``.
 
     Every slice runs the same numpy calls as a 2-D fit of that slice alone
     (one gemm per slice in each stacked ``matmul``, elementwise ops, and
@@ -149,20 +156,6 @@ def _fit_probe(features: np.ndarray, labels: np.ndarray, cfg: ProbeConfig,
     return w, b, np.mean(pred == labels[ho], axis=-1)
 
 
-def linear_probe(features: np.ndarray, labels: np.ndarray, cfg: ProbeConfig,
-                 rng: Rng) -> np.ndarray:
-    """Multinomial logistic regression on C stacked frozen feature matrices.
-
-    ``features`` is ``(C, m, d)``: C feature matrices of the same m samples,
-    which share ``labels`` and one train/holdout split drawn from ``rng``.
-    Each slice is standardized by its own train-split statistics and fitted
-    as its own classifier, bit-identical to probing it alone. The classifier
-    starts at zero, so converged accuracy is exactly invariant under feature
-    column permutations. Returns the C top-1 accuracies on the holdout.
-    """
-    return _fit_probe(features, labels, cfg, rng)[2]
-
-
 def fill_accuracy_matrix(checkpoints: list[EncoderStack],
                          ft_checkpoints: list[EncoderStack] | None,
                          stream: TaskStream, cfg: ProbeConfig,
@@ -186,7 +179,8 @@ def fill_accuracy_matrix(checkpoints: list[EncoderStack],
         if ft is not None:
             probed.append(ft_checkpoints[i])
         feats = np.stack([encoder_features(c, task.x) for c in probed])
-        acc = linear_probe(feats, task.y, cfg, root.derive(f"probe-split-{i}"))
+        acc = linear_probe(feats, task.y, cfg,
+                           root.derive(f"probe-split-{i}"))[2]
         a[i] = acc[:T]
         if ft is not None:
             ft[i] = acc[T]

@@ -32,7 +32,6 @@ from .losses import (
     Method,
     PnrConfig,
     Regime,
-    barlow_loss,
     byol_loss,
     closed_form_grad,
     closed_form_parts,
@@ -40,7 +39,6 @@ from .losses import (
     noncontrastive_pnr_total,
     pnr_regularizer,
     total_loss,
-    vicreg_loss,
 )
 from .model import forward, init_stack
 from .numerics import (
@@ -50,7 +48,6 @@ from .numerics import (
     row_norms,
 )
 
-FD_EPS = 1e-5
 REL_TOL = 1e-6
 RELU_MARGIN = 1e-4
 
@@ -58,7 +55,6 @@ EMBEDDING_LOSSES = (
     "cssl_total", "byol_loss", "vicreg_loss", "barlow_loss",
     "pnr_regularizer", "noncontrastive_pnr_total",
 )
-PARAM_METHODS = ("simclr", "moco", "byol", "vicreg", "barlow")
 
 
 @dataclass
@@ -103,9 +99,9 @@ def random_views(rng: Rng, n: int = 5, d: int = 6, with_pred: bool = True,
     )
 
 
-def _vicreg_inputs(rng: Rng, n: int = 6, d: int = 5) -> np.ndarray:
+def _vicreg_inputs(rng: Rng) -> np.ndarray:
     """Raw batch whose per-dim stds sit safely away from the hinge at 1."""
-    z = rng.gaussian_matrix(n, d, 0.0, 0.4)
+    z = rng.gaussian_matrix(6, 5, 0.4)
     z[:, ::2] *= 5.0  # alternate dims clearly above the hinge
     return z
 
@@ -116,7 +112,7 @@ def _fd_on_field(loss_fn, views: ContrastiveViews, name: str) -> np.ndarray:
     def f(x: np.ndarray) -> float:
         return loss_fn(replace(views, **{name: x})).value
 
-    return finite_difference_gradient(f, base, FD_EPS)
+    return finite_difference_gradient(f, base)
 
 
 def _check_views_loss(loss_fn, views: ContrastiveViews,
@@ -142,25 +138,24 @@ def _embedding_trial(name: str, rng: Rng) -> float:
     d = 5 + int(rng.uniform(1)[0] * 4)
     if name == "cssl_total":
         v = random_views(rng, n, d, queue_rows=4)
-        cfgs = [PnrConfig(method=Method.MOCO, regime=r, tau=0.2)
-                for r in Regime]
+        cfgs = [PnrConfig(method=Method.MOCO, regime=r) for r in Regime]
         return max(_check_views_loss(
             lambda vv, c=c: cssl_total(vv, c, norm_tol=None), v,
             _LIVE_FIELDS) for c in cfgs)
     if name == "byol_loss":
         p, t = _unit_rows(rng, n, d), _unit_rows(rng, n, d)
-        fd = finite_difference_gradient(lambda x: byol_loss(x, t).value, p,
-                                        FD_EPS)
+        fd = finite_difference_gradient(lambda x: byol_loss(x, t).value, p)
         return rel_err(byol_loss(p, t).grad_g, fd)
     if name in ("vicreg_loss", "barlow_loss"):
+        # Regime ft: the native loss alone, at the config's weights.
         if name == "vicreg_loss":
-            loss_fn = vicreg_loss
+            cfg = PnrConfig(method=Method.VICREG, regime=Regime.FT)
             za, zb = _vicreg_inputs(rng), _vicreg_inputs(rng)
         else:
-            loss_fn = barlow_loss
+            cfg = PnrConfig(method=Method.BARLOW, regime=Regime.FT)
             za, zb = rng.gaussian_matrix(n + 3, d), rng.gaussian_matrix(n + 3, d)
         z = np.concatenate([za, zb])  # the two raw views; z_prev is unused
-        return _check_views_loss(lambda vv: loss_fn(*np.split(vv.z, 2)),
+        return _check_views_loss(lambda vv: noncontrastive_pnr_total(vv, cfg),
                                  ContrastiveViews(z, z), {"z": "grad_z"})
     if name in ("pnr_regularizer", "noncontrastive_pnr_total"):
         loss_fn = (pnr_regularizer if name == "pnr_regularizer"
@@ -179,7 +174,7 @@ def _embedding_trial(name: str, rng: Rng) -> float:
     raise CsslError(f"unknown loss {name}")
 
 
-def check_embedding_gradients(trials: int = 20, seed: int = 2024,
+def check_embedding_gradients(trials: int, seed: int,
                               names: tuple[str, ...] = EMBEDDING_LOSSES
                               ) -> list[CheckReport]:
     reports = []
@@ -194,19 +189,19 @@ def check_embedding_gradients(trials: int = 20, seed: int = 2024,
     return reports
 
 
-def _param_setup(method: str, attempt_seed: int):
+def _param_setup(method: Method, attempt_seed: int):
     rng = Rng(attempt_seed)
     dims_enc, dims_proj, dims_pred = [4, 6, 5], [5, 6, 5], [5, 5]
     stack = init_stack(rng.derive("stack"), dims_enc, dims_proj, dims_pred)
     frozen = init_stack(rng.derive("frozen"), dims_enc, dims_proj, dims_pred)
     x = np.concatenate([rng.gaussian_matrix(8, 4), rng.gaussian_matrix(8, 4)])
-    cfg = PnrConfig(method=Method(method), regime=Regime.PNR, tau=0.2)
+    cfg = PnrConfig(method=method)
     target = None
     queue_cur = queue_prev = None
-    if method == "byol":
+    if method == Method.BYOL:
         target = init_stack(rng.derive("target"), dims_enc, dims_proj,
                             dims_pred)
-    if method == "moco":
+    if method == Method.MOCO:
         queue_cur = _unit_rows(rng.derive("qc"), 4, 5)
         queue_prev = _unit_rows(rng.derive("qp"), 4, 5)
     return stack, frozen, x, cfg, target, queue_cur, queue_prev
@@ -229,11 +224,10 @@ def _chain_relu_margin(nets, xs) -> tuple[float, float]:
     return margin, min_norm
 
 
-def check_param_gradients(trials: int = 4, seed: int = 515
-                          ) -> list[CheckReport]:
+def check_param_gradients(trials: int, seed: int) -> list[CheckReport]:
     """Full-chain finite differences over every stack parameter."""
     reports = []
-    for method in PARAM_METHODS:
+    for method in Method:
         t0 = time.perf_counter()
         worst = 0.0
         done = 0
@@ -262,15 +256,15 @@ def check_param_gradients(trials: int = 4, seed: int = 515
                                       queue_prev=queue_prev)
             res = total_loss(views, cfg, norm_tol=None)
             analytic = backprop_views(stack, fwd, cfg, res).flat
-            fd = finite_difference_gradient(loss_at, stack.flat, FD_EPS)
+            fd = finite_difference_gradient(loss_at, stack.flat)
             worst = max(worst, rel_err(analytic, fd))
             done += 1
-        reports.append(CheckReport(f"params/{method}", trials, worst,
+        reports.append(CheckReport(f"params/{method.value}", trials, worst,
                                    REL_TOL, time.perf_counter() - t0))
     return reports
 
 
-def check_closed_form(instances: int = 50, seed: int = 99) -> list[CheckReport]:
+def check_closed_form(instances: int, seed: int) -> list[CheckReport]:
     """Closed-form per-anchor gradient vs the production loss gradients.
 
     With batch size 1 and an identity predictor (g := z), anchor z[0]'s two
@@ -284,16 +278,16 @@ def check_closed_form(instances: int = 50, seed: int = 99) -> list[CheckReport]:
     mass identity is checked on every instance.
     """
     t0 = time.perf_counter()
-    cfg = PnrConfig(method=Method.SIMCLR, regime=Regime.PNR, tau=0.2)
+    cfg = PnrConfig()  # SimCLR, regime pnr
     worst_grad = 0.0
     worst_mass = 0.0
     for k in range(instances):
         rng = Rng(seed).derive(f"closed-{k}")
         v = random_views(rng, 1, 6, queue_rows=int(rng.uniform(1)[0] * 3))
         v = replace(v, g=v.z.copy())
-        _, _, mass = closed_form_parts(v, 0.2)
+        _, _, mass = closed_form_parts(v, cfg.tau)
         worst_mass = max(worst_mass, float(np.max(np.abs(mass - 1.0))))
-        cf = closed_form_grad(v, 0.2)
+        cf = closed_form_grad(v, cfg.tau)
         plastic = replace(v, z=np.stack([v.z[0], v.z_prev[0]]),
                           z_prev=np.stack([v.z[1], v.z_prev[1]]))
         full = (cssl_total(plastic, cfg).grad_g[0]
@@ -308,7 +302,7 @@ def check_closed_form(instances: int = 50, seed: int = 99) -> list[CheckReport]:
     ]
 
 
-def run_gradcheck(trials: int = 20, loss: str | None = None,
+def run_gradcheck(trials: int, loss: str | None,
                   seed: int = 2024) -> list[CheckReport]:
     """The CI gate: embedding + parameter + closed-form checks."""
     if trials < 1:

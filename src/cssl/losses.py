@@ -54,8 +54,8 @@ from .numerics import NORM_TOL, logsumexp_rows, row_norms
 
 DEFAULT_TAU = 0.2
 
-# VICReg internals (the usual published defaults; the loss form keeps them
-# configurable).
+# VICReg's term weights (the usual published defaults, set per config) and
+# its hinge target and epsilon, which Bardes et al. 2022 fix.
 VICREG_SIM = 25.0
 VICREG_VAR = 25.0
 VICREG_COV = 1.0
@@ -63,9 +63,6 @@ VICREG_GAMMA = 1.0
 VICREG_EPS = 1e-4
 
 BARLOW_LAMBDA = 5e-3
-
-DEFAULT_LAMBDA_CASSLE = 25.0
-DEFAULT_LAMBDA_PNR = {"byol": 0.5, "vicreg": 23.0, "barlow": 1.0}
 
 
 class Method(str, enum.Enum):
@@ -80,6 +77,11 @@ class Regime(str, enum.Enum):
     FT = "ft"
     CASSLE = "cassle"
     PNR = "pnr"
+
+
+DEFAULT_LAMBDA_CASSLE = 25.0
+DEFAULT_LAMBDA_PNR = {Method.BYOL: 0.5, Method.VICREG: 23.0,
+                      Method.BARLOW: 1.0}
 
 
 CONTRASTIVE_METHODS = (Method.SIMCLR, Method.MOCO)
@@ -108,7 +110,7 @@ class PnrConfig:
         if self.tau <= 0:
             raise CsslError("tau must be positive")
         if self.lambda_pnr is None:
-            self.lambda_pnr = DEFAULT_LAMBDA_PNR.get(self.method.value, 0.0)
+            self.lambda_pnr = DEFAULT_LAMBDA_PNR.get(self.method, 0.0)
         for name in ("lambda_pnr", "lambda_cassle"):
             if getattr(self, name) < 0:
                 raise CsslError(f"{name} must be non-negative")
@@ -170,7 +172,7 @@ class ContrastiveViews:
         """N, the number of samples: half the rows."""
         return self.z.shape[0] // 2
 
-    def validate_norms(self, tol: float = NORM_TOL) -> None:
+    def validate_norms(self, tol: float) -> None:
         """Check every present row is unit-norm within ``tol``."""
         for name in ("z", "z_prev", "g", "z_target", "queue_cur", "queue_prev"):
             m = getattr(self, name)
@@ -306,20 +308,16 @@ def byol_loss(online_pred: np.ndarray, target_proj: np.ndarray) -> LossResult:
     return LossResult(value, grad_g=grad)
 
 
-def _variance_hinge(z: np.ndarray, gamma: float, eps: float
-                    ) -> tuple[float, np.ndarray]:
+def _variance_hinge(z: np.ndarray) -> tuple[float, np.ndarray]:
     n, d = z.shape
     mu = z.mean(axis=0)
     centered = z - mu
     var = np.sum(centered * centered, axis=0) / (n - 1)
-    sd = np.sqrt(var + eps)
-    gap = gamma - sd
-    active = gap > 0
+    sd = np.sqrt(var + VICREG_EPS)  # >= 0.01, so the division is safe
+    gap = VICREG_GAMMA - sd
     value = float(np.sum(np.maximum(gap, 0.0)) / d)
-    # sd == 0 only for a constant column with eps == 0; its subgradient is 0
-    safe_sd = np.where(sd > 0, sd, 1.0)
-    grad = np.where((active & (sd > 0))[None, :],
-                    -centered / (safe_sd[None, :] * (d * (n - 1))), 0.0)
+    grad = np.where((gap > 0)[None, :],
+                    -centered / (sd[None, :] * (d * (n - 1))), 0.0)
     return value, grad
 
 
@@ -333,23 +331,22 @@ def _covariance_penalty(z: np.ndarray) -> tuple[float, np.ndarray]:
     return value, grad
 
 
-def vicreg_loss(zA: np.ndarray, zB: np.ndarray,
-                lam: float = VICREG_SIM, mu: float = VICREG_VAR,
-                nu: float = VICREG_COV, gamma: float = VICREG_GAMMA,
-                eps: float = VICREG_EPS) -> LossResult:
+def vicreg_loss(zA: np.ndarray, zB: np.ndarray, lam: float, mu: float,
+                nu: float) -> LossResult:
     """Invariance + variance hinge + covariance penalty on raw projections.
 
     Variance uses the unbiased (N-1) estimator; the hinge subgradient is zero
-    where sqrt(var + eps) >= gamma. Gradients w.r.t. both views (both come
-    from the current model), stacked [zA; zB] in the ``z`` slot.
+    where sqrt(var + VICREG_EPS) >= VICREG_GAMMA. Gradients w.r.t. both
+    views (both come from the current model), stacked [zA; zB] in the ``z``
+    slot.
     """
     _check_same_shape(zA, zB, "vicreg_loss")
     n = zA.shape[0]
     if n < 2:
         raise CsslError("vicreg_loss needs at least 2 samples")
     s, ds = _sq_dist(zA, zB)
-    vA, gvA = _variance_hinge(zA, gamma, eps)
-    vB, gvB = _variance_hinge(zB, gamma, eps)
+    vA, gvA = _variance_hinge(zA)
+    vB, gvB = _variance_hinge(zB)
     cA, gcA = _covariance_penalty(zA)
     cB, gcB = _covariance_penalty(zB)
     value = lam * s + mu * (vA + vB) + nu * (cA + cB)
@@ -401,8 +398,8 @@ def _barlow_core(zA: np.ndarray, zB: np.ndarray, lambda_bt: float
     return value, grad_a, grad_b
 
 
-def barlow_loss(zA: np.ndarray, zB: np.ndarray,
-                lambda_bt: float = BARLOW_LAMBDA) -> LossResult:
+def barlow_loss(zA: np.ndarray, zB: np.ndarray, lambda_bt: float
+                ) -> LossResult:
     """Cross-correlation identity objective: sum (1 - C_dd)^2 +
     lambda * sum_{d != d'} C_dd'^2 over column-standardized views;
     gradients stacked [zA; zB] in the ``z`` slot."""

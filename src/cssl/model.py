@@ -136,7 +136,7 @@ def init_mlp(rng: Rng, dims: list[int]) -> MlpParams:
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         std = float(np.sqrt(2.0 / fan_in))
-        weights.append(rng.gaussian_matrix(fan_out, fan_in, 0.0, std))
+        weights.append(rng.gaussian_matrix(fan_out, fan_in, std))
         biases.append(np.zeros(fan_out))
     return MlpParams(weights, biases)
 

@@ -288,7 +288,7 @@ def test_criterion_9_analytic_zeros():
     assert barlow_loss(z, z.copy(), 5e-3).value == 0.0
 
     spread = z * 2.0  # per-dim unbiased std sqrt(16/3) > gamma = 1
-    res = vicreg_loss(spread, spread.copy())
+    res = vicreg_loss(spread, spread.copy(), 25.0, 25.0, 1.0)
     assert res.value == 0.0  # s = 0, v hinge inactive, off-diag cov = 0
 
     rng = Rng(7700)

@@ -17,7 +17,9 @@ from cssl.config import (
     load_config,
     parse_config,
 )
+from cssl.continual import Scenario
 from cssl.errors import ConfigError
+from cssl.losses import Method, Regime
 
 DEFAULT_FILE = os.path.join(os.path.dirname(__file__), "..", "configs",
                             "default_class_il_5t.yaml")
@@ -135,6 +137,22 @@ class TestConfigParsing:
             parse_config(raw)
         assert field in str(err.value)
 
+    @pytest.mark.parametrize("section,key,enum_cls", [
+        ("", "scenario", Scenario), ("loss", "method", Method),
+        ("loss", "regime", Regime)])
+    def test_every_enum_member_parses_and_is_listed(self, section, key,
+                                                    enum_cls):
+        line = next(line for line in DEFAULT_CONFIG_YAML.splitlines()
+                    if line.strip().startswith(f"{key}:"))
+        assert line.split("# ")[1] == " | ".join(m.value for m in enum_cls)
+        for member in enum_cls:
+            raw = yaml.safe_load(DEFAULT_CONFIG_YAML)
+            (raw[section] if section else raw)[key] = member.value
+            cfg = parse_config(raw)
+            got = {"scenario": cfg.scenario, "method": cfg.train.loss.method,
+                   "regime": cfg.train.loss.regime}[key]
+            assert got is member
+
     def test_lambda_default_resolution(self):
         raw = yaml.safe_load(DEFAULT_CONFIG_YAML)
         raw["loss"]["method"] = "vicreg"
@@ -244,10 +262,13 @@ class TestCli:
         assert "P,0.1,0.0,1" in bodies[0].splitlines()
 
     def test_report_rejects_non_object_json(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text("[1, 2]")
-        assert cli_main(["report", "--metrics", str(bad)]) == 1
-        assert str(bad) in capsys.readouterr().err
+        # A list, a file that is not JSON, and one that is not UTF-8.
+        for name, body in (("list", b"[1, 2]"), ("brace", b"{not json"),
+                           ("latin1", b"\xff{}")):
+            bad = tmp_path / f"{name}.json"
+            bad.write_bytes(body)
+            assert cli_main(["report", "--metrics", str(bad)]) == 1
+            assert f"error: {bad}: " in capsys.readouterr().err
 
     def test_single_label_task_fails_before_training(self, tmp_path, capsys):
         # data_il: 20 samples of 2 classes in 10 tasks of 2 samples leave
@@ -309,6 +330,19 @@ class TestCli:
         assert cli_main(["gen-data", "--config", str(bad),
                          "--out", str(tmp_path / "x.bin")]) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("document", ["[]", "0", "false", '""'])
+    def test_falsy_document_is_not_a_config(self, tmp_path, capsys,
+                                            document):
+        # Only an empty file means "all defaults".
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(document + "\n")
+        out = tmp_path / "x.bin"
+        assert cli_main(["gen-data", "--config", str(bad),
+                         "--out", str(out)]) == 1
+        assert ("config error: top level: expected a mapping"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_missing_data_exit_two(self, workdir, capsys):
         tmp, cfg = workdir

@@ -124,7 +124,6 @@ class TestDomainIl:
         stream = build_domain_il(ds, 3, seed=11)
         for t in stream.tasks:
             assert t.label_set() == ds.label_set()
-        assert [t.domain_id for t in stream.tasks] == [0, 1, 2]
 
 
 class TestTwoViews:

@@ -17,6 +17,7 @@ from cssl.datastore import (
     save_dataset,
     stack_bytes,
 )
+from cssl.continual import LabeledDataset
 from cssl.errors import CorruptFile, CsslError
 from cssl.evaluate import AccuracyMatrix, ProbeConfig, linear_probe
 from cssl.model import EncoderStack, MlpParams, init_stack
@@ -58,22 +59,37 @@ class TestGenSynthetic:
 
     def test_separability_oracle(self):
         ds = gen_synthetic(10, 32, 200, 1.0, 0.3, seed=42)
-        assert linear_probe(ds.x[None], ds.y, ProbeConfig(), Rng(1))[0] >= 0.95
+        _w, _b, acc = linear_probe(ds.x[None], ds.y, ProbeConfig(), Rng(1))
+        assert acc[0] >= 0.95
 
 
 class TestDatasetFile:
     def test_round_trip_bitwise(self, tmp_path):
         ds = gen_synthetic(3, 6, 10, 1.0, 0.4, seed=2)
-        ds.domain_id = 7
         path = tmp_path / "ds.bin"
         save_dataset(ds, str(path))
         loaded = load_dataset(str(path))
         np.testing.assert_array_equal(loaded.x, ds.x)
         np.testing.assert_array_equal(loaded.y, ds.y)
-        assert loaded.domain_id == 7
         path2 = tmp_path / "ds2.bin"
         save_dataset(loaded, str(path2))
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_format_pinned(self, tmp_path):
+        # Exactly representable values, so the bytes need no platform libm.
+        x = np.array([[1.0, -2.0], [0.5, 3.0], [0.25, -0.125]])
+        ds = LabeledDataset(x, np.array([0, 2, 1]))
+        path = tmp_path / "pin.bin"
+        save_dataset(ds, str(path))
+        raw = path.read_bytes()
+        assert len(raw) == 96
+        # Header M, D, C and the reserved word.
+        assert struct.unpack("<4I", raw[12:28]) == (3, 2, 3, 0xFFFFFFFF)
+        assert hashlib.sha256(raw).hexdigest() == (
+            "2d198277c441be942cc1bf43094679cd88587f4398b7e0bd5ccba1798e9dc61c")
+        path2 = tmp_path / "pin2.bin"
+        save_dataset(load_dataset(str(path)), str(path2))
+        assert path2.read_bytes() == raw
 
     def test_flipped_byte_fails_checksum(self, tmp_path):
         ds = gen_synthetic(3, 6, 10, 1.0, 0.4, seed=2)

@@ -38,7 +38,7 @@ def blobs(n=100, margin=5.0, seed=3):
 class TestLinearProbe:
     def test_separable_blobs(self):
         x, y = blobs(margin=5.0)
-        acc = linear_probe(x[None], y, ProbeConfig(), Rng(1))[0]
+        acc = linear_probe(x[None], y, ProbeConfig(), Rng(1))[2][0]
         assert acc >= 0.99
 
     def test_shuffled_labels_near_chance(self):
@@ -47,7 +47,7 @@ class TestLinearProbe:
         for seed in (1, 2, 3):
             perm = Rng(seed).permutation(500)
             y = np.repeat(np.arange(10), 50)[perm]
-            acc = linear_probe(x[None], y, ProbeConfig(), Rng(seed))[0]
+            acc = linear_probe(x[None], y, ProbeConfig(), Rng(seed))[2][0]
             assert 0.05 <= acc <= 0.2
 
     def test_identical_features_raise(self):
@@ -64,8 +64,8 @@ class TestLinearProbe:
 
     def test_deterministic(self):
         x, y = blobs(margin=1.0)
-        a = linear_probe(x[None], y, ProbeConfig(), Rng(5))[0]
-        b = linear_probe(x[None], y, ProbeConfig(), Rng(5))[0]
+        a = linear_probe(x[None], y, ProbeConfig(), Rng(5))[2][0]
+        b = linear_probe(x[None], y, ProbeConfig(), Rng(5))[2][0]
         assert a == b
 
     def test_column_permutation_invariance(self):
@@ -73,13 +73,15 @@ class TestLinearProbe:
         x = rng.gaussian_matrix(200, 6)
         y = (x[:, 0] + 0.3 * x[:, 3] > 0).astype(int)
         perm = Rng(7).permutation(6)
-        a = linear_probe(x[None], y, ProbeConfig(), Rng(8))[0]
-        b = linear_probe(x[None][..., perm], y, ProbeConfig(), Rng(8))[0]
+        a = linear_probe(x[None], y, ProbeConfig(), Rng(8))[2][0]
+        b = linear_probe(x[None][..., perm], y, ProbeConfig(),
+                         Rng(8))[2][0]
         assert a == b
 
     def test_generator_separability_example(self):
         ds = gen_synthetic(10, 32, 200, 1.0, 0.3, seed=42)
-        assert linear_probe(ds.x[None], ds.y, ProbeConfig(), Rng(1))[0] >= 0.95
+        _w, _b, acc = linear_probe(ds.x[None], ds.y, ProbeConfig(), Rng(1))
+        assert acc[0] >= 0.95
 
     def test_one_constant_slice_is_named(self):
         rng = Rng(4)
@@ -132,8 +134,8 @@ class TestLinearProbe:
             probed = seq + ([ft[i]] if with_ft else [])
             feats = np.stack([encoder_features(c, task.x) for c in probed])
             split = f"probe-split-{i}"
-            w, b, acc = evaluate._fit_probe(feats, task.y, cfg,
-                                            root.derive(split))
+            w, b, acc = evaluate.linear_probe(feats, task.y, cfg,
+                                              root.derive(split))
             assert w.shape[0] == b.shape[0] == acc.shape[0] == len(probed)
             for c, x in enumerate(feats):
                 rw, rb, racc = per_checkpoint_probe(x, task.y, cfg,

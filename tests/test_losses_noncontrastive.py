@@ -88,31 +88,30 @@ class TestByol:
 class TestVicreg:
     def test_zero_at_aligned_spread_decorrelated(self):
         z = hadamard_views(scale=2.0)  # stds well above gamma, zero covariance
-        assert vicreg_loss(z, z.copy()).value == 0.0
+        assert vicreg_loss(z, z.copy(), 25.0, 25.0, 1.0).value == 0.0
 
     def test_constant_batch_hits_hinge_fully(self):
         z = np.ones((4, 3))
-        res = vicreg_loss(z, z.copy(), lam=25.0, mu=25.0, nu=1.0,
-                          gamma=1.0, eps=0.0)
-        # s = 0, c = 0, v = gamma per dim for both views
-        assert res.value == pytest.approx(25.0 * 2.0 * 1.0, abs=1e-12)
+        res = vicreg_loss(z, z.copy(), lam=25.0, mu=25.0, nu=1.0)
+        # s = 0, c = 0, v = gamma - sqrt(eps) = 0.99 per dim for both views
+        assert res.value == pytest.approx(25.0 * 2.0 * 0.99, abs=1e-12)
 
     def test_batch_too_small(self):
         with pytest.raises(CsslError, match="vicreg_loss needs at least 2"):
-            vicreg_loss(np.ones((1, 3)), np.ones((1, 3)))
+            vicreg_loss(np.ones((1, 3)), np.ones((1, 3)), 25.0, 25.0, 1.0)
 
     def test_fd_away_from_hinge(self):
         rng = Rng(6)
-        za = rng.gaussian_matrix(6, 4, 0.0, 0.4)
-        zb = rng.gaussian_matrix(6, 4, 0.0, 0.4)
+        za = rng.gaussian_matrix(6, 4, 0.4)
+        zb = rng.gaussian_matrix(6, 4, 0.4)
         za[:, ::2] *= 5.0
         zb[:, ::2] *= 5.0
-        res = vicreg_loss(za, zb)
+        res = vicreg_loss(za, zb, 25.0, 25.0, 1.0)
         for arg, grad in ((0, res.grad_z[:6]), (1, res.grad_z[6:])):
             def f(x, a=arg):
                 args = [za, zb]
                 args[a] = x
-                return vicreg_loss(*args).value
+                return vicreg_loss(*args, 25.0, 25.0, 1.0).value
             fd = finite_difference_gradient(f, (za, zb)[arg])
             assert (np.max(np.abs(grad - fd))
                     / max(np.max(np.abs(fd)), 1e-10)) < 1e-6
@@ -167,16 +166,16 @@ class TestBarlow:
         z = np.ones((4, 3))
         z[:, 0] = [1.0, 2.0, 3.0, 4.0]
         with pytest.raises(CsslError, match="column 1 has"):
-            barlow_loss(z, z.copy())
+            barlow_loss(z, z.copy(), 5e-3)
 
     def test_fd(self):
         rng = Rng(10)
         za, zb = rng.gaussian_matrix(7, 4), rng.gaussian_matrix(7, 4)
-        res = barlow_loss(za, zb)
+        res = barlow_loss(za, zb, 5e-3)
         fd_a = finite_difference_gradient(
-            lambda x: barlow_loss(x, zb).value, za)
+            lambda x: barlow_loss(x, zb, 5e-3).value, za)
         fd_b = finite_difference_gradient(
-            lambda x: barlow_loss(za, x).value, zb)
+            lambda x: barlow_loss(za, x, 5e-3).value, zb)
         for got, fd in ((res.grad_z[:7], fd_a), (res.grad_z[7:], fd_b)):
             assert (np.max(np.abs(got - fd))
                     / max(np.max(np.abs(fd)), 1e-10)) < 1e-6

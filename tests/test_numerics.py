@@ -146,10 +146,6 @@ class TestRng:
         b = Rng(42).gaussian(3)
         np.testing.assert_array_equal(a, b)
 
-    def test_std_zero_exact_copies(self):
-        np.testing.assert_array_equal(Rng(1).gaussian(2, mean=5.0, std=0.0),
-                                      [5.0, 5.0])
-
     def test_gaussian_moments(self):
         x = Rng(7).gaussian(10000)
         assert abs(x.mean()) < 0.05
