@@ -60,7 +60,7 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-def _ckpt_path(out_dir: str, seed: int, kind: str, t: int) -> str:
+def _ckpt_path(out_dir: str, seed: int, kind: str, t: int | str) -> str:
     return os.path.join(out_dir, f"seed{seed}_{kind}_task{t}.ckpt")
 
 
@@ -72,8 +72,8 @@ def _cmd_train(args) -> int:
                  "regime": cfg.train.loss.regime.value, "seeds": {}}
     for seed in cfg.seeds:
         if args.no_ft_refs:  # else probe reads an earlier run's references
-            for path in glob.glob(os.path.join(glob.escape(args.out_dir),
-                                               f"seed{seed}_ft_task*.ckpt")):
+            for path in glob.glob(_ckpt_path(glob.escape(args.out_dir), seed,
+                                             "ft", "*")):
                 os.remove(path)
         result = run_sequence(stream, cfg.train_for_seed(seed),
                               with_ft_refs=not args.no_ft_refs)

@@ -18,29 +18,10 @@ from dataclasses import MISSING, dataclass, field, replace
 import yaml
 
 from .continual import AugmentConfig, Scenario, TrainConfig
+from .datastore import DatasetParams
 from .errors import ConfigError, CsslError
 from .evaluate import ProbeConfig
 from .losses import DEFAULT_LAMBDA_PNR, PnrConfig
-
-
-@dataclass
-class DatasetParams:
-    classes: int = 10
-    input_dim: int = 32
-    samples_per_class: int = 200
-    radius: float = 1.0
-    sigma: float = 2.0
-
-    def __post_init__(self):
-        for name in ("samples_per_class", "radius"):
-            if getattr(self, name) <= 0:
-                raise CsslError(f"{name} must be positive")
-        # Two dims: gen_synthetic's sphere and domain_il's rotations need them.
-        for name in ("classes", "input_dim"):
-            if getattr(self, name) < 2:
-                raise CsslError(f"{name} must be >= 2")
-        if self.sigma < 0:
-            raise CsslError("sigma must be non-negative")
 
 
 @dataclass
@@ -120,13 +101,10 @@ def _coerce(value, default, path: str):
     if isinstance(default, str):
         if not isinstance(value, str):
             raise ConfigError(_expected(path, "a string", value))
-        if not isinstance(default, enum.Enum):
-            return value
-        choices = [m.value for m in type(default)]
-        if value not in choices:
-            raise ConfigError(f"{path}: {value!r} is not one of "
-                              f"{' | '.join(choices)}")
-        return type(default)(value)
+        try:
+            return type(default)(value)
+        except CsslError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
     if isinstance(default, int):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(_expected(path, "an int", value))

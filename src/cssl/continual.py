@@ -13,7 +13,6 @@ rate the per-epoch loss trace is therefore exactly constant.
 
 from __future__ import annotations
 
-import enum
 import logging
 from dataclasses import dataclass, field, replace
 
@@ -23,6 +22,7 @@ from .embedding_queue import DEFAULT_CAPACITY, EmbeddingQueue
 from .errors import CsslError, DivergenceDetected
 from .losses import (
     CONTRASTIVE_METHODS,
+    Choice,
     ContrastiveViews,
     LossResult,
     Method,
@@ -33,7 +33,6 @@ from .losses import (
 from .model import (
     EncoderStack,
     ForwardResult,
-    OptimizerState,
     backward,
     ema_update,
     forward,
@@ -74,7 +73,7 @@ class LabeledDataset:
         return set(int(c) for c in np.unique(self.y))
 
 
-class Scenario(str, enum.Enum):
+class Scenario(Choice):
     CLASS_IL = "class_il"
     DATA_IL = "data_il"
     DOMAIN_IL = "domain_il"
@@ -329,7 +328,7 @@ def encode_views(stack: EncoderStack, x: np.ndarray,
     if cfg.method == Method.BYOL:
         if target is None:
             raise CsslError("BYOL training needs a target network")
-        z_target = row_l2_normalize(forward(target, x).proj)
+        z_target = frozen_embedding(target, x, cfg.method)
     return ContrastiveViews(z, z_prev, g, z_target, queue_cur, queue_prev), fwd
 
 
@@ -375,8 +374,7 @@ def train_task(stack: EncoderStack, frozen_prev: EncoderStack | None,
     """
     loss_cfg = _effective_cfg(cfg.loss, frozen_prev)
     method = loss_cfg.method
-    opt = OptimizerState.for_stack(stack, cfg.lr, cfg.momentum,
-                                   cfg.weight_decay)
+    velocity = np.zeros_like(stack.flat)
     proj_dim = stack.projector.out_dim
     cur_queue = prev_queue = None
     if method == Method.MOCO:
@@ -416,7 +414,8 @@ def train_task(stack: EncoderStack, frozen_prev: EncoderStack | None,
                 raise DivergenceDetected(
                     f"loss {res.value} at task {task_index}, epoch {epoch} "
                     f"of {cfg.epochs_per_task}, step {step} of the epoch")
-            sgd_step(stack, backprop_views(stack, fwd, loss_cfg, res), opt)
+            sgd_step(stack, backprop_views(stack, fwd, loss_cfg, res),
+                     velocity, cfg.lr, cfg.momentum, cfg.weight_decay)
             if method == Method.MOCO:
                 n = views.batch_size
                 cur_queue.enqueue(views.z[n:])

@@ -30,6 +30,7 @@ import json
 import os
 import struct
 import tempfile
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,6 +47,28 @@ FORMAT_VERSION = 1
 MAX_MEAN_TRIES = 10_000
 
 
+@dataclass
+class DatasetParams:
+    """:func:`gen_synthetic`'s arguments, in order, and their rules."""
+
+    classes: int = 10
+    input_dim: int = 32
+    samples_per_class: int = 200
+    radius: float = 1.0
+    sigma: float = 2.0
+
+    def __post_init__(self):
+        for name in ("samples_per_class", "radius"):
+            if getattr(self, name) <= 0:
+                raise CsslError(f"{name} must be positive")
+        # Two dims: gen_synthetic's sphere and domain_il's rotations need them.
+        for name in ("classes", "input_dim"):
+            if getattr(self, name) < 2:
+                raise CsslError(f"{name} must be >= 2")
+        if self.sigma < 0:
+            raise CsslError("sigma must be non-negative")
+
+
 def gen_synthetic(C: int, D_in: int, n_per_class: int, radius: float,
                   sigma: float, seed: int) -> LabeledDataset:
     """Gaussian class clusters around means drawn uniformly on a sphere.
@@ -54,14 +77,10 @@ def gen_synthetic(C: int, D_in: int, n_per_class: int, radius: float,
     ``sigma`` scales the expected noise *norm* as a fraction of the radius:
     each coordinate gets std sigma*radius/sqrt(D_in), so a sample sits at
     distance ~sigma*radius from its mean regardless of dimension. sigma = 0
-    collapses every sample onto its class mean.
+    collapses every sample onto its class mean. :class:`DatasetParams`
+    checks the arguments.
     """
-    for rule, value, ok in (("C >= 2", C, C >= 2), ("D_in >= 2", D_in, D_in >= 2),
-                            ("n_per_class >= 1", n_per_class, n_per_class >= 1),
-                            ("radius > 0", radius, radius > 0),
-                            ("sigma >= 0", sigma, sigma >= 0)):
-        if not ok:
-            raise CsslError(f"synthetic dataset needs {rule}, got {value}")
+    DatasetParams(C, D_in, n_per_class, radius, sigma)
     rng = Rng(seed).derive("synthetic-data")
     min_sep = radius / np.sqrt(C)
     means: list[np.ndarray] = []
@@ -160,14 +179,11 @@ def stack_bytes(stack: EncoderStack) -> bytes:
     """The checkpoint payload (see the module docstring); tests also use it
     for isolation checks and determinism hashing."""
     chunks: list[bytes] = []
-    pos = 0
-    for shapes in stack.layout:
-        chunks.append(struct.pack("<I", len(shapes)))
-        for out_dim, in_dim in shapes:
-            n = out_dim * in_dim + out_dim
-            chunks.append(struct.pack("<II", out_dim, in_dim))
-            chunks.append(stack.flat[pos:pos + n].astype("<f8").tobytes())
-            pos += n
+    for mlp in (stack.encoder, stack.projector, stack.predictor):
+        chunks.append(struct.pack("<I", len(mlp.weights)))
+        for w, b in zip(mlp.weights, mlp.biases):
+            chunks += [struct.pack("<II", *w.shape), w.astype("<f8").tobytes(),
+                       b.astype("<f8").tobytes()]
     return b"".join(chunks)
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CsslError
-from .numerics import NORM_TOL, row_norms
+from .numerics import check_unit_rows
 
 DEFAULT_CAPACITY = 1024
 
@@ -30,9 +30,7 @@ class EmbeddingQueue:
             raise CsslError(f"batch {batch.shape} vs queue dim {self.dim}")
         if batch.shape[0] == 0:
             return self
-        dev = float(np.max(np.abs(row_norms(batch) - 1.0)))
-        if dev > NORM_TOL:
-            raise CsslError(f"enqueued row off unit norm by {dev:.3e}")
+        check_unit_rows(batch, "enqueued batch")
         rows = np.concatenate([self._rows, batch])[-self.capacity:]
         rows.flags.writeable = False
         self._rows = rows

@@ -11,6 +11,9 @@ Every checkpoint of task i's row (and its FT reference) is probed on the
 same train/holdout split, so ``fill_accuracy_matrix`` makes one stacked
 ``linear_probe`` call per task over the T (or T + 1) feature matrices. The
 stacked fit is bit-identical to fitting each checkpoint on its own.
+
+The metric functions sum with builtin ``sum``, which adds in index order,
+so they round exactly as the definitions' loops do.
 """
 
 from __future__ import annotations
@@ -191,10 +194,7 @@ def avg_accuracy(am: AccuracyMatrix, t: int) -> float:
     """A_t: mean accuracy over tasks 1..t after training task t (1-based)."""
     if not 1 <= t <= am.T:
         raise CsslError(f"t={t} outside [1, {am.T}]")
-    total = 0.0
-    for i in range(t):
-        total += am.a[i, t - 1]
-    return total / t
+    return sum(am.a[:t, t - 1]) / t
 
 
 def stability(am: AccuracyMatrix) -> float:
@@ -203,15 +203,8 @@ def stability(am: AccuracyMatrix) -> float:
     T = am.T
     if T < 2:
         raise CsslError("stability needs T >= 2")
-    total = 0.0
-    for i in range(T - 1):
-        best = am.a[i, 0] - am.a[i, T - 1]
-        for t in range(1, T):
-            gap = am.a[i, t] - am.a[i, T - 1]
-            if gap > best:
-                best = gap
-        total += best
-    return total / (T - 1)
+    # Rounding is monotone, so max_t(a_t) - c == max_t(a_t - c) exactly.
+    return sum(am.a[:-1].max(axis=1) - am.a[:-1, -1]) / (T - 1)
 
 
 def plasticity(am: AccuracyMatrix) -> float:
@@ -222,10 +215,5 @@ def plasticity(am: AccuracyMatrix) -> float:
         raise CsslError("plasticity needs T >= 2")
     if am.ft is None:
         raise CsslError("plasticity needs FT baselines")
-    total = 0.0
-    for j in range(1, T):  # 1-based checkpoint index j = 1..T-1
-        inner = 0.0
-        for i in range(j + 1, T + 1):  # tasks i = j+1..T
-            inner += am.a[i - 1, j - 1] - am.ft[i - 1]
-        total += inner / (T - j)
-    return total / (T - 1)
+    return sum(sum(am.a[j:, j - 1] - am.ft[j:]) / (T - j)
+               for j in range(1, T)) / (T - 1)

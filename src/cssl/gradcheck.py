@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .continual import backprop_views, encode_views, frozen_embedding
+from .continual import backprop_views, encode_views, frozen_embedding, on_sphere
 from .errors import CsslError
 from .losses import (
     ContrastiveViews,
@@ -83,8 +83,8 @@ def random_views(rng: Rng, n: int = 5, d: int = 6, with_pred: bool = True,
                  with_target: bool = False, queue_rows: int = 0,
                  normalized: bool = True) -> ContrastiveViews:
     def draw(rows: int) -> np.ndarray:
-        m = rng.gaussian_matrix(rows, d)
-        return row_l2_normalize(m) if normalized else m
+        return (_unit_rows(rng, rows, d) if normalized
+                else rng.gaussian_matrix(rows, d))
 
     def views() -> np.ndarray:
         return np.concatenate([draw(n), draw(n)])
@@ -140,7 +140,7 @@ def _embedding_trial(name: str, rng: Rng) -> float:
         v = random_views(rng, n, d, queue_rows=4)
         cfgs = [PnrConfig(method=Method.MOCO, regime=r) for r in Regime]
         return max(_check_views_loss(
-            lambda vv, c=c: cssl_total(vv, c, norm_tol=None), v,
+            lambda vv, c=c: cssl_total(vv, c, check_norms=False), v,
             _LIVE_FIELDS) for c in cfgs)
     if name == "byol_loss":
         p, t = _unit_rows(rng, n, d), _unit_rows(rng, n, d)
@@ -164,7 +164,7 @@ def _embedding_trial(name: str, rng: Rng) -> float:
         for method in (Method.BYOL, Method.VICREG, Method.BARLOW):
             cfg = PnrConfig(method=method, regime=Regime.PNR)
             v = random_views(rng, n + 2, d, with_target=True,
-                             normalized=method == Method.BYOL)
+                             normalized=on_sphere(method))
             # g is the regularizer's only live input, and BYOL's.
             fields = ({"g": "grad_g"} if loss_fn is pnr_regularizer
                       or method == Method.BYOL else _LIVE_FIELDS)
@@ -249,12 +249,12 @@ def check_param_gradients(trials: int, seed: int) -> list[CheckReport]:
                 views, _ = encode_views(stack.like(theta), x, z_prev, cfg,
                                         target=target, queue_cur=queue_cur,
                                         queue_prev=queue_prev)
-                return total_loss(views, cfg, norm_tol=None).value
+                return total_loss(views, cfg, check_norms=False).value
 
             views, fwd = encode_views(stack, x, z_prev, cfg, target=target,
                                       queue_cur=queue_cur,
                                       queue_prev=queue_prev)
-            res = total_loss(views, cfg, norm_tol=None)
+            res = total_loss(views, cfg, check_norms=False)
             analytic = backprop_views(stack, fwd, cfg, res).flat
             fd = finite_difference_gradient(loss_at, stack.flat)
             worst = max(worst, rel_err(analytic, fd))

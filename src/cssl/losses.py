@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CsslError
-from .numerics import NORM_TOL, logsumexp_rows, row_norms
+from .numerics import check_unit_rows, logsumexp_rows
 
 DEFAULT_TAU = 0.2
 
@@ -65,7 +65,17 @@ VICREG_EPS = 1e-4
 BARLOW_LAMBDA = 5e-3
 
 
-class Method(str, enum.Enum):
+class Choice(str, enum.Enum):
+    """A str enum of config choices; an unknown value raises CsslError
+    listing the choices."""
+
+    @classmethod
+    def _missing_(cls, value):
+        raise CsslError(f"{value!r} is not one of "
+                        f"{' | '.join(m.value for m in cls)}")
+
+
+class Method(Choice):
     SIMCLR = "simclr"
     MOCO = "moco"
     BYOL = "byol"
@@ -73,7 +83,7 @@ class Method(str, enum.Enum):
     BARLOW = "barlow"
 
 
-class Regime(str, enum.Enum):
+class Regime(Choice):
     FT = "ft"
     CASSLE = "cassle"
     PNR = "pnr"
@@ -172,15 +182,12 @@ class ContrastiveViews:
         """N, the number of samples: half the rows."""
         return self.z.shape[0] // 2
 
-    def validate_norms(self, tol: float) -> None:
-        """Check every present row is unit-norm within ``tol``."""
+    def validate_norms(self) -> None:
+        """Check every present row is unit-norm (see :func:`check_unit_rows`)."""
         for name in ("z", "z_prev", "g", "z_target", "queue_cur", "queue_prev"):
             m = getattr(self, name)
-            if m is None or m.shape[0] == 0:
-                continue
-            dev = float(np.max(np.abs(row_norms(m) - 1.0)))
-            if dev > tol:
-                raise CsslError(f"{name}: row norm off unit by {dev:.3e}")
+            if m is not None:
+                check_unit_rows(m, name)
 
 
 def _keys(v: ContrastiveViews, frozen: bool) -> tuple[np.ndarray, int]:
@@ -217,15 +224,15 @@ def _info_nce(anchors: np.ndarray, pool: np.ndarray, pos_col: np.ndarray,
 
 
 def cssl_total(v: ContrastiveViews, cfg: PnrConfig, *,
-               norm_tol: float | None = NORM_TOL) -> LossResult:
+               check_norms: bool = True) -> LossResult:
     """The contrastive objective over both views: the mean InfoNCE of the
     m = 2N anchors z (positive: the partner row) plus, unless the regime is
     ``ft``, that of the m anchors g (positive: z_prev[i], column c + i).
-    Unit norms are validated once, here; ``norm_tol=None`` skips that so
-    finite-difference probes can evaluate at perturbed points.
+    Unit norms are validated once, here; ``check_norms=False`` skips that
+    so finite-difference probes can evaluate at perturbed points.
     """
-    if norm_tol is not None:
-        v.validate_norms(norm_tol)
+    if check_norms:
+        v.validate_norms()
     m = v.z.shape[0]
     if m == 0:
         raise CsslError("contrastive loss on empty batch")
@@ -470,8 +477,8 @@ def noncontrastive_pnr_total(v: ContrastiveViews, cfg: PnrConfig
 
 
 def total_loss(v: ContrastiveViews, cfg: PnrConfig, *,
-               norm_tol: float | None = NORM_TOL) -> LossResult:
+               check_norms: bool = True) -> LossResult:
     """Dispatch on the configured method family."""
     if cfg.method in CONTRASTIVE_METHODS:
-        return cssl_total(v, cfg, norm_tol=norm_tol)
+        return cssl_total(v, cfg, check_norms=check_norms)
     return noncontrastive_pnr_total(v, cfg)

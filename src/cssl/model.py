@@ -70,9 +70,9 @@ class EncoderStack:
     Every parameter lives in one contiguous float64 vector ``flat`` (encoder,
     projector, predictor; see :func:`_views` for the order within an MLP);
     ``encoder``, ``projector`` and ``predictor`` hold per-layer views into it.
-    Gradients, momentum buffers, frozen snapshots and BYOL's EMA target are
-    stacks of the same layout, so updates between them are single vector
-    operations.
+    Gradients, frozen snapshots and BYOL's EMA target are stacks of the same
+    layout, and SGD's velocity is a vector of it, so updates between them are
+    single vector operations.
 
     The predictor maps projection space onto itself (square input/output).
     """
@@ -108,25 +108,6 @@ class EncoderStack:
 
     def clone(self) -> "EncoderStack":
         return self.like(self.flat.copy())
-
-
-@dataclass
-class OptimizerState:
-    """SGD with momentum and weight decay; the buffer is a stack of the
-    parameters' layout."""
-
-    lr: float
-    momentum: float
-    weight_decay: float
-    buffers: EncoderStack
-
-    @classmethod
-    def for_stack(cls, stack: EncoderStack, lr: float, momentum: float,
-                  weight_decay: float) -> "OptimizerState":
-        if lr < 0:
-            raise CsslError("lr must be non-negative")
-        return cls(lr, momentum, weight_decay,
-                   stack.like(np.zeros_like(stack.flat)))
 
 
 def init_mlp(rng: Rng, dims: list[int]) -> MlpParams:
@@ -244,13 +225,13 @@ def backward(stack: EncoderStack, fwd: ForwardResult,
     return grads
 
 
-def sgd_step(stack: EncoderStack, grads: EncoderStack,
-             opt: OptimizerState) -> EncoderStack:
-    """v <- momentum*v + grad + wd*param; param <- param - lr*v. In place."""
-    v = opt.buffers.flat
-    v *= opt.momentum
-    v += grads.flat + opt.weight_decay * stack.flat
-    stack.flat -= opt.lr * v
+def sgd_step(stack: EncoderStack, grads: EncoderStack, velocity: np.ndarray,
+             lr: float, momentum: float, weight_decay: float) -> EncoderStack:
+    """v <- momentum*v + grad + wd*param; param <- param - lr*v. In place;
+    ``velocity`` is laid out like ``stack.flat`` and starts at zero."""
+    velocity *= momentum
+    velocity += grads.flat + weight_decay * stack.flat
+    stack.flat -= lr * velocity
     return stack
 
 

@@ -41,8 +41,7 @@ def as_matrix(data, name: str = "matrix") -> np.ndarray:
     m = np.ascontiguousarray(data, dtype=np.float64)
     if m.ndim != 2:
         raise CsslError(f"{name}: expected 2-D array, got ndim={m.ndim}")
-    if m.size and not np.all(np.isfinite(m)):
-        raise CsslError(f"{name}: contains NaN or Inf")
+    check_finite(m, name)
     return m
 
 
@@ -53,6 +52,14 @@ def check_finite(m: np.ndarray, name: str) -> None:
 
 def row_norms(m: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(m * m, axis=1))
+
+
+def check_unit_rows(m: np.ndarray, name: str) -> None:
+    """Reject rows whose L2 norm strays from 1 by more than NORM_TOL."""
+    if m.shape[0]:
+        dev = float(np.max(np.abs(row_norms(m) - 1.0)))
+        if dev > NORM_TOL:
+            raise CsslError(f"{name}: row norm off unit by {dev:.3e}")
 
 
 def row_l2_normalize(m: np.ndarray) -> np.ndarray:
@@ -129,11 +136,11 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
-def _mix64_scalar(z: int) -> int:
-    z &= 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 30)) * _MIX_MUL_1) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 27)) * _MIX_MUL_2) & 0xFFFFFFFFFFFFFFFF
-    return z ^ (z >> 31)
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's bijective bit mix of a uint64 array (arithmetic wraps)."""
+    z = (z ^ (z >> _U64(30))) * _U64(_MIX_MUL_1)
+    z = (z ^ (z >> _U64(27))) * _U64(_MIX_MUL_2)
+    return z ^ (z >> _U64(31))
 
 
 class Rng:
@@ -149,7 +156,8 @@ class Rng:
 
     def derive(self, tag: str) -> "Rng":
         """Child stream keyed by (seed, tag); ignores this stream's position."""
-        return Rng(_mix64_scalar(self.seed ^ fnv1a64(tag.encode("utf-8"))))
+        key = self.seed ^ fnv1a64(tag.encode("utf-8"))
+        return Rng(int(_mix64(np.array([key], dtype=_U64))[0]))
 
     def _next_block(self, n: int) -> np.ndarray:
         if n <= 0:
@@ -157,12 +165,8 @@ class Rng:
         with np.errstate(over="ignore"):
             counters = (np.arange(1, n + 1, dtype=_U64) * _U64(_SPLITMIX_GAMMA)
                         + _U64(self._state))
-            z = counters
-            z = (z ^ (z >> _U64(30))) * _U64(_MIX_MUL_1)
-            z = (z ^ (z >> _U64(27))) * _U64(_MIX_MUL_2)
-            z = z ^ (z >> _U64(31))
         self._state = int(counters[-1])
-        return z
+        return _mix64(counters)
 
     def uniform(self, n: int) -> np.ndarray:
         """n doubles in [0, 1) using the top 53 bits of each output."""

@@ -21,7 +21,7 @@ from cssl import continual
 from cssl.embedding_queue import EmbeddingQueue
 from cssl.errors import DivergenceDetected
 from cssl.losses import LossResult, Method, Regime, total_loss
-from cssl.model import OptimizerState, ema_update, sgd_step
+from cssl.model import ema_update, sgd_step
 from cssl.numerics import Rng
 
 
@@ -335,8 +335,7 @@ def train_task_redraw(stack, frozen_prev, task, cfg, *, task_index=1):
     for bit."""
     loss_cfg = continual._effective_cfg(cfg.loss, frozen_prev)
     method = loss_cfg.method
-    opt = OptimizerState.for_stack(stack, cfg.lr, cfg.momentum,
-                                   cfg.weight_decay)
+    velocity = np.zeros_like(stack.flat)
     cur_queue = prev_queue = None
     if method == Method.MOCO:
         cur_queue = EmbeddingQueue(cfg.queue_capacity,
@@ -374,7 +373,8 @@ def train_task_redraw(stack, frozen_prev, task, cfg, *, task_index=1):
                     f"loss {res.value} at task {task_index}, epoch {epoch} "
                     f"of {cfg.epochs_per_task}, step {step} of the epoch")
             sgd_step(stack, continual.backprop_views(stack, fwd, loss_cfg,
-                                                     res), opt)
+                                                     res),
+                     velocity, cfg.lr, cfg.momentum, cfg.weight_decay)
             if method == Method.MOCO:
                 cur_queue.enqueue(views.z[idx.size:])
                 if prev_queue is not None:

@@ -18,7 +18,8 @@ from cssl.config import (
     parse_config,
 )
 from cssl.continual import Scenario
-from cssl.errors import ConfigError
+from cssl.datastore import gen_synthetic
+from cssl.errors import ConfigError, CsslError
 from cssl.losses import Method, Regime
 
 DEFAULT_FILE = os.path.join(os.path.dirname(__file__), "..", "configs",
@@ -330,6 +331,34 @@ class TestCli:
         assert cli_main(["gen-data", "--config", str(bad),
                          "--out", str(tmp_path / "x.bin")]) == 1
         assert "config error" in capsys.readouterr().err
+
+    def test_unknown_choice_message(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("loss: {method: dino}\n")
+        assert cli_main(["gen-data", "--config", str(bad),
+                         "--out", str(tmp_path / "x.bin")]) == 1
+        assert capsys.readouterr().err == (
+            "config error: loss.method: 'dino' is not one of "
+            "simclr | moco | byol | vicreg | barlow\n")
+
+    @pytest.mark.parametrize("index,key,value,rule", [
+        (0, "classes", 1, "classes must be >= 2"),
+        (1, "input_dim", 1, "input_dim must be >= 2"),
+        (2, "samples_per_class", 0, "samples_per_class must be positive"),
+        (3, "radius", 0.0, "radius must be positive"),
+        (4, "sigma", -1.0, "sigma must be non-negative"),
+    ])
+    def test_gen_data_rules_match_gen_synthetic(self, tmp_path, capsys, index,
+                                                key, value, rule):
+        args = [10, 32, 200, 1.0, 2.0]
+        args[index] = value
+        with pytest.raises(CsslError, match=f"^{rule}$"):
+            gen_synthetic(*args, seed=1)
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(f"dataset: {{{key}: {value}}}\n")
+        assert cli_main(["gen-data", "--config", str(bad),
+                         "--out", str(tmp_path / "x.bin")]) == 1
+        assert capsys.readouterr().err == f"config error: dataset.{rule}\n"
 
     @pytest.mark.parametrize("document", ["[]", "0", "false", '""'])
     def test_falsy_document_is_not_a_config(self, tmp_path, capsys,

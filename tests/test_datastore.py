@@ -54,7 +54,7 @@ class TestGenSynthetic:
             gen_synthetic(500, 2, 1, 1.0, 0.0, seed=1)
 
     def test_bad_parameter_named(self):
-        with pytest.raises(CsslError, match="needs D_in >= 2, got 1"):
+        with pytest.raises(CsslError, match="^input_dim must be >= 2$"):
             gen_synthetic(4, 1, 10, 1.0, 0.5, seed=1)
 
     def test_separability_oracle(self):

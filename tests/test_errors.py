@@ -5,7 +5,12 @@ import ast
 import glob
 import os
 
+import pytest
+
 from cssl import errors
+from cssl.config import ExperimentConfig
+from cssl.continual import Scenario, TaskStream
+from cssl.losses import Method, PnrConfig, Regime
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "cssl")
 
@@ -38,3 +43,23 @@ def test_every_raise_uses_an_errors_class():
                 stray.append(f"{os.path.basename(path)}:{node.lineno}: "
                              f"raise {ast.unparse(node.exc)}")
     assert not stray, "raises outside cssl.errors:\n" + "\n".join(stray)
+
+
+SCENARIOS = "class_il | data_il | domain_il"
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: Method("dino"),
+     "'dino' is not one of simclr | moco | byol | vicreg | barlow"),
+    (lambda: Regime("x"), "'x' is not one of ft | cassle | pnr"),
+    (lambda: Scenario("x"), f"'x' is not one of {SCENARIOS}"),
+    (lambda: PnrConfig(method="dino"),
+     "'dino' is not one of simclr | moco | byol | vicreg | barlow"),
+    (lambda: PnrConfig(regime="x"), "'x' is not one of ft | cassle | pnr"),
+    (lambda: TaskStream("bogus", []), f"'bogus' is not one of {SCENARIOS}"),
+    (lambda: ExperimentConfig(scenario="x"), f"'x' is not one of {SCENARIOS}"),
+])
+def test_unknown_choice_is_a_cssl_error(make, message):
+    with pytest.raises(errors.CsslError) as err:
+        make()
+    assert str(err.value) == message

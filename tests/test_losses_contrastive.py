@@ -57,7 +57,7 @@ def halves(m):
 
 def total(v, regime, tau=0.2):
     return cssl_total(v, PnrConfig(method=Method.MOCO, regime=regime,
-                                   tau=tau), norm_tol=None)
+                                   tau=tau), check_norms=False)
 
 
 def plasticity_term(v, tau, pseudo_negatives=True):

@@ -10,7 +10,6 @@ from cssl.errors import CsslError
 from cssl.model import (
     EncoderStack,
     MlpParams,
-    OptimizerState,
     backward,
     ema_update,
     forward,
@@ -170,31 +169,30 @@ class TestBackward:
 class TestSgd:
     def test_basic_step(self):
         stack = scalar_stack(0.0)
-        opt = OptimizerState.for_stack(stack, lr=0.1, momentum=0.0,
-                                       weight_decay=0.0)
         g = zeros_like(stack)
         g.encoder.weights[0][...] = 1.0
-        sgd_step(stack, g, opt)
+        sgd_step(stack, g, np.zeros_like(stack.flat), lr=0.1, momentum=0.0,
+                 weight_decay=0.0)
         assert stack.encoder.weights[0][0, 0] == pytest.approx(-0.1)
 
     def test_zero_grad_zero_wd_fixed_point(self):
         stack = small_stack(16)
         before = stack_bytes(stack)
-        opt = OptimizerState.for_stack(stack, lr=0.5, momentum=0.9,
-                                       weight_decay=0.0)
+        velocity = np.zeros_like(stack.flat)
         for _ in range(3):
-            sgd_step(stack, zeros_like(stack), opt)
+            sgd_step(stack, zeros_like(stack), velocity, lr=0.5, momentum=0.9,
+                     weight_decay=0.0)
         assert stack_bytes(stack) == before
 
     def test_momentum_matches_scalar_recurrence(self):
         stack = scalar_stack(2.0)
         lr, mom, wd, grad = 0.1, 0.9, 0.01, 0.7
-        opt = OptimizerState.for_stack(stack, lr, mom, wd)
+        velocity = np.zeros_like(stack.flat)
         p, v = 2.0, 0.0
         for _ in range(2):
             g = zeros_like(stack)
             g.encoder.weights[0][...] = grad
-            sgd_step(stack, g, opt)
+            sgd_step(stack, g, velocity, lr, mom, wd)
             v = mom * v + grad + wd * p
             p = p - lr * v
         assert stack.encoder.weights[0][0, 0] == pytest.approx(p, abs=1e-15)
@@ -250,13 +248,13 @@ class TestSnapshot:
         stack = small_stack(27)
         snap = stack.clone()
         digest = hashlib.sha256(stack_bytes(snap)).hexdigest()
-        opt = OptimizerState.for_stack(stack, 0.01, 0.9, 1e-4)
+        velocity = np.zeros_like(stack.flat)
         rng = Rng(28)
         for _ in range(10):
             x = rng.gaussian_matrix(4, 8)
             out = forward(stack, x, want_pred=True)
             grads = backward(stack, out, 0.01 * out.proj)
-            sgd_step(stack, grads, opt)
+            sgd_step(stack, grads, velocity, 0.01, 0.9, 1e-4)
         assert hashlib.sha256(stack_bytes(snap)).hexdigest() == digest
 
     def test_snapshot_of_snapshot(self):
@@ -269,11 +267,10 @@ class TestSnapshot:
         want = forward(stack, x, want_pred=True).pred
         snap = stack.clone()
         # train the live stack, then replay through the snapshot
-        opt = OptimizerState.for_stack(stack, 0.2, 0.9, 0.0)
         g = zeros_like(stack)
         for w in g.encoder.weights:
             w[...] = 0.3
-        sgd_step(stack, g, opt)
+        sgd_step(stack, g, np.zeros_like(stack.flat), 0.2, 0.9, 0.0)
         np.testing.assert_array_equal(forward(snap, x, want_pred=True).pred,
                                       want)
 

@@ -163,6 +163,11 @@ class TestRng:
         after = root.derive("child").gaussian(4)
         np.testing.assert_array_equal(before, after)
 
+    def test_derive_pinned(self):
+        assert Rng(1).derive("init").seed == 0xEFA899DF6E17081B
+        assert Rng(42).derive("synthetic-data").seed == 0xF23F0D421BD3F7CE
+        assert Rng(2**64 - 1).derive("task-3").seed == 0x6369535BF56C1850
+
     def test_derive_distinct_tags(self):
         root = Rng(5)
         a = root.derive("a").gaussian(4)

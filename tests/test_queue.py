@@ -66,7 +66,7 @@ class TestBasics:
 
     def test_norm_violation(self):
         q = EmbeddingQueue(4, 3)
-        with pytest.raises(CsslError, match="enqueued row off unit norm"):
+        with pytest.raises(CsslError, match="enqueued batch: row norm off unit by"):
             q.enqueue(np.ones((2, 3)))
 
     def test_oversized_batch_keeps_tail(self):
