@@ -34,6 +34,7 @@ from .model import (
     EncoderStack,
     ForwardResult,
     backward,
+    check_layout,
     ema_update,
     forward,
     init_stack,
@@ -165,19 +166,8 @@ class TrainConfig:
                 raise CsslError(f"{name} must be non-negative")
         if not (0.0 <= self.ema_momentum < 1.0):
             raise CsslError("ema_momentum must be in [0, 1)")
-        for name in ("encoder_dims", "projector_dims", "predictor_dims"):
-            dims = getattr(self, name)
-            if len(dims) < 2 or not all(isinstance(n, int) and n >= 1
-                                        for n in dims):
-                raise CsslError(f"{name} must be a list of >= 2 positive "
-                                f"ints, got {dims}")
-        if self.projector_dims[0] != self.encoder_dims[-1]:
-            raise CsslError(f"projector_dims must start at encoder_dims[-1] = "
-                            f"{self.encoder_dims[-1]}, got {self.projector_dims}")
-        d = self.projector_dims[-1]
-        if self.predictor_dims[0] != d or self.predictor_dims[-1] != d:
-            raise CsslError(f"predictor_dims must map projector_dims[-1] = {d} "
-                            f"to itself, got {self.predictor_dims}")
+        check_layout(self.encoder_dims, self.projector_dims,
+                     self.predictor_dims)
 
 
 @dataclass
@@ -401,31 +391,35 @@ def train_task(stack: EncoderStack, frozen_prev: EncoderStack | None,
         plan.append((x, z_prev))
     epoch_losses: list[float] = []
     steps = 0
-    for epoch in range(1, cfg.epochs_per_task + 1):
-        batch_losses: list[float] = []
-        for step, (x, z_prev) in enumerate(plan, 1):
-            views, fwd = encode_views(
-                stack, x, z_prev, loss_cfg, target=target,
-                queue_cur=(cur_queue.snapshot() if cur_queue else None),
-                queue_prev=(prev_queue.snapshot() if prev_queue else None))
-            res = (LossResult(np.nan) if _overflowed(fwd)
-                   else total_loss(views, loss_cfg))
-            if not np.isfinite(res.value):
-                raise DivergenceDetected(
-                    f"loss {res.value} at task {task_index}, epoch {epoch} "
-                    f"of {cfg.epochs_per_task}, step {step} of the epoch")
-            sgd_step(stack, backprop_views(stack, fwd, loss_cfg, res),
-                     velocity, cfg.lr, cfg.momentum, cfg.weight_decay)
-            if method == Method.MOCO:
-                n = views.batch_size
-                cur_queue.enqueue(views.z[n:])
-                if prev_queue is not None:
-                    prev_queue.enqueue(z_prev[n:])
-            if method == Method.BYOL:
-                ema_update(target, stack, cfg.ema_momentum)
-            batch_losses.append(res.value)
-            steps += 1
-        epoch_losses.append(float(np.mean(batch_losses)))
+    # A diverging step overflows before its loss turns non-finite; the checks
+    # below, not numpy's warnings, report that.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, cfg.epochs_per_task + 1):
+            batch_losses: list[float] = []
+            for step, (x, z_prev) in enumerate(plan, 1):
+                views, fwd = encode_views(
+                    stack, x, z_prev, loss_cfg, target=target,
+                    queue_cur=(cur_queue.snapshot() if cur_queue else None),
+                    queue_prev=(prev_queue.snapshot() if prev_queue else None))
+                res = (LossResult(np.nan) if _overflowed(fwd)
+                       else total_loss(views, loss_cfg))
+                if not np.isfinite(res.value):
+                    raise DivergenceDetected(
+                        f"loss {res.value} at task {task_index}, epoch "
+                        f"{epoch} of {cfg.epochs_per_task}, step {step} of "
+                        f"the epoch")
+                sgd_step(stack, backprop_views(stack, fwd, loss_cfg, res),
+                         velocity, cfg.lr, cfg.momentum, cfg.weight_decay)
+                if method == Method.MOCO:
+                    n = views.batch_size
+                    cur_queue.enqueue(views.z[n:])
+                    if prev_queue is not None:
+                        prev_queue.enqueue(z_prev[n:])
+                if method == Method.BYOL:
+                    ema_update(target, stack, cfg.ema_momentum)
+                batch_losses.append(res.value)
+                steps += 1
+            epoch_losses.append(float(np.mean(batch_losses)))
     return stack, TrainLog(epoch_losses, steps)
 
 

@@ -20,7 +20,9 @@ in, f64[out*in] weight (row-major), f64[out] bias; nothing else.
 
 Loads check the magic, the version, the length (a dataset shorter or
 longer than its header implies fails) and the checksum, in that order, and
-raise ``CorruptFile`` naming the check that failed. Writes are atomic
+raise ``CorruptFile`` naming the check that failed. A checkpoint must then
+chain within each MLP (a layer's in is the previous layer's out), satisfy
+:func:`cssl.model.check_layout` and hold only finite values. Writes are atomic
 (temp file in the target directory, then rename).
 """
 
@@ -37,7 +39,7 @@ import numpy as np
 from .continual import LabeledDataset
 from .errors import CorruptFile, CsslError
 from .evaluate import AccuracyMatrix
-from .model import EncoderStack, MlpParams
+from .model import EncoderStack
 from .numerics import Rng, fnv1a64
 
 DATASET_MAGIC = b"CSSLDAT\0"
@@ -193,25 +195,31 @@ def save_checkpoint(stack: EncoderStack, path: str) -> None:
 
 def load_checkpoint(path: str) -> EncoderStack:
     _, payload = _read_envelope(path, CHECKPOINT_MAGIC, "checkpoint", 0)
-    mlps, pos = [], 0
-    for _ in range(3):
+    layout, blocks, pos = [], [], 0
+    for name in ("encoder", "projector", "predictor"):
         n_layers = struct.unpack("<I", _take(payload, pos, 4, path))[0]
-        if n_layers == 0 or n_layers > 1000:
-            raise CorruptFile(f"{path}: implausible layer count {n_layers}")
         pos += 4
-        weights, biases = [], []
-        for _ in range(n_layers):
+        widths: list[int] = []
+        for k in range(n_layers):
             out_dim, in_dim = struct.unpack("<II", _take(payload, pos, 8, path))
-            n = out_dim * in_dim
-            layer = np.frombuffer(
-                _take(payload, pos + 8, (n + out_dim) * 8, path), dtype="<f8")
-            pos += 8 + layer.nbytes
-            weights.append(layer[:n].reshape(out_dim, in_dim))
-            biases.append(layer[n:])
-        mlps.append(MlpParams(weights, biases))
+            if k == 0:
+                widths.append(in_dim)
+            elif in_dim != widths[-1]:
+                raise CorruptFile(f"{path}: {name} layer {k}: in {in_dim} != "
+                                  f"previous out {widths[-1]}")
+            widths.append(out_dim)
+            nbytes = (out_dim * in_dim + out_dim) * 8
+            blocks.append(_take(payload, pos + 8, nbytes, path))
+            pos += 8 + nbytes
+        layout.append(widths)
     if pos != len(payload):
         raise CorruptFile(f"{path}: trailing bytes before checksum")
-    return EncoderStack(*mlps)
+    flat = np.concatenate([np.frombuffer(b, dtype="<f8") for b in blocks],
+                          dtype=np.float64)
+    try:
+        return EncoderStack(layout, flat)
+    except CsslError as exc:
+        raise CorruptFile(f"{path}: {exc}") from exc
 
 
 def accuracy_csv(am: AccuracyMatrix) -> str:

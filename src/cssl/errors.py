@@ -18,8 +18,8 @@ class ConfigError(CsslError):
 
 
 class CorruptFile(CsslError):
-    """A dataset or checkpoint file failed its magic, version, length or
-    checksum check; the message names the file and the check."""
+    """A dataset or checkpoint file failed its magic, version, length,
+    checksum or parameter check; the message names the file and the check."""
 
 
 class DivergenceDetected(CsslError):

@@ -1,9 +1,11 @@
 """The trainable stack: MLP encoder, projector and predictor.
 
-Forward passes, exact reverse-mode parameter gradients, SGD with momentum and
-weight decay, and EMA target updates. Frozen snapshots and BYOL's EMA target
-are clones of the online stack. ReLU on every layer except the last of each
-MLP; the subgradient at exactly zero is zero.
+A stack is its layout (each MLP's layer widths) plus one flat parameter
+vector; :func:`check_layout` holds every geometry rule. Forward passes, exact
+reverse-mode parameter gradients, SGD with momentum and weight decay, and EMA
+target updates. Frozen snapshots and BYOL's EMA target are clones of the
+online stack. ReLU on every layer except the last of each MLP; the
+subgradient at exactly zero is zero.
 """
 
 from __future__ import annotations
@@ -15,13 +17,14 @@ import numpy as np
 from .errors import CsslError
 from .numerics import Rng, check_finite
 
-# Layer shapes (out, in) per MLP; with a flat vector it fixes every view.
-Layout = tuple[tuple[tuple[int, int], ...], ...]
+# Each MLP's layer widths, input first: encoder, projector, predictor. With a
+# flat vector it fixes every view.
+Layout = tuple[tuple[int, ...], ...]
 
 
 @dataclass
 class MlpParams:
-    """Weights (out x in) and biases (out) for a plain ReLU MLP."""
+    """Per-layer views of one MLP: weights (out x in) and biases (out)."""
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
@@ -35,27 +38,38 @@ class MlpParams:
         return self.weights[-1].shape[0]
 
 
-def _check_mlp(p: MlpParams, name: str) -> None:
-    if len(p.weights) != len(p.biases) or not p.weights:
-        raise CsslError(f"{name}: weights/biases length mismatch or empty MLP")
-    for k, (w, b) in enumerate(zip(p.weights, p.biases)):
-        if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
-            raise CsslError(f"{name} layer {k}: weight {w.shape} vs bias {b.shape}")
-        if k > 0 and w.shape[1] != p.weights[k - 1].shape[0]:
-            raise CsslError(
-                f"{name} layer {k}: in dim {w.shape[1]} != previous out "
-                f"{p.weights[k - 1].shape[0]}")
-        check_finite(w, f"{name} layer {k} weight")
-        check_finite(b, f"{name} layer {k} bias")
+def check_layout(encoder_dims, projector_dims, predictor_dims) -> Layout:
+    """Every geometry rule of a stack; each message starts with the config
+    key at fault. The projector reads the encoder's output and the predictor
+    maps projection space onto itself. Returns the widths as a Layout."""
+    layout = (encoder_dims, projector_dims, predictor_dims)
+    for name, dims in zip(("encoder_dims", "projector_dims",
+                           "predictor_dims"), layout):
+        if len(dims) < 2 or not all(isinstance(n, int) and n >= 1
+                                    for n in dims):
+            raise CsslError(f"{name} must be a list of >= 2 positive ints, "
+                            f"got {list(dims)}")
+    if projector_dims[0] != encoder_dims[-1]:
+        raise CsslError(f"projector_dims must start at encoder_dims[-1] = "
+                        f"{encoder_dims[-1]}, got {list(projector_dims)}")
+    d = projector_dims[-1]
+    if predictor_dims[0] != d or predictor_dims[-1] != d:
+        raise CsslError(f"predictor_dims must map projector_dims[-1] = {d} "
+                        f"to itself, got {list(predictor_dims)}")
+    return tuple(tuple(dims) for dims in layout)
+
+
+def _n_params(layout: Layout) -> int:
+    return sum(o * (i + 1) for dims in layout for i, o in zip(dims, dims[1:]))
 
 
 def _views(flat: np.ndarray, layout: Layout) -> list[MlpParams]:
     """Per-layer views into ``flat``: MLP by MLP, layer by layer, the weight
     (row-major) and then the bias."""
     mlps, pos = [], 0
-    for shapes in layout:
+    for dims in layout:
         weights, biases = [], []
-        for out_dim, in_dim in shapes:
+        for in_dim, out_dim in zip(dims, dims[1:]):
             weights.append(flat[pos:pos + out_dim * in_dim].reshape(out_dim, in_dim))
             pos += out_dim * in_dim
             biases.append(flat[pos:pos + out_dim])
@@ -65,35 +79,26 @@ def _views(flat: np.ndarray, layout: Layout) -> list[MlpParams]:
 
 
 class EncoderStack:
-    """Encoder h, projector m, predictor g.
+    """Encoder h, projector m, predictor g: a :data:`Layout` plus one
+    contiguous float64 vector ``flat`` (encoder, projector, predictor; see
+    :func:`_views` for the order within an MLP).
 
-    Every parameter lives in one contiguous float64 vector ``flat`` (encoder,
-    projector, predictor; see :func:`_views` for the order within an MLP);
-    ``encoder``, ``projector`` and ``predictor`` hold per-layer views into it.
-    Gradients, frozen snapshots and BYOL's EMA target are stacks of the same
-    layout, and SGD's velocity is a vector of it, so updates between them are
-    single vector operations.
-
-    The predictor maps projection space onto itself (square input/output).
+    ``encoder``, ``projector`` and ``predictor`` hold per-layer views into
+    ``flat``. Gradients, frozen snapshots and BYOL's EMA target are stacks of
+    the same layout, and SGD's velocity is a vector of it, so updates between
+    them are single vector operations.
     """
 
-    def __init__(self, encoder: MlpParams, projector: MlpParams,
-                 predictor: MlpParams):
-        """Validates outside parameters and copies them into a new vector."""
-        mlps = (encoder, projector, predictor)
-        for name, p in zip(("encoder", "projector", "predictor"), mlps):
-            _check_mlp(p, name)
-        if projector.in_dim != encoder.out_dim:
-            raise CsslError("projector input does not chain with encoder output")
-        d = projector.out_dim
-        if predictor.in_dim != d or predictor.out_dim != d:
-            raise CsslError(
-                f"predictor must map projection space ({d}) to itself, got "
-                f"{predictor.in_dim} -> {predictor.out_dim}")
-        self._bind(tuple(tuple(w.shape for w in p.weights) for p in mlps),
-                   np.concatenate([a.ravel() for p in mlps
-                                   for w, b in zip(p.weights, p.biases)
-                                   for a in (w, b)], dtype=np.float64))
+    def __init__(self, layout, flat: np.ndarray):
+        """Checks the layout (see :func:`check_layout`), the vector's dtype
+        and length and that every value is finite; keeps ``flat``, no copy."""
+        layout = check_layout(*layout)
+        n = _n_params(layout)
+        if flat.dtype != np.float64 or flat.shape != (n,):
+            raise CsslError(f"parameters: layout {layout} needs {n} float64 "
+                            f"values, got {flat.dtype} {flat.shape}")
+        check_finite(flat, "parameters")
+        self._bind(layout, flat)
 
     def _bind(self, layout: Layout, flat: np.ndarray) -> None:
         self.layout = layout
@@ -110,27 +115,18 @@ class EncoderStack:
         return self.like(self.flat.copy())
 
 
-def init_mlp(rng: Rng, dims: list[int]) -> MlpParams:
-    """He-initialized weights (Gaussian, std sqrt(2/fan_in)), zero biases."""
-    if len(dims) < 2 or any(d < 1 for d in dims):
-        raise CsslError(f"bad layer size list {dims}")
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        std = float(np.sqrt(2.0 / fan_in))
-        weights.append(rng.gaussian_matrix(fan_out, fan_in, std))
-        biases.append(np.zeros(fan_out))
-    return MlpParams(weights, biases)
-
-
 def init_stack(rng: Rng, encoder_dims: list[int], projector_dims: list[int],
                predictor_dims: list[int]) -> EncoderStack:
-    """Deterministic per seed: encoder layers are drawn first, then projector,
+    """He-initialized weights (Gaussian, std sqrt(2/fan_in)), zero biases.
+    Deterministic per seed: encoder layers are drawn first, then projector,
     then predictor, each row-major."""
-    return EncoderStack(
-        init_mlp(rng, encoder_dims),
-        init_mlp(rng, projector_dims),
-        init_mlp(rng, predictor_dims),
-    )
+    layout = check_layout(encoder_dims, projector_dims, predictor_dims)
+    stack = EncoderStack.__new__(EncoderStack)
+    stack._bind(layout, np.zeros(_n_params(layout)))
+    for mlp in (stack.encoder, stack.projector, stack.predictor):
+        for w in mlp.weights:
+            w[...] = rng.gaussian_matrix(*w.shape, np.sqrt(2.0 / w.shape[1]))
+    return stack
 
 
 def mlp_forward(p: MlpParams, x: np.ndarray, cache: list | None = None) -> np.ndarray:

@@ -8,6 +8,7 @@ loosened at runtime.
 import os
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -230,10 +231,10 @@ def _run_pipeline(tmp_path, tag: str) -> dict[str, bytes]:
                      "--checkpoints", out_dir, "--out", prefix]) == 0
     artifacts = {}
     for name in sorted(os.listdir(out_dir)):
-        artifacts[f"run/{name}"] = open(os.path.join(out_dir, name), "rb").read()
+        artifacts[f"run/{name}"] = Path(out_dir, name).read_bytes()
     for suffix in ("_seed1.csv", "_seed1.json", "_summary.csv"):
-        artifacts[f"metrics{suffix}"] = open(prefix + suffix, "rb").read()
-    artifacts["data.bin"] = open(data, "rb").read()
+        artifacts[f"metrics{suffix}"] = Path(prefix + suffix).read_bytes()
+    artifacts["data.bin"] = Path(data).read_bytes()
     return artifacts
 
 

@@ -212,7 +212,7 @@ class TestCli:
         prefix = str(tmp_path / "m")
         assert cli_main(["probe", "--config", str(cfg_path), "--data", data,
                          "--checkpoints", out_dir, "--out", prefix]) == 0
-        lines = open(f"{prefix}_seed1.csv").read().strip().split("\n")
+        lines = (tmp_path / "m_seed1.csv").read_text().strip().split("\n")
         assert len(lines) == 2  # header + one task row
 
     @pytest.mark.parametrize("scenario", ["data_il", "domain_il"])

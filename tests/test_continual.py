@@ -331,8 +331,7 @@ class TestTrainTask:
             cfg = small_cfg(lr=lr, loss=PnrConfig(method=method,
                                                   regime=Regime.FT))
             stack = init_stack(Rng(1), **SMALL_MODEL)
-            with np.errstate(all="ignore"), pytest.raises(
-                    DivergenceDetected, match=pattern):
+            with pytest.raises(DivergenceDetected, match=pattern):
                 train_task(stack, None, task, cfg, task_index=3)
 
 

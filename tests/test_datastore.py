@@ -1,10 +1,14 @@
 """Synthetic generation, binary round-trips, checksums, report writers."""
 
 import hashlib
+import re
 import struct
 
 import numpy as np
 import pytest
+import yaml
+
+from cssl.cli import cli_main
 
 from cssl.datastore import (
     accuracy_csv,
@@ -17,10 +21,10 @@ from cssl.datastore import (
     save_dataset,
     stack_bytes,
 )
-from cssl.continual import LabeledDataset
+from cssl.continual import LabeledDataset, TrainConfig
 from cssl.errors import CorruptFile, CsslError
 from cssl.evaluate import AccuracyMatrix, ProbeConfig, linear_probe
-from cssl.model import EncoderStack, MlpParams, init_stack
+from cssl.model import EncoderStack, init_stack
 from cssl.numerics import Rng, fnv1a64
 
 
@@ -156,6 +160,62 @@ def test_envelope_checks_magic_then_version_then_length(tmp_path, make, load):
             load(str(path))
 
 
+def _write_checkpoint(path, payload: bytes) -> None:
+    """A checkpoint file around ``payload`` with a valid checksum."""
+    path.write_bytes(b"CSSLCKP\0" + struct.pack("<I", 1) + payload
+                     + struct.pack("<Q", fnv1a64(payload)))
+
+
+def _zero_payload(*mlps) -> bytes:
+    """A checkpoint payload of zero parameters; each MLP is given as its
+    list of (out, in) layer shapes."""
+    chunks = []
+    for shapes in mlps:
+        chunks.append(struct.pack("<I", len(shapes)))
+        for out_dim, in_dim in shapes:
+            chunks += [struct.pack("<II", out_dim, in_dim),
+                       bytes(8 * out_dim * (in_dim + 1))]
+    return b"".join(chunks)
+
+
+DIM_KEYS = ("encoder_dims", "projector_dims", "predictor_dims")
+
+
+@pytest.mark.parametrize("dims", [
+    ([32], [8, 8], [8, 8]),  # too few widths
+    ([32, 0, 8], [8, 8], [8, 8]),  # a zero width
+    ([32, 32, 8], [4, 8], [8, 8]),  # the projector does not chain
+    ([32, 32, 8], [8, 8], [8, 4]),  # the predictor is not square
+])
+def test_one_geometry_rule_set(tmp_path, capsys, dims):
+    """TrainConfig, ``cssl train``, init_stack and a checkpoint file reject
+    each geometry rule with the same text, which starts with the config key
+    at fault."""
+    with pytest.raises(CsslError) as err:
+        TrainConfig(**dict(zip(DIM_KEYS, dims)))
+    message = str(err.value)
+    rule = message.split(", got")[0]
+    assert rule.split()[0] in DIM_KEYS
+    with pytest.raises(CsslError) as err:
+        init_stack(Rng(1), *dims)
+    assert str(err.value) == message
+
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump({"model": dict(zip(DIM_KEYS, dims))}))
+    assert cli_main(["train", "--config", str(cfg), "--data",
+                     str(tmp_path / "d.bin"), "--out-dir",
+                     str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == f"config error: model.{message}\n"
+
+    # A file holds no MLP of one width: [32] is written as zero layers.
+    path = tmp_path / "s.ckpt"
+    _write_checkpoint(path, _zero_payload(*(list(zip(d[1:], d))
+                                            for d in dims)))
+    with pytest.raises(CorruptFile) as err:
+        load_checkpoint(str(path))
+    assert str(err.value).startswith(f"{path}: {rule}")
+
+
 class TestCheckpointFile:
     def test_round_trip_bitwise(self, tmp_path):
         stack = init_stack(Rng(4), [8, 12, 6], [6, 10, 6], [6, 6])
@@ -169,14 +229,11 @@ class TestCheckpointFile:
 
     def test_format_pinned(self, tmp_path):
         # Exactly representable values, so the bytes need no platform libm.
-        def mlp(weights, biases):
-            return MlpParams([np.array(w, dtype=np.float64) for w in weights],
-                             [np.array(b, dtype=np.float64) for b in biases])
-
-        stack = EncoderStack(
-            mlp([[[1, 2], [3, 4], [5, 6]], [[1, 0, -1]]], [[0.5, -0.5, 0], [2]]),
-            mlp([[[3]]], [[-1]]),
-            mlp([[[0.25]]], [[0]]))
+        # Per layer, the weight (row-major) and then the bias.
+        stack = EncoderStack(((2, 3, 1), (1, 1), (1, 1)), np.array(
+            [1, 2, 3, 4, 5, 6, 0.5, -0.5, 0, 1, 0, -1, 2,  # encoder
+             3, -1,  # projector
+             0.25, 0]))  # predictor
         path = tmp_path / "pin.ckpt"
         save_checkpoint(stack, str(path))
         raw = path.read_bytes()
@@ -202,13 +259,26 @@ class TestCheckpointFile:
         payload = stack_bytes(init_stack(Rng(4), [4, 4], [4, 4], [4, 4]))
         path = tmp_path / "s.ckpt"
         for bad, message in ((payload + b"\0" * 8, "trailing bytes"),
-                             (payload[:-8], "ended 8 bytes early"),
-                             (struct.pack("<I", 0) + payload[4:],
-                              "implausible layer count 0")):
-            path.write_bytes(b"CSSLCKP\0" + struct.pack("<I", 1) + bad
-                             + struct.pack("<Q", fnv1a64(bad)))
+                             (payload[:-8], "ended 8 bytes early")):
+            _write_checkpoint(path, bad)
             with pytest.raises(CorruptFile, match=message):
                 load_checkpoint(str(path))
+
+    def test_layers_chain_and_values_are_finite(self, tmp_path):
+        # Only a file can break the chain inside an MLP; both checks run
+        # behind a valid checksum and name the file.
+        path = tmp_path / "s.ckpt"
+        _write_checkpoint(path, _zero_payload([(4, 4), (4, 3)], [(4, 4)],
+                                              [(4, 4)]))
+        with pytest.raises(CorruptFile, match=re.escape(
+                f"{path}: encoder layer 1: in 3 != previous out 4")):
+            load_checkpoint(str(path))
+        stack = init_stack(Rng(4), [4, 4], [4, 4], [4, 4])
+        stack.flat[5] = np.nan
+        _write_checkpoint(path, stack_bytes(stack))
+        with pytest.raises(CorruptFile, match=re.escape(
+                f"{path}: parameters: contains NaN")):
+            load_checkpoint(str(path))
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"

@@ -9,11 +9,9 @@ from cssl.datastore import stack_bytes
 from cssl.errors import CsslError
 from cssl.model import (
     EncoderStack,
-    MlpParams,
     backward,
     ema_update,
     forward,
-    init_mlp,
     init_stack,
     sgd_step,
 )
@@ -32,8 +30,15 @@ def zeros_like(stack):
 
 def scalar_stack(w):
     """1-d encoder weight ``w``; identity projector and predictor."""
-    one = MlpParams([np.eye(1)], [np.zeros(1)])
-    return EncoderStack(MlpParams([np.array([[w]])], [np.zeros(1)]), one, one)
+    return EncoderStack(((1, 1),) * 3, np.array([w, 0.0, 1.0, 0.0, 1.0, 0.0]))
+
+
+def identity_stack(d):
+    """Single-layer identity encoder, projector and predictor of width d."""
+    stack = EncoderStack(((d, d),) * 3, np.zeros(3 * (d * d + d)))
+    for mlp in (stack.encoder, stack.projector, stack.predictor):
+        mlp.weights[0][...] = np.eye(d)
+    return stack
 
 
 class TestInit:
@@ -42,25 +47,31 @@ class TestInit:
         assert stack_bytes(a) == stack_bytes(b)
 
     def test_bad_predictor_dims(self):
-        with pytest.raises(CsslError, match="predictor must map projection"):
+        with pytest.raises(CsslError, match="predictor_dims must map"):
             init_stack(Rng(1), [8, 16, 8], [8, 8], [8, 4])
 
     def test_chain_violation(self):
-        with pytest.raises(CsslError, match="projector input does not chain"):
+        with pytest.raises(CsslError, match="projector_dims must start at"):
             init_stack(Rng(1), [8, 16, 8], [4, 8], [8, 8])
 
     def test_non_finite_rejected(self):
-        bad = MlpParams([np.array([[np.nan]])], [np.zeros(1)])
-        one = MlpParams([np.eye(1)], [np.zeros(1)])
-        with pytest.raises(CsslError,
-                           match="encoder layer 0 weight: contains NaN"):
-            EncoderStack(bad, one, one)
+        flat = scalar_stack(0.0).flat
+        flat[0] = np.nan
+        with pytest.raises(CsslError, match="parameters: contains NaN"):
+            EncoderStack(((1, 1),) * 3, flat)
+
+    def test_vector_must_fit_the_layout(self):
+        for flat in (np.zeros(5), np.zeros(6, dtype=np.float32),
+                     np.zeros((1, 6))):
+            with pytest.raises(CsslError, match="needs 6 float64 values"):
+                EncoderStack(((1, 1),) * 3, flat)
 
     def test_he_variance(self):
-        p = init_mlp(Rng(3), [100, 100])
-        var = float(p.weights[0].var())
-        assert abs(var - 0.02) < 0.3 * 0.02
-        assert np.all(p.biases[0] == 0.0)
+        stack = init_stack(Rng(3), [100, 100], [100, 100], [100, 100])
+        for mlp in (stack.encoder, stack.projector, stack.predictor):
+            var = float(mlp.weights[0].var())
+            assert abs(var - 0.02) < 0.3 * 0.02
+            assert np.all(mlp.biases[0] == 0.0)
 
 
 class TestForward:
@@ -75,8 +86,7 @@ class TestForward:
         assert np.all(out.pred == 0.0)
 
     def test_identity_single_layers(self):
-        eye = MlpParams([np.eye(8)], [np.zeros(8)])
-        stack = EncoderStack(eye, eye, eye)
+        stack = identity_stack(8)
         x = Rng(4).gaussian_matrix(5, 8)
         out = forward(stack, x, want_pred=True)
         np.testing.assert_array_equal(out.proj, x)
@@ -128,11 +138,8 @@ class TestBackward:
 
     def test_single_linear_layer_structure(self):
         # proj = W x: dL/dW = G^T x for upstream G, hand-checked on 2x2.
-        enc = MlpParams([np.eye(2)], [np.zeros(2)])
-        w = np.array([[2.0, -1.0], [0.5, 3.0]])
-        proj = MlpParams([w.copy()], [np.zeros(2)])
-        pred = MlpParams([np.eye(2)], [np.zeros(2)])
-        stack = EncoderStack(enc, proj, pred)
+        stack = identity_stack(2)
+        stack.projector.weights[0][...] = [[2.0, -1.0], [0.5, 3.0]]
         x = np.array([[1.0, 2.0], [3.0, -4.0]])
         g_out = np.array([[1.0, 0.0], [0.0, 1.0]])
         grads = backward(stack, forward(stack, x), g_out)
