@@ -42,6 +42,10 @@ def _config_and_stream(args) -> tuple[ExperimentConfig, TaskStream]:
     """The config and the task stream that every seed shares."""
     cfg = load_config(args.config)
     dataset = load_dataset(args.data)
+    if dataset.input_dim != cfg.train.encoder_dims[0]:
+        raise CsslError(f"{args.data}: input width {dataset.input_dim} does "
+                        f"not match model.encoder_dims[0] = "
+                        f"{cfg.train.encoder_dims[0]}")
     if cfg.scenario == Scenario.CLASS_IL:
         return cfg, build_class_il(dataset, cfg.num_tasks)
     if cfg.scenario == Scenario.DATA_IL:

@@ -17,7 +17,7 @@ from dataclasses import MISSING, dataclass, field, replace
 
 import yaml
 
-from .continual import AugmentConfig, Scenario, TrainConfig
+from .continual import AugmentConfig, Scenario, TrainConfig, check_split
 from .datastore import DatasetParams
 from .errors import ConfigError, CsslError
 from .evaluate import ProbeConfig
@@ -35,26 +35,14 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.scenario = Scenario(self.scenario)
-        if self.num_tasks < 1:
-            raise CsslError("num_tasks must be >= 1")
+        check_split(self.scenario, self.num_tasks, self.dataset.classes,
+                    self.dataset.classes * self.dataset.samples_per_class)
         if not self.seeds:
             raise CsslError("seeds must be a non-empty list")
         if self.train.encoder_dims[0] != self.dataset.input_dim:
             raise CsslError(
                 f"model.encoder_dims: first dim {self.train.encoder_dims[0]} "
                 f"must equal dataset.input_dim {self.dataset.input_dim}")
-        if self.scenario == Scenario.CLASS_IL:
-            if self.dataset.classes % self.num_tasks != 0:
-                raise CsslError(f"num_tasks: {self.dataset.classes} classes "
-                                f"not divisible by {self.num_tasks}")
-            if self.dataset.classes // self.num_tasks < 2:
-                raise CsslError(f"num_tasks: {self.num_tasks} tasks leave "
-                                f"fewer than two of {self.dataset.classes} "
-                                f"classes per task")
-        samples = self.dataset.classes * self.dataset.samples_per_class
-        if self.scenario == Scenario.DATA_IL and self.num_tasks > samples:
-            raise CsslError(f"num_tasks: {samples} samples cannot form "
-                            f"{self.num_tasks} tasks")
 
     def train_for_seed(self, seed: int) -> TrainConfig:
         return replace(self.train, seed=seed)

@@ -80,36 +80,39 @@ class Scenario(Choice):
     DOMAIN_IL = "domain_il"
 
 
+def check_split(scenario: Scenario, T: int, classes: int,
+                samples: int) -> None:
+    """Every rule a split of ``samples`` samples of ``classes`` classes into
+    ``T`` tasks must meet; each message starts with the config key at fault.
+    The config checks its own counts and each builder the dataset's, so both
+    reject a split with the same message."""
+    if T < 1:
+        raise CsslError("num_tasks must be >= 1")
+    if scenario == Scenario.CLASS_IL:
+        if classes % T != 0:
+            raise CsslError(f"num_tasks: {classes} classes not divisible "
+                            f"by {T}")
+        if classes // T < 2:
+            raise CsslError(f"num_tasks: {T} tasks leave fewer than two of "
+                            f"{classes} classes per task")
+    elif scenario == Scenario.DATA_IL and T > samples:
+        raise CsslError(f"num_tasks: {samples} samples cannot form {T} tasks")
+
+
 @dataclass
 class TaskStream:
-    scenario: Scenario
+    """The tasks in training order. Probing scores every task, so each one
+    holds at least two labels."""
+
     tasks: list[LabeledDataset]
 
     def __post_init__(self):
-        self.scenario = Scenario(self.scenario)
         if not self.tasks:
             raise CsslError("empty task stream")
         for k, t in enumerate(self.tasks):
             if len(t.label_set()) < 2:
                 raise CsslError(f"task {k} holds fewer than two labels; "
                                 f"probing needs two")
-        if self.scenario == Scenario.CLASS_IL:
-            seen: set[int] = set()
-            for k, t in enumerate(self.tasks):
-                labels = t.label_set()
-                if labels & seen:
-                    raise CsslError(f"task {k} reuses classes {labels & seen}")
-                seen |= labels
-        elif self.scenario == Scenario.DATA_IL:
-            full = self.tasks[0].label_set()
-            for k, t in enumerate(self.tasks[1:], 1):
-                if t.label_set() != full:
-                    logger.warning("data_il task %d label set differs from task 0", k)
-        else:
-            base = self.tasks[0].label_set()
-            for k, t in enumerate(self.tasks):
-                if t.label_set() != base:
-                    raise CsslError(f"domain_il task {k} changes the label set")
 
     @property
     def T(self) -> int:
@@ -179,32 +182,31 @@ class TrainLog:
 def build_class_il(ds: LabeledDataset, T: int) -> TaskStream:
     """Partition classes into T contiguous groups by class index."""
     classes = np.unique(ds.y)
-    C = classes.size
-    if T < 1 or C % T != 0:
-        raise CsslError(f"{C} classes not divisible into {T} tasks")
-    per = C // T
+    check_split(Scenario.CLASS_IL, T, classes.size, ds.num_samples)
+    per = classes.size // T
     tasks = []
     for k in range(T):
         group = set(int(c) for c in classes[k * per:(k + 1) * per])
         mask = np.isin(ds.y, sorted(group))
         idx = np.flatnonzero(mask)
         tasks.append(LabeledDataset(ds.x[idx], ds.y[idx]))
-    return TaskStream(Scenario.CLASS_IL, tasks)
+    return TaskStream(tasks)
 
 
 def build_data_il(ds: LabeledDataset, T: int, seed: int) -> TaskStream:
     """Seeded shuffle of the whole dataset, split into T near-equal chunks.
 
-    A soft check logs a warning when a task's empirical label distribution
-    strays more than three binomial sigmas from the global one.
+    A soft check logs a warning when a task lacks a class or its empirical
+    label distribution strays more than three binomial sigmas from the
+    global one.
     """
     M = ds.num_samples
-    if M < T:
-        raise CsslError(f"{M} samples cannot form {T} tasks")
+    classes = np.unique(ds.y)
+    check_split(Scenario.DATA_IL, T, classes.size, M)
     perm = Rng(seed).derive("data-il-shuffle").permutation(M)
     sizes = [M // T + (1 if k < M % T else 0) for k in range(T)]
     tasks, pos = [], 0
-    global_freq = {int(c): float(np.mean(ds.y == c)) for c in np.unique(ds.y)}
+    global_freq = {int(c): float(np.mean(ds.y == c)) for c in classes}
     for k, size in enumerate(sizes):
         idx = perm[pos:pos + size]
         pos += size
@@ -212,11 +214,11 @@ def build_data_il(ds: LabeledDataset, T: int, seed: int) -> TaskStream:
         for c, p in global_freq.items():
             phat = float(np.mean(tasks[-1].y == c))
             sigma = np.sqrt(max(p * (1 - p), 1e-12) / size)
-            if abs(phat - p) > 3.0 * sigma:
+            if phat == 0.0 or abs(phat - p) > 3.0 * sigma:
                 logger.warning(
                     "data_il task %d class %d freq %.3f vs global %.3f "
-                    "(>3 sigma)", k, c, phat, p)
-    return TaskStream(Scenario.DATA_IL, tasks)
+                    "(absent or >3 sigma)", k, c, phat, p)
+    return TaskStream(tasks)
 
 
 def random_orthogonal(rng: Rng, d: int) -> np.ndarray:
@@ -231,7 +233,9 @@ def random_orthogonal(rng: Rng, d: int) -> np.ndarray:
 def build_domain_il(ds: LabeledDataset, T: int, seed: int) -> TaskStream:
     """Task 1 is the base dataset unchanged; task k >= 2 applies a fixed
     seeded orthogonal rotation plus a standard Gaussian bias shift to a fresh
-    bootstrap resample of the base data. Labels travel with their samples."""
+    bootstrap resample of the base data. Labels travel with their samples,
+    so a small resample may leave a class out of a task."""
+    check_split(Scenario.DOMAIN_IL, T, len(ds.label_set()), ds.num_samples)
     if ds.input_dim < 2:
         raise CsslError("domain_il needs input dim >= 2")
     tasks = [LabeledDataset(ds.x.copy(), ds.y.copy())]
@@ -245,7 +249,7 @@ def build_domain_il(ds: LabeledDataset, T: int, seed: int) -> TaskStream:
         idx = np.minimum((draw * M).astype(np.int64), M - 1)
         x = ds.x[idx] @ rot.T + bias
         tasks.append(LabeledDataset(x, ds.y[idx]))
-    return TaskStream(Scenario.DOMAIN_IL, tasks)
+    return TaskStream(tasks)
 
 
 def _one_view(x: np.ndarray, cfg: AugmentConfig, rng: Rng) -> np.ndarray:

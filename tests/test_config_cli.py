@@ -17,7 +17,12 @@ from cssl.config import (
     load_config,
     parse_config,
 )
-from cssl.continual import Scenario
+from cssl.continual import (
+    Scenario,
+    build_class_il,
+    build_data_il,
+    build_domain_il,
+)
 from cssl.datastore import gen_synthetic
 from cssl.errors import ConfigError, CsslError
 from cssl.losses import Method, Regime
@@ -324,6 +329,55 @@ class TestCli:
                          "--out", str(prefix)]) == 0
         metrics = json.loads((tmp / "m_seed1.json").read_text())
         assert "P" not in metrics and "ft" not in metrics
+
+    @pytest.mark.parametrize("scenario,num_tasks,message", [
+        ("class_il", 0, "num_tasks must be >= 1"),
+        ("data_il", 0, "num_tasks must be >= 1"),
+        ("domain_il", 0, "num_tasks must be >= 1"),
+        ("class_il", 3, "num_tasks: 4 classes not divisible by 3"),
+        ("class_il", 4,
+         "num_tasks: 4 tasks leave fewer than two of 4 classes per task"),
+        ("data_il", 49, "num_tasks: 48 samples cannot form 49 tasks"),
+    ])
+    def test_split_rules_one_message(self, tmp_path, capsys, scenario,
+                                     num_tasks, message):
+        # FAST_CONFIG's dataset: 4 classes of 12 samples. The config rejects
+        # the split before the data file is read, and each builder rejects
+        # a dataset with the same counts with the same message.
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(FAST_CONFIG
+                            .replace("scenario: class_il",
+                                     f"scenario: {scenario}")
+                            .replace("num_tasks: 2", f"num_tasks: {num_tasks}"))
+        assert cli_main(["train", "--config", str(cfg_path),
+                         "--data", str(tmp_path / "d.bin"),
+                         "--out-dir", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        ds = gen_synthetic(4, 8, 12, 1.0, 0.8, 1)
+        build = {"class_il": lambda: build_class_il(ds, num_tasks),
+                 "data_il": lambda: build_data_il(ds, num_tasks, 1),
+                 "domain_il": lambda: build_domain_il(ds, num_tasks, 1)}
+        with pytest.raises(CsslError) as err:
+            build[scenario]()
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("command", ["train", "probe"])
+    def test_data_width_mismatch_names_file(self, workdir, capsys, command):
+        tmp, cfg = workdir
+        wide = tmp / "wide.yaml"
+        wide.write_text(FAST_CONFIG.replace("input_dim: 8", "input_dim: 9")
+                        .replace("[8, 10, 6]", "[9, 10, 6]"))
+        data = str(tmp / "wide.bin")
+        assert cli_main(["gen-data", "--config", str(wide),
+                         "--out", data]) == 0
+        capsys.readouterr()
+        args = (["--out-dir", str(tmp / "run")] if command == "train" else
+                ["--checkpoints", str(tmp / "run"), "--out", str(tmp / "m")])
+        assert cli_main([command, "--config", cfg, "--data", data,
+                         *args]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {data}: input width 9 does not match "
+            f"model.encoder_dims[0] = 8\n")
 
     def test_bad_config_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"

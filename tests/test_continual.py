@@ -9,7 +9,6 @@ from cssl import continual
 from cssl.continual import (
     AugmentConfig,
     LabeledDataset,
-    Scenario,
     TrainConfig,
     build_class_il,
     build_data_il,
@@ -65,7 +64,7 @@ class TestClassIl:
             [0, 1], [2, 3], [4, 5], [6, 7], [8, 9]]
 
     def test_indivisible_raises(self):
-        with pytest.raises(CsslError, match="10 classes not divisible into 3"):
+        with pytest.raises(CsslError, match="10 classes not divisible by 3"):
             build_class_il(toy_dataset(), 3)
 
     def test_index_partition(self):
@@ -100,6 +99,18 @@ class TestDataIl:
         assert not any(">3 sigma" in rec.getMessage()
                        for rec in caplog.records)
 
+    def test_task_lacking_a_class_warns(self, caplog):
+        # Class 2 has one sample, so one of two tasks lacks it; at a global
+        # frequency of 1/41 its absence is within three sigmas.
+        import logging
+        ds = toy_dataset(C=2, n_per=20)
+        ds = LabeledDataset(np.vstack([ds.x, ds.x[:1]]), np.append(ds.y, 2))
+        with caplog.at_level(logging.WARNING, logger="cssl.continual"):
+            build_data_il(ds, 2, seed=1)
+        messages = [rec.getMessage() for rec in caplog.records]
+        assert len(messages) == 1
+        assert "class 2 freq 0.000" in messages[0]
+
 
 class TestDomainIl:
     def test_task_one_is_base(self):
@@ -118,6 +129,15 @@ class TestDomainIl:
             before = np.linalg.norm(x, axis=1)
             after = np.linalg.norm(x @ rot.T, axis=1)
             assert np.max(np.abs(before - after)) < 1e-12
+
+    def test_small_streams_build(self):
+        # 5 samples per class: a bootstrap resample may miss a class, and
+        # every task still holds the two labels probing needs.
+        for seed in range(1, 21):
+            ds = gen_synthetic(10, 8, 5, 1.0, 2.0, seed)
+            stream = build_domain_il(ds, 5, seed)
+            assert stream.T == 5
+            assert all(len(t.label_set()) >= 2 for t in stream.tasks)
 
     def test_labels_preserved(self):
         ds = toy_dataset()
@@ -384,12 +404,3 @@ class TestRunSequence:
         for ca, cb in zip(a.checkpoints + a.ft_checkpoints,
                           b.checkpoints + b.ft_checkpoints):
             assert stack_bytes(ca) == stack_bytes(cb)
-
-
-class TestStreamValidation:
-    def test_class_il_rejects_overlap(self):
-        ds = toy_dataset()
-        t1 = LabeledDataset(ds.x[:20], ds.y[:20])
-        with pytest.raises(ValueError):
-            from cssl.continual import TaskStream
-            TaskStream(Scenario.CLASS_IL, [t1, t1])

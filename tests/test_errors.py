@@ -9,7 +9,7 @@ import pytest
 
 from cssl import errors
 from cssl.config import ExperimentConfig
-from cssl.continual import Scenario, TaskStream
+from cssl.continual import Scenario
 from cssl.losses import Method, PnrConfig, Regime
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "cssl")
@@ -56,7 +56,6 @@ SCENARIOS = "class_il | data_il | domain_il"
     (lambda: PnrConfig(method="dino"),
      "'dino' is not one of simclr | moco | byol | vicreg | barlow"),
     (lambda: PnrConfig(regime="x"), "'x' is not one of ft | cassle | pnr"),
-    (lambda: TaskStream("bogus", []), f"'bogus' is not one of {SCENARIOS}"),
     (lambda: ExperimentConfig(scenario="x"), f"'x' is not one of {SCENARIOS}"),
 ])
 def test_unknown_choice_is_a_cssl_error(make, message):
