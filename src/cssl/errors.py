@@ -23,4 +23,5 @@ class CorruptFile(CsslError):
 
 
 class DivergenceDetected(CsslError):
-    """Training loss became NaN or Inf."""
+    """Training loss, or a linear probe's fitted weights, became NaN or
+    Inf."""

@@ -6,7 +6,7 @@ import pytest
 from cssl import evaluate
 from cssl.continual import build_class_il, build_domain_il, encoder_features
 from cssl.datastore import gen_synthetic
-from cssl.errors import CsslError
+from cssl.errors import CsslError, DivergenceDetected
 from cssl.evaluate import (
     AccuracyMatrix,
     ProbeConfig,
@@ -93,6 +93,8 @@ class TestLinearProbe:
 
     @pytest.mark.parametrize("k", [2, 3, 8, 10])
     def test_row_max_matches_numpy_max(self, k):
+        # the rows of the sample-major (C, n, k) logits are the class-major
+        # (C, k, n) buffer's columns
         rng = Rng(k)
         logits = rng.gaussian_matrix(3 * 16, k).reshape(3, 16, k)
         logits[0, 0] = 0.0
@@ -104,7 +106,8 @@ class TestLinearProbe:
         logits[1, 3, :] = -1e308
         logits[2, 0, 1] = -1e300
         out = np.empty((3, 16))
-        got = evaluate._row_max(logits, out)
+        got = evaluate._class_max(np.ascontiguousarray(
+            logits.transpose(0, 2, 1)), out)
         want = logits.max(axis=-1)
         assert got is out
         np.testing.assert_array_equal(got, want)
@@ -113,13 +116,44 @@ class TestLinearProbe:
         assert np.array_equal(np.exp(logits - got[..., None]),
                               np.exp(logits - want[..., None]))
 
-    @pytest.mark.parametrize("scenario", ["class_il", "domain_il"])
+    @pytest.mark.parametrize("k", [2, 3, 7, 8, 9, 10, 15, 16, 17, 24, 25])
+    def test_class_sum_matches_numpy_row_sum(self, k):
+        # below 8 classes numpy adds in order; from 8 on it keeps 8
+        # accumulators: 16 and 17 give each two terms, 24 and 25 three;
+        # 9, 17 and 25 leave one element over, 15 leaves seven
+        rng = Rng(100 + k)
+        rows = np.exp(3.0 * rng.gaussian_matrix(3 * 40, k)).reshape(3, 40, k)
+        rows[0, 0] = rng.gaussian_matrix(1, k)[0]  # signs mixed
+        rows[1, 0, ::3] = 0.0
+        rows[2, 0, 0] = 1e300
+        out = np.empty((3, 40))
+        got = evaluate._class_sum(np.ascontiguousarray(
+            rows.transpose(0, 2, 1)), out, np.empty((3, 3, 40)))
+        assert got is out
+        assert np.array_equal(got, np.sum(rows, axis=-1))
+
+    def test_diverging_probe_raises(self):
+        # lr * 2 * l2_penalty = 1000: the decay term alone multiplies the
+        # weights by -999 every epoch, so they overflow to inf and then NaN
+        x, y = blobs(margin=5.0)
+        cfg = ProbeConfig(l2_penalty=1000.0)
+        x2 = np.stack([x, x[:, ::-1]])
+        with pytest.raises(DivergenceDetected, match=(
+                r"feature matrix 0 of 2 diverged \(probe.lr 0.5, "
+                r"probe.l2_penalty 1000.0\)")):
+            linear_probe(x2, y, cfg, Rng(1))
+        assert linear_probe(x2, y, ProbeConfig(), Rng(1))[2].min() >= 0.99
+
+    @pytest.mark.parametrize("scenario",
+                             ["class_il", "domain_il", "domain_il_25"])
     @pytest.mark.parametrize("with_ft", [False, True])
     def test_stacked_probe_equals_per_checkpoint(self, scenario, with_ft):
         # class-IL: 5 tasks of 2 classes; domain-IL: 3 tasks of 10 classes,
-        # whose rows of 10 logits take numpy's 8-accumulator row sum
+        # whose class sums take numpy's 8-accumulator row sum, or of 25
+        # classes, whose accumulators hold three terms each
         T = 5 if scenario == "class_il" else 3
-        ds = gen_synthetic(10, 8, 12, 1.0, 0.5, seed=2)
+        classes = 25 if scenario == "domain_il_25" else 10
+        ds = gen_synthetic(classes, 8, 12, 1.0, 0.5, seed=2)
         stream = (build_class_il(ds, T) if scenario == "class_il"
                   else build_domain_il(ds, T, 2))
         dims = dict(encoder_dims=[8, 10, 6], projector_dims=[6, 6],
