@@ -15,13 +15,12 @@ stacked fit is bit-identical to fitting each checkpoint on its own.
 The probe's descent loop is class-major: its logits and gradients are
 ``(C, k, n)``, so every per-sample op runs over contiguous rows of n train
 samples rather than over rows of k classes (2 to 10 in the benchmarks).
-The fit still rounds as the sample-major ``(C, n, k)`` loop did (up to the
-BLAS shapes that ``linear_probe`` names), because its two sums keep the
-order numpy takes on that layout: the softmax's sum
-over classes (numpy's row sum, repeated by ``_class_sum``) and the bias
-gradient's sum over samples (sequential). A reordered sum would move the
-weights' last bits, and with them, rarely, a holdout prediction; the
-checkpoints' metrics would then no longer match earlier runs.
+Its reductions take numpy's own order on that layout: the softmax's sum
+over classes adds the class rows in order, and the bias gradient's sum
+over samples is numpy's pairwise sum. Adopting these orders, in place of an
+emulation of the older sample-major loop's rounding, moved the fitted
+weights' last bits (relative differences up to about 2e-15) once; no
+checked holdout prediction moved (README, Metrics).
 
 The metric functions sum with builtin ``sum``, which adds in index order,
 so they round exactly as the definitions' loops do.
@@ -83,62 +82,6 @@ class AccuracyMatrix:
         return self.a.shape[0]
 
 
-def _class_max(g: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Max of the class-major ``(C, k, n)`` logits over the k classes,
-    written to the ``(C, n)`` array ``out``: one elementwise ``np.maximum``
-    per class, each over rows n long. Max does not depend on order, so this
-    equals ``g.max(axis=1)``."""
-    np.maximum(g[:, 0], g[:, 1], out=out)
-    for j in range(2, g.shape[1]):
-        np.maximum(out, g[:, j], out=out)
-    return out
-
-
-def _class_sum(g: np.ndarray, out: np.ndarray,
-               scratch: np.ndarray) -> np.ndarray:
-    """Sum of the class-major ``(C, k, n)`` array over the k classes,
-    written to the ``(C, n)`` array ``out``, rounded as ``np.sum(axis=-1)``
-    rounds on the ``(C, n, k)`` layout of the same values.
-
-    numpy adds a contiguous row of fewer than 8 elements in order. From 8
-    on, it keeps 8 accumulators, ``r[j] = x[j] + x[j + 8] + ...`` over the
-    largest multiple of 8, combines them as
-    ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))`` and then adds the
-    remaining elements in order. Each step here is one elementwise add over
-    ``(C, n)`` rows; ``scratch`` holds three such rows, read only from 8
-    classes on. Exact for any inputs but a row of negative zeros,
-    which numpy's 0.0 start turns positive (probabilities hold none).
-    """
-    k = g.shape[1]
-    if k < 8:
-        np.add(g[:, 0], g[:, 1], out=out)
-        for j in range(2, k):
-            out += g[:, j]
-        return out
-    head = k - k % 8
-
-    def lane(j, dst):  # accumulator r[j]; a view of g when it holds one term
-        if head == 8:
-            return g[:, j]
-        np.add(g[:, j], g[:, j + 8], out=dst)
-        for i in range(j + 16, head, 8):
-            dst += g[:, i]
-        return dst
-
-    def pair(j, dst, tmp):  # r[j] + r[j + 1], written to dst
-        return np.add(lane(j, dst), lane(j + 1, tmp), out=dst)
-
-    t0, t1, t2 = scratch
-    pair(0, out, t0)
-    out += pair(2, t0, t1)
-    right = pair(4, t0, t1)
-    right += pair(6, t1, t2)
-    out += right
-    for i in range(head, k):
-        out += g[:, i]
-    return out
-
-
 def linear_probe(features: np.ndarray, labels: np.ndarray, cfg: ProbeConfig,
                  rng: Rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Multinomial logistic regression on C stacked frozen feature matrices.
@@ -158,19 +101,20 @@ def linear_probe(features: np.ndarray, labels: np.ndarray, cfg: ProbeConfig,
     ``(C, k, n)`` and the one-hot targets ``(k, n)``, so each per-sample op
     (bias, max and sum over classes, softmax, targets) runs over contiguous
     rows of n samples. Every op works on each slice alone (one gemm per
-    slice in each stacked ``matmul``, elementwise ops, sums over the
+    slice in each stacked ``matmul``, elementwise ops, reductions over the
     slice's own axes), so a slice's stacked fit is bit-identical to fitting
-    it alone. It also rounds as the sample-major 2-D fit that
-    ``tests/reference.py`` keeps. The two sums keep numpy's sample-major
-    order: the softmax's class sum goes through :func:`_class_sum`, and
-    ``grad_b``, numpy's sequential sum over the samples, is the last column
-    of an in-place running sum along the samples, taken after ``grad_w``.
-    Each gemm hands BLAS the transpose of its sample-major product.
-    OpenBLAS 0.3.31's SkylakeX kernels round the two alike for the tests'
-    and the benchmark's shapes, but not for all: a feature width d with
-    ``d % 8`` in 1..4 (``grad_w``), or 12 or more classes over more than
-    192 train samples that are not a multiple of 8 (the logits), moves the
-    weights' last bits.
+    it alone. Each reduction takes numpy's own order: the softmax
+    denominator, ``np.add.reduce`` over the middle (class) axis, adds the
+    class rows in order, and ``grad_b`` is numpy's pairwise sum over the
+    samples. Both gradients are divided by the train size after summing.
+    The sample-major 2-D fit that ``tests/reference.py`` keeps spells these
+    orders out and matches bit for bit, up to BLAS: each gemm hands BLAS
+    the transpose of its sample-major product. OpenBLAS 0.3.31's SkylakeX
+    kernels round the two alike for the tests' and the benchmark's shapes,
+    but not for all: a feature width d with ``d % 8`` in 1..4
+    (``grad_w``), or 12 or more classes over more than 192 train samples
+    that are not a multiple of 8 (the logits), moves the weights' last
+    bits.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -205,28 +149,28 @@ def linear_probe(features: np.ndarray, labels: np.ndarray, cfg: ProbeConfig,
     b = np.zeros((C, k))
     g = np.empty((C, k, n_train))
     row = np.empty((C, n_train))
-    scratch = np.empty((3, C, n_train))
     grad_w = np.empty_like(w)
+    grad_b = np.empty_like(b)
     decay = np.empty_like(w)
-    grad_b = g[..., -1]
     bias = b[..., None]
     x_tr_t = x_tr.transpose(0, 2, 1)
     l2 = 2.0 * cfg.l2_penalty
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.epochs):
-            # g becomes (softmax(w x^T + b) - onehot) / n_train in place
+            # g becomes softmax(w x^T + b) - onehot in place
             np.matmul(w, x_tr_t, out=g)
             g += bias
-            g -= _class_max(g, row)[:, None]
+            g -= np.maximum.reduce(g, axis=1, out=row)[:, None]
             np.exp(g, out=g)
-            g /= _class_sum(g, row, scratch)[:, None]
+            g /= np.add.reduce(g, axis=1, out=row)[:, None]
             g -= onehot
-            g /= n_train
             np.matmul(g, x_tr, out=grad_w)
+            grad_w /= n_train
             grad_w += np.multiply(l2, w, out=decay)
             grad_w *= cfg.lr
             w -= grad_w
-            np.add.accumulate(g, axis=-1, out=g)  # grad_b is its last column
+            np.add.reduce(g, axis=-1, out=grad_b)
+            grad_b /= n_train
             grad_b *= cfg.lr
             b -= grad_b
     finite = np.isfinite(w).all(axis=(1, 2)) & np.isfinite(b).all(axis=1)

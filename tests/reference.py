@@ -274,7 +274,13 @@ def brute_force_plasticity(a, ft):
 def per_checkpoint_probe(features, labels, cfg, rng):
     """The linear probe of one ``(m, d)`` feature matrix, fitted alone:
     returns the trained weights ``(k, d)``, biases ``(k,)`` and holdout
-    accuracy."""
+    accuracy.
+
+    The loop is sample-major, ``(n, k)``, and spells out the orders of the
+    package's class-major sums: the softmax denominator adds the classes one
+    by one, in order; the bias gradient is numpy's pairwise sum over a
+    contiguous ``(k, n)`` copy; and both gradients are divided by the train
+    size after summing, not before."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     classes = np.unique(labels)
@@ -302,10 +308,12 @@ def per_checkpoint_probe(features, labels, cfg, rng):
         logits = x_tr @ w.T + b
         shifted = logits - logits.max(axis=1, keepdims=True)
         e = np.exp(shifted)
-        probs = e / e.sum(axis=1, keepdims=True)
-        g = (probs - onehot) / n_train
-        w -= cfg.lr * (g.T @ x_tr + 2.0 * cfg.l2_penalty * w)
-        b -= cfg.lr * g.sum(axis=0)
+        denom = e[:, 0].copy()
+        for j in range(1, k):
+            denom += e[:, j]
+        g = e / denom[:, None] - onehot
+        w -= cfg.lr * ((g.T @ x_tr) / n_train + 2.0 * cfg.l2_penalty * w)
+        b -= cfg.lr * (np.ascontiguousarray(g.T).sum(axis=-1) / n_train)
     pred = classes[np.argmax(x_ho @ w.T + b, axis=1)]
     return w, b, float(np.mean(pred == y_ho))
 

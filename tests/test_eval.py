@@ -93,8 +93,9 @@ class TestLinearProbe:
 
     @pytest.mark.parametrize("k", [2, 3, 8, 10])
     def test_row_max_matches_numpy_max(self, k):
-        # the rows of the sample-major (C, n, k) logits are the class-major
-        # (C, k, n) buffer's columns
+        # linear_probe takes the max over the classes, the middle axis of
+        # its (C, k, n) logits, with np.maximum.reduce; the rows of the
+        # sample-major (C, n, k) logits are that buffer's columns
         rng = Rng(k)
         logits = rng.gaussian_matrix(3 * 16, k).reshape(3, 16, k)
         logits[0, 0] = 0.0
@@ -106,8 +107,8 @@ class TestLinearProbe:
         logits[1, 3, :] = -1e308
         logits[2, 0, 1] = -1e300
         out = np.empty((3, 16))
-        got = evaluate._class_max(np.ascontiguousarray(
-            logits.transpose(0, 2, 1)), out)
+        got = np.maximum.reduce(np.ascontiguousarray(
+            logits.transpose(0, 2, 1)), axis=1, out=out)
         want = logits.max(axis=-1)
         assert got is out
         np.testing.assert_array_equal(got, want)
@@ -118,19 +119,25 @@ class TestLinearProbe:
 
     @pytest.mark.parametrize("k", [2, 3, 7, 8, 9, 10, 15, 16, 17, 24, 25])
     def test_class_sum_matches_numpy_row_sum(self, k):
-        # below 8 classes numpy adds in order; from 8 on it keeps 8
-        # accumulators: 16 and 17 give each two terms, 24 and 25 three;
-        # 9, 17 and 25 leave one element over, 15 leaves seven
+        # linear_probe's softmax denominator is np.add.reduce over the
+        # middle axis of its (C, k, n) buffer, and tests/reference.py
+        # spells that out as adding the classes in order. numpy reduces a
+        # middle axis one class row at a time; a numpy that reorders it
+        # fails here, and the probe's weights then move in their last bits
         rng = Rng(100 + k)
         rows = np.exp(3.0 * rng.gaussian_matrix(3 * 40, k)).reshape(3, 40, k)
         rows[0, 0] = rng.gaussian_matrix(1, k)[0]  # signs mixed
         rows[1, 0, ::3] = 0.0
         rows[2, 0, 0] = 1e300
+        g = np.ascontiguousarray(rows.transpose(0, 2, 1))
         out = np.empty((3, 40))
-        got = evaluate._class_sum(np.ascontiguousarray(
-            rows.transpose(0, 2, 1)), out, np.empty((3, 3, 40)))
+        got = np.add.reduce(g, axis=1, out=out)
+        want = g[:, 0].copy()
+        for j in range(1, k):
+            want += g[:, j]
         assert got is out
-        assert np.array_equal(got, np.sum(rows, axis=-1))
+        assert np.array_equal(got, want), (
+            "numpy no longer adds the middle axis in order")
 
     def test_diverging_probe_raises(self):
         # lr * 2 * l2_penalty = 1000: the decay term alone multiplies the
