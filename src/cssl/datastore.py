@@ -23,7 +23,8 @@ longer than its header implies fails) and the checksum, in that order, and
 raise ``CorruptFile`` naming the check that failed. A checkpoint must then
 chain within each MLP (a layer's in is the previous layer's out), satisfy
 :func:`cssl.model.check_layout` and hold only finite values. Writes are atomic
-(temp file in the target directory, then rename).
+(temp file in the target directory, then rename) and leave the file the
+mode ``open(path, "wb")`` would give it.
 """
 
 from __future__ import annotations
@@ -114,6 +115,10 @@ def _atomic_write(path: str, data: bytes) -> None:
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
+        # mkstemp creates the file 0600; give it the mode open() would.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)

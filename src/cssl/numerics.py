@@ -10,6 +10,14 @@ reproducible on any platform, with Box-Muller for Gaussian variates. Any
 sub-component derives its own stream from a root seed via
 ``Rng.derive(tag)``; the derivation is ``mix64(seed XOR fnv1a64(tag))`` and is
 independent of how far the parent stream has advanced.
+
+:func:`fnv1a64` gives the exact value of FNV-1a's byte loop without looping
+over bytes in Python. The prime is odd, so the state's low byte follows a
+recurrence of its own whose bits are XOR prefix scans, and the XOR of a byte
+into the state equals adding a small difference to it; the hash is then a
+wrapping uint64 sum of those differences times powers of the prime. It folds
+its input in fixed 64 KiB chunks so that the temporaries stay under a
+megabyte however large the file.
 """
 
 from __future__ import annotations
@@ -33,6 +41,12 @@ _MIX_MUL_2 = 0x94D049BB133111EB
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _TWO53_INV = 2.0 ** -53
+# fnv1a64 folds its input in chunks of this many bytes; _FNV_POWERS[k] is
+# P**(k + 1) mod 2**64 for every exponent a chunk needs.
+_FNV_CHUNK = 1 << 16
+_FNV_POWERS = np.multiply.accumulate(np.full(_FNV_CHUNK, _FNV_PRIME,
+                                             dtype=_U64))
+_FNV_POWERS.flags.writeable = False
 
 
 def as_matrix(data, name: str = "matrix") -> np.ndarray:
@@ -128,11 +142,43 @@ def finite_difference_gradient(f: Callable[[np.ndarray], float],
 
 
 def fnv1a64(data: bytes) -> int:
-    """64-bit FNV-1a hash; used for stream derivation and file checksums."""
+    """64-bit FNV-1a hash; used for stream derivation and file checksums.
+
+    Returns the value of the byte loop ``h = ((h ^ b) * P) mod 2**64``,
+    folded over whole arrays instead of one byte at a time. ``P`` is odd,
+    so the low byte ``l`` of the state follows its own recurrence
+    ``l' = ((l ^ b) * (P mod 256)) mod 256``, in which bit k of ``l'`` is
+    bit k of ``l ^ b`` XOR a function of the lower bits: with those known,
+    each bit is one XOR prefix scan. ``h ^ b`` equals ``h + delta`` with
+    ``delta = (l ^ b) - l``, so over m bytes the state becomes
+    ``h * P**m + sum(delta_i * P**(m - i))``, all mod 2**64, which uint64
+    arrays compute exactly (they wrap). The bytes are folded in chunks of
+    ``_FNV_CHUNK``, each starting from the previous chunk's state: unchunked,
+    the temporaries would take about 11 bytes per input byte.
+    """
+    b = np.frombuffer(data, dtype=np.uint8)
     h = _FNV_OFFSET
-    for byte in data:
-        h ^= byte
-        h = (h * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
+    for lo in range(0, b.size, _FNV_CHUNK):
+        chunk = b[lo:lo + _FNV_CHUNK]
+        m = chunk.size
+        # low[i] is the state's low byte before chunk[i]; low[m] after it.
+        low = np.zeros(m + 1, dtype=np.uint8)
+        bit = np.empty(m + 1, dtype=np.uint8)
+        carry = bit[1:]
+        for k in range(8):
+            np.bitwise_xor(low[:-1], chunk, out=carry)
+            np.multiply(carry, _FNV_PRIME & 0xFF, out=carry)
+            np.right_shift(carry, k, out=carry)
+            np.bitwise_and(carry, 1, out=carry)
+            bit[0] = (h >> k) & 1
+            # An XOR prefix scan; numpy runs it faster on bool than on uint8.
+            flag = bit.view(np.bool_)
+            np.logical_xor.accumulate(flag, out=flag)
+            np.left_shift(bit, k, out=bit)
+            np.bitwise_or(low, bit, out=low)
+        delta = np.subtract(low[:-1] ^ chunk, low[:-1], dtype=_U64)
+        h = (h * int(_FNV_POWERS[m - 1])
+             + int(np.dot(delta, _FNV_POWERS[m - 1::-1]))) & 0xFFFFFFFFFFFFFFFF
     return h
 
 
@@ -193,10 +239,13 @@ class Rng:
         return self.gaussian(rows * cols, std).reshape(rows, cols)
 
     def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates shuffle of arange(n) driven by the integer stream."""
-        idx = np.arange(n, dtype=np.int64)
+        """Fisher-Yates shuffle of arange(n) driven by the integer stream:
+        for i = n-1 down to 1, swap i with draw % (i + 1). All swap indices
+        come from one array op; the swaps run on a list, which Python
+        indexes far faster than numpy scalars."""
         draws = self._next_block(n - 1)
-        for k, i in enumerate(range(n - 1, 0, -1)):
-            j = int(draws[k] % _U64(i + 1))
+        swaps = (draws % np.arange(n, 1, -1, dtype=_U64)).tolist()
+        idx = list(range(n))
+        for i, j in zip(range(n - 1, 0, -1), swaps):
             idx[i], idx[j] = idx[j], idx[i]
-        return idx
+        return np.array(idx, dtype=np.int64)

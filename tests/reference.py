@@ -2,8 +2,10 @@
 
 Everything here is deliberately written in the most naive style possible
 (scalar loops, a tiny tape-based autodiff) and shares no code with the
-package implementations it checks. Two exceptions check a restructured
-package function bit for bit, so they keep its arithmetic:
+package implementations it checks. :func:`fisher_yates` takes its draws
+from the package's SplitMix64 stream, which it does not check. Two
+exceptions check a restructured package function bit for bit, so they keep
+its arithmetic:
 :func:`train_task_redraw` checks how ``train_task`` draws and replays a
 task's batches, so it reuses the package's step pieces and differs from
 ``train_task`` only in its drawing; :func:`per_checkpoint_probe` is the
@@ -316,6 +318,26 @@ def per_checkpoint_probe(features, labels, cfg, rng):
         b -= cfg.lr * (np.ascontiguousarray(g.T).sum(axis=-1) / n_train)
     pred = classes[np.argmax(x_ho @ w.T + b, axis=1)]
     return w, b, float(np.mean(pred == y_ho))
+
+
+def fnv1a64_loop(data):
+    """64-bit FNV-1a, one byte at a time."""
+    h = 0xCBF29CE484222325
+    for byte in data:
+        h ^= byte
+        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h
+
+
+def fisher_yates(rng, n):
+    """Fisher-Yates shuffle of arange(n), swapping numpy elements one at a
+    time: for i = n-1 down to 1, swap i with the next draw % (i + 1)."""
+    idx = np.arange(n, dtype=np.int64)
+    draws = rng._next_block(n - 1)
+    for k, i in enumerate(range(n - 1, 0, -1)):
+        j = int(draws[k] % np.uint64(i + 1))
+        idx[i], idx[j] = idx[j], idx[i]
+    return idx
 
 
 def naive_fifo(capacity):

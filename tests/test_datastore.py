@@ -1,7 +1,9 @@
 """Synthetic generation, binary round-trips, checksums, report writers."""
 
 import hashlib
+import os
 import re
+import stat
 import struct
 
 import numpy as np
@@ -20,6 +22,7 @@ from cssl.datastore import (
     save_checkpoint,
     save_dataset,
     stack_bytes,
+    write_text,
 )
 from cssl.continual import LabeledDataset, TrainConfig
 from cssl.errors import CorruptFile, CsslError
@@ -214,6 +217,24 @@ def test_one_geometry_rule_set(tmp_path, capsys, dims):
     with pytest.raises(CorruptFile) as err:
         load_checkpoint(str(path))
     assert str(err.value).startswith(f"{path}: {rule}")
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o002], ids=oct)
+def test_files_get_the_mode_open_gives(tmp_path, umask):
+    """Atomic writes leave the mode that ``open(path, "wb")`` would."""
+    saved = os.umask(umask)
+    try:
+        with open(tmp_path / "plain", "wb"):
+            pass
+        save_dataset(gen_synthetic(3, 6, 10, 1.0, 0.4, seed=2),
+                     str(tmp_path / "ds.bin"))
+        write_text(str(tmp_path / "m.json"), "{}\n")
+    finally:
+        os.umask(saved)
+    want = stat.S_IMODE(os.stat(tmp_path / "plain").st_mode)
+    assert want == 0o666 & ~umask
+    for name in ("ds.bin", "m.json"):
+        assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == want
 
 
 class TestCheckpointFile:

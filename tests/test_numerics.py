@@ -2,6 +2,7 @@
 
 import platform
 import resource
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from cssl.errors import CsslError
 from cssl.numerics import (
+    _FNV_CHUNK,
     Rng,
     as_matrix,
     finite_difference_gradient,
@@ -19,6 +21,7 @@ from cssl.numerics import (
     row_l2_normalize_backward,
     row_norms,
 )
+from reference import fisher_yates, fnv1a64_loop
 
 
 class TestRowNormalize:
@@ -179,6 +182,15 @@ class TestRng:
             p = Rng(3).permutation(n)
             assert sorted(p.tolist()) == list(range(n))
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 400, 4000])
+    def test_permutation_matches_element_swaps(self, n):
+        for seed in (0, 1, 8, 2**64 - 1):
+            rng, oracle = Rng(seed), Rng(seed)
+            got, want = rng.permutation(n), fisher_yates(oracle, n)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+            assert rng._state == oracle._state
+
     def test_permutation_deterministic(self):
         np.testing.assert_array_equal(Rng(8).permutation(50),
                                       Rng(8).permutation(50))
@@ -195,6 +207,24 @@ class TestFnv:
         assert fnv1a64(b"") == 0xCBF29CE484222325
         assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
         assert fnv1a64(b"hello") == 0xA430D84680AABD0B
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 255, _FNV_CHUNK - 1, _FNV_CHUNK,
+                                   _FNV_CHUNK + 1, 3 * _FNV_CHUNK + 17])
+    def test_matches_byte_loop(self, n):
+        noise = Rng(n)._next_block(n // 8 + 1).astype("<u8").tobytes()[:n]
+        for data in (noise, b"\x00" * n, b"\xff" * n):
+            assert fnv1a64(data) == fnv1a64_loop(data)
+
+    def test_one_megabyte_pinned(self):
+        data = Rng(18)._next_block(1 << 17).astype("<u8").tobytes()
+        assert fnv1a64(data) == 0x50EAE7B414299068
+
+    def test_no_warnings(self):
+        # numpy warns when a product of uint64 scalars wraps.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fnv1a64(b"\xff" * (_FNV_CHUNK + 3))
+            Rng(2**64 - 1).derive("task-3")
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc only")
