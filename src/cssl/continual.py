@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .embedding_queue import DEFAULT_CAPACITY, EmbeddingQueue
+from .embedding_queue import EmbeddingQueue
 from .errors import CsslError, DivergenceDetected
 from .losses import (
     CONTRASTIVE_METHODS,
@@ -154,7 +154,7 @@ class TrainConfig:
     encoder_dims: list[int] = field(default_factory=lambda: [32, 32, 8])
     projector_dims: list[int] = field(default_factory=lambda: [8, 8])
     predictor_dims: list[int] = field(default_factory=lambda: [8, 8])
-    queue_capacity: int = DEFAULT_CAPACITY
+    queue_capacity: int = 1024
 
     def __post_init__(self):
         for name in ("epochs_per_task", "batch_size", "queue_capacity"):
@@ -363,8 +363,9 @@ def train_task(stack: EncoderStack, frozen_prev: EncoderStack | None,
 
     Runs ``epochs_per_task`` sweeps of two-view SGD steps; MoCo queues are
     created fresh for the task and BYOL's target starts as a copy of the
-    online network. Raises DivergenceDetected on a NaN/Inf loss; outputs
-    that overflow (see :func:`_overflowed`) count as a nan loss.
+    online network. Raises DivergenceDetected, naming the task, epoch and
+    step, on a NaN/Inf loss or a collapsed Barlow batch; outputs that
+    overflow (see :func:`_overflowed`) count as a nan loss.
     """
     loss_cfg = _effective_cfg(cfg.loss, frozen_prev)
     method = loss_cfg.method
@@ -405,13 +406,16 @@ def train_task(stack: EncoderStack, frozen_prev: EncoderStack | None,
                     stack, x, z_prev, loss_cfg, target=target,
                     queue_cur=(cur_queue.snapshot() if cur_queue else None),
                     queue_prev=(prev_queue.snapshot() if prev_queue else None))
-                res = (LossResult(np.nan) if _overflowed(fwd)
-                       else total_loss(views, loss_cfg))
-                if not np.isfinite(res.value):
+                try:
+                    res = (LossResult(np.nan) if _overflowed(fwd)
+                           else total_loss(views, loss_cfg))
+                    if not np.isfinite(res.value):
+                        raise DivergenceDetected(f"loss {res.value}")
+                except DivergenceDetected as err:
                     raise DivergenceDetected(
-                        f"loss {res.value} at task {task_index}, epoch "
-                        f"{epoch} of {cfg.epochs_per_task}, step {step} of "
-                        f"the epoch")
+                        f"{err} at task {task_index}, epoch {epoch} of "
+                        f"{cfg.epochs_per_task}, step {step} of the "
+                        f"epoch") from err
                 sgd_step(stack, backprop_views(stack, fwd, loss_cfg, res),
                          velocity, cfg.lr, cfg.momentum, cfg.weight_decay)
                 if method == Method.MOCO:

@@ -7,8 +7,6 @@ import numpy as np
 from .errors import CsslError
 from .numerics import check_unit_rows
 
-DEFAULT_CAPACITY = 1024
-
 
 class EmbeddingQueue:
     """Row vectors in one oldest-first array. Enqueueing past capacity

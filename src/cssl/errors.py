@@ -24,4 +24,4 @@ class CorruptFile(CsslError):
 
 class DivergenceDetected(CsslError):
     """Training loss, or a linear probe's fitted weights, became NaN or
-    Inf."""
+    Inf, or a Barlow Twins batch collapsed to a constant column."""

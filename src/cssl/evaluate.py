@@ -17,10 +17,7 @@ The probe's descent loop is class-major: its logits and gradients are
 samples rather than over rows of k classes (2 to 10 in the benchmarks).
 Its reductions take numpy's own order on that layout: the softmax's sum
 over classes adds the class rows in order, and the bias gradient's sum
-over samples is numpy's pairwise sum. Adopting these orders, in place of an
-emulation of the older sample-major loop's rounding, moved the fitted
-weights' last bits (relative differences up to about 2e-15) once; no
-checked holdout prediction moved (README, Metrics).
+over samples is numpy's pairwise sum.
 
 The metric functions sum with builtin ``sum``, which adds in index order,
 so they round exactly as the definitions' loops do.
@@ -89,10 +86,14 @@ def linear_probe(features: np.ndarray, labels: np.ndarray, cfg: ProbeConfig,
     ``features`` is ``(C, m, d)``: C feature matrices of the same m samples,
     which share ``labels`` and one train/holdout split drawn from ``rng``.
     Each slice is standardized by its own train-split statistics and fitted
-    as its own classifier. The classifier starts at zero, so converged
-    accuracy is exactly invariant under feature column permutations. Returns
-    the trained weights ``(C, k, d)``, biases ``(C, k)`` and top-1 holdout
-    accuracies ``(C,)``. Raises :class:`DivergenceDetected`, naming the
+    as its own classifier. A column whose train-split standard deviation is
+    at most 1e-12 is centered but not scaled, so it adds (next to) nothing
+    to the logits: a slice without variance (a collapsed encoder) gets in
+    effect a bias-only fit, which predicts the train split's most frequent
+    class. The classifier starts at zero, so converged accuracy is exactly
+    invariant under feature column permutations. Returns the trained
+    weights ``(C, k, d)``, biases ``(C, k)`` and top-1 holdout accuracies
+    ``(C,)``. Raises :class:`DivergenceDetected`, naming the
     slice and the probe settings, when the fitted weights are not finite
     (for example when ``lr * l2_penalty`` is so large that the decay term
     alone grows them every epoch).
@@ -124,12 +125,6 @@ def linear_probe(features: np.ndarray, labels: np.ndarray, cfg: ProbeConfig,
     if classes.size < 2:
         raise CsslError("probing needs at least two classes")
     C, m, d = features.shape
-    col_sd_max = features.std(axis=-2).max(axis=-1, initial=0.0)
-    degenerate = np.flatnonzero(col_sd_max <= 1e-12)
-    if degenerate.size:
-        raise CsslError(
-            f"feature matrix {int(degenerate[0])} of {C} carries no variance")
-
     n_train = min(max(int(cfg.train_fraction * m), 1), m - 1)
     perm = rng.permutation(m)
     tr, ho = perm[:n_train], perm[n_train:]

@@ -49,20 +49,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CsslError
+from .errors import CsslError, DivergenceDetected
 from .numerics import check_unit_rows, logsumexp_rows
 
-DEFAULT_TAU = 0.2
-
-# VICReg's term weights (the usual published defaults, set per config) and
-# its hinge target and epsilon, which Bardes et al. 2022 fix.
-VICREG_SIM = 25.0
-VICREG_VAR = 25.0
-VICREG_COV = 1.0
+# VICReg's hinge target and epsilon, which Bardes et al. 2022 fix.
 VICREG_GAMMA = 1.0
 VICREG_EPS = 1e-4
-
-BARLOW_LAMBDA = 5e-3
 
 
 class Choice(str, enum.Enum):
@@ -89,7 +81,6 @@ class Regime(Choice):
     PNR = "pnr"
 
 
-DEFAULT_LAMBDA_CASSLE = 25.0
 DEFAULT_LAMBDA_PNR = {Method.BYOL: 0.5, Method.VICREG: 23.0,
                       Method.BARLOW: 1.0}
 
@@ -99,20 +90,18 @@ CONTRASTIVE_METHODS = (Method.SIMCLR, Method.MOCO)
 
 @dataclass
 class PnrConfig:
-    """Loss configuration; lambda defaults follow the per-method table."""
+    """Loss configuration; ``lambda_pnr`` defaults follow the per-method
+    table. VICReg's term weights are the usual published defaults."""
 
     method: Method = Method.SIMCLR
     regime: Regime = Regime.PNR
-    tau: float = DEFAULT_TAU
+    tau: float = 0.2
     lambda_pnr: float | None = None
-    lambda_cassle: float = DEFAULT_LAMBDA_CASSLE
-    vicreg_sim: float = VICREG_SIM
-    vicreg_var: float = VICREG_VAR
-    vicreg_cov: float = VICREG_COV
-    barlow_lambda: float = BARLOW_LAMBDA
-    # Diagnostic knob: mask the pseudo-negative blocks in regime PNR. The
-    # masks are CaSSLe's, so PNR with this off reproduces CaSSLe bit for bit.
-    include_pseudo_negatives: bool = True
+    lambda_cassle: float = 25.0
+    vicreg_sim: float = 25.0
+    vicreg_var: float = 25.0
+    vicreg_cov: float = 1.0
+    barlow_lambda: float = 5e-3
 
     def __post_init__(self):
         self.method = Method(self.method)
@@ -244,9 +233,8 @@ def cssl_total(v: ContrastiveViews, cfg: PnrConfig, *,
     anchors, pos_col = ((v.z, partner(rows)) if ft else
                         (np.concatenate([v.z, v.g]),
                          np.concatenate([partner(rows), c + rows])))
-    pn = cfg.regime == Regime.PNR and cfg.include_pseudo_negatives
     per_anchor, probs = _info_nce(anchors, pool, pos_col, m, cfg.tau,
-                                  None if pn else c)
+                                  None if cfg.regime == Regime.PNR else c)
     # Row i is an anchor (positive: its partner), the positive of its
     # partner, and, as a pool column, weighted by every anchor's softmax.
     inv = 1.0 / (m * cfg.tau)
@@ -315,10 +303,8 @@ def byol_loss(online_pred: np.ndarray, target_proj: np.ndarray) -> LossResult:
     return LossResult(value, grad_g=grad)
 
 
-def _variance_hinge(z: np.ndarray) -> tuple[float, np.ndarray]:
-    n, d = z.shape
-    mu = z.mean(axis=0)
-    centered = z - mu
+def _variance_hinge(centered: np.ndarray) -> tuple[float, np.ndarray]:
+    n, d = centered.shape
     var = np.sum(centered * centered, axis=0) / (n - 1)
     sd = np.sqrt(var + VICREG_EPS)  # >= 0.01, so the division is safe
     gap = VICREG_GAMMA - sd
@@ -328,9 +314,8 @@ def _variance_hinge(z: np.ndarray) -> tuple[float, np.ndarray]:
     return value, grad
 
 
-def _covariance_penalty(z: np.ndarray) -> tuple[float, np.ndarray]:
-    n, d = z.shape
-    centered = z - z.mean(axis=0)
+def _covariance_penalty(centered: np.ndarray) -> tuple[float, np.ndarray]:
+    n, d = centered.shape
     cov = centered.T @ centered / (n - 1)
     off = cov - np.diag(np.diag(cov))
     value = float(np.sum(off * off) / d)
@@ -352,10 +337,11 @@ def vicreg_loss(zA: np.ndarray, zB: np.ndarray, lam: float, mu: float,
     if n < 2:
         raise CsslError("vicreg_loss needs at least 2 samples")
     s, ds = _sq_dist(zA, zB)
-    vA, gvA = _variance_hinge(zA)
-    vB, gvB = _variance_hinge(zB)
-    cA, gcA = _covariance_penalty(zA)
-    cB, gcB = _covariance_penalty(zB)
+    centered_a, centered_b = zA - zA.mean(axis=0), zB - zB.mean(axis=0)
+    vA, gvA = _variance_hinge(centered_a)
+    vB, gvB = _variance_hinge(centered_b)
+    cA, gcA = _covariance_penalty(centered_a)
+    cB, gcB = _covariance_penalty(centered_b)
     value = lam * s + mu * (vA + vB) + nu * (cA + cB)
     grad_a = lam * ds + mu * gvA + nu * gcA
     grad_b = -lam * ds + mu * gvB + nu * gcB
@@ -365,13 +351,14 @@ def vicreg_loss(zA: np.ndarray, zB: np.ndarray, lam: float, mu: float,
 def _standardize_columns(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Population (1/N) column standardization; integer-valued designs with
     exact unit variance standardize without rounding, which the analytic-zero
-    checks rely on."""
+    checks rely on. A (near-)constant column has no direction to standardize:
+    the views have collapsed, which raises :class:`DivergenceDetected`."""
     n = z.shape[0]
     mu = z.mean(axis=0)
     centered = z - mu
     sd = np.sqrt(np.sum(centered * centered, axis=0) / n)
     if float(np.min(sd)) <= 1e-12:
-        raise CsslError(
+        raise DivergenceDetected(
             f"column {int(np.argmin(sd))} has (near-)zero variance")
     return centered / sd, centered, sd
 
@@ -423,13 +410,12 @@ def pnr_regularizer(v: ContrastiveViews, cfg: PnrConfig) -> LossResult:
     and Barlow's objective per view (it standardizes columns over one view's
     batch). The repel from the cross-view pseudo-negative is PNR's addition,
     weighted by w = lambda_pnr (0.5 * lambda_pnr for VICReg) in regime
-    ``pnr``. Any other regime, lambda_pnr == 0 or include_pseudo_negatives
-    off skips it entirely, so that reduction to CaSSLe is bitwise.
+    ``pnr``. Any other regime, or lambda_pnr == 0, skips it entirely, so
+    that reduction to CaSSLe is bitwise.
     """
     if v.g is None:
         raise CsslError(f"{cfg.method.value} distillation needs g outputs")
-    lam = (cfg.lambda_pnr if cfg.regime == Regime.PNR
-           and cfg.include_pseudo_negatives else 0.0)
+    lam = cfg.lambda_pnr if cfg.regime == Regime.PNR else 0.0
     if cfg.method == Method.BARLOW:
         n = v.batch_size
         va, ga, _ = _barlow_core(v.g[:n], v.z_prev[:n], cfg.barlow_lambda)

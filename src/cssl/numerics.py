@@ -10,14 +10,6 @@ reproducible on any platform, with Box-Muller for Gaussian variates. Any
 sub-component derives its own stream from a root seed via
 ``Rng.derive(tag)``; the derivation is ``mix64(seed XOR fnv1a64(tag))`` and is
 independent of how far the parent stream has advanced.
-
-:func:`fnv1a64` gives the exact value of FNV-1a's byte loop without looping
-over bytes in Python. The prime is odd, so the state's low byte follows a
-recurrence of its own whose bits are XOR prefix scans, and the XOR of a byte
-into the state equals adding a small difference to it; the hash is then a
-wrapping uint64 sum of those differences times powers of the prime. It folds
-its input in fixed 64 KiB chunks so that the temporaries stay under a
-megabyte however large the file.
 """
 
 from __future__ import annotations

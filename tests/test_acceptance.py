@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 import yaml
 
+from cssl import losses
 from cssl.cli import cli_main
 from cssl.config import DEFAULT_CONFIG_YAML
 from cssl.continual import TrainConfig, build_class_il, run_sequence
@@ -104,30 +105,43 @@ def test_criterion_2_closed_form_gradient_equivalence():
                f"mass dev {worst_mass:.2e} < 1e-12")
 
 
-def test_criterion_3_reduction_identities():
-    """PN sets empty => PNR == CaSSLe for every method; lambda 0 =>
-    non-contrastive PNR == CaSSLe; FT carries no previous-model terms. All
-    bitwise."""
-    v = random_views(Rng(7200), 6, 8, queue_rows=5)
-    pnr_empty = cssl_total(v, PnrConfig(method=Method.MOCO, regime=Regime.PNR,
-                                        include_pseudo_negatives=False))
-    cassle = cssl_total(v, PnrConfig(method=Method.MOCO, regime=Regime.CASSLE))
-    assert pnr_empty.value == cassle.value
-    np.testing.assert_array_equal(pnr_empty.grad_z, cassle.grad_z)
-    np.testing.assert_array_equal(pnr_empty.grad_g, cassle.grad_g)
+def test_criterion_3_reduction_identities(monkeypatch):
+    """PN sets empty => PNR == CaSSLe: CaSSLe's contrastive logits are
+    PNR's with exactly the pseudo-negative cells at -inf, and
+    non-contrastive PNR at lambda 0 is CaSSLe; FT carries no previous-model
+    terms. All bitwise."""
+    seen = []
+    lse = losses.logsumexp_rows
+
+    def capture(m):
+        seen.append(m.copy())
+        return lse(m)
+
+    monkeypatch.setattr(losses, "logsumexp_rows", capture)
+    for queue_rows in (0, 5):  # SimCLR's pool, then MoCo's with queues
+        v = random_views(Rng(7200), 6, 8, queue_rows=queue_rows)
+        for regime in (Regime.PNR, Regime.CASSLE):
+            cssl_total(v, PnrConfig(method=Method.MOCO, regime=regime))
+        cassle, pnr = seen.pop(), seen.pop()
+        m, c = 12, 12 + queue_rows
+        pn = np.zeros(pnr.shape, dtype=bool)
+        pn[:m, c:] = pn[m:, :c] = True
+        # a g anchor's own current row is masked in PNR as well
+        assert np.isfinite(pnr[pn]).sum() == pn.sum() - m
+        want = pnr.copy()
+        want[pn] = -np.inf
+        np.testing.assert_array_equal(cassle, want)
 
     for method in (Method.BYOL, Method.VICREG, Method.BARLOW):
         vm = random_views(Rng(7300), 6, 5, with_target=True,
                           normalized=method == Method.BYOL)
         b = noncontrastive_pnr_total(vm, PnrConfig(
             method=method, regime=Regime.CASSLE))
-        for off in (dict(lambda_pnr=0.0),
-                    dict(include_pseudo_negatives=False)):
-            a = noncontrastive_pnr_total(vm, PnrConfig(
-                method=method, regime=Regime.PNR, **off))
-            assert a.value == b.value
-            np.testing.assert_array_equal(
-                np.asarray(a.grad_g), np.asarray(b.grad_g))
+        a = noncontrastive_pnr_total(vm, PnrConfig(
+            method=method, regime=Regime.PNR, lambda_pnr=0.0))
+        assert a.value == b.value
+        np.testing.assert_array_equal(np.asarray(a.grad_g),
+                                      np.asarray(b.grad_g))
 
     ft = cssl_total(v, PnrConfig(method=Method.SIMCLR, regime=Regime.FT))
     v_shuffled_prev = replace(v, z_prev=np.concatenate([
@@ -137,8 +151,9 @@ def test_criterion_3_reduction_identities():
                      PnrConfig(method=Method.SIMCLR, regime=Regime.FT))
     assert ft.value == ft2.value
     assert ft.grad_g is None
-    _report(3, "PNR->CaSSLe reductions bitwise for contrastive and "
-               "non-contrastive; FT free of previous-model terms")
+    _report(3, "PNR->CaSSLe reductions bitwise: contrastive logits differ "
+               "only in the masked pseudo-negative cells, non-contrastive "
+               "lambda_pnr 0 equals CaSSLe; FT free of previous-model terms")
 
 
 def test_criterion_4_counting_and_symmetry():

@@ -23,7 +23,7 @@ from cssl.continual import (
     build_data_il,
     build_domain_il,
 )
-from cssl.datastore import gen_synthetic
+from cssl.datastore import gen_synthetic, load_checkpoint, save_checkpoint
 from cssl.errors import ConfigError, CsslError
 from cssl.losses import Method, Regime
 
@@ -203,6 +203,30 @@ class TestCli:
                          "--out", report]) == 0
         with open(report) as got, open(f"{prefix}_summary.csv") as want:
             assert got.read() == want.read()
+
+    def test_probe_scores_a_collapsed_encoder(self, workdir):
+        # A zero last encoder layer maps every sample to the same features;
+        # the probe scores that checkpoint and leaves the others alone.
+        tmp, cfg = workdir
+        data = str(tmp / "data.bin")
+        out_dir = tmp / "run"
+        probe = ["probe", "--config", cfg, "--data", data,
+                 "--checkpoints", str(out_dir), "--out"]
+        assert cli_main(["gen-data", "--config", cfg, "--out", data]) == 0
+        assert cli_main(["train", "--config", cfg, "--data", data,
+                         "--out-dir", str(out_dir)]) == 0
+        assert cli_main(probe + [str(tmp / "before")]) == 0
+        path = str(out_dir / "seed1_ft_task2.ckpt")
+        stack = load_checkpoint(path)
+        stack.encoder.weights[-1][...] = 0.0
+        stack.encoder.biases[-1][...] = 0.0
+        save_checkpoint(stack, path)
+        assert cli_main(probe + [str(tmp / "after")]) == 0
+        before, after = (json.loads((tmp / f"{name}_seed1.json").read_text())
+                         for name in ("before", "after"))
+        assert after["a"] == before["a"]
+        assert after["ft"][0] == before["ft"][0]
+        assert 0.0 <= after["ft"][1] <= 1.0
 
     def test_probe_single_task_grid(self, tmp_path):
         cfg_text = FAST_CONFIG.replace("num_tasks: 2", "num_tasks: 1")

@@ -50,11 +50,18 @@ class TestLinearProbe:
             acc = linear_probe(x[None], y, ProbeConfig(), Rng(seed))[2][0]
             assert 0.05 <= acc <= 0.2
 
-    def test_identical_features_raise(self):
+    def test_identical_features_fit_bias_only(self):
+        # A collapsed encoder: every column centers to zero and is left
+        # unscaled, so only the bias learns, and it predicts the train
+        # split's most frequent class.
         x = np.ones((40, 4))
         y = np.array([0, 1] * 20)
-        with pytest.raises(CsslError, match="feature matrix 0 of 1"):
-            linear_probe(x[None], y, ProbeConfig(), Rng(1))
+        w, b, acc = linear_probe(x[None], y, ProbeConfig(), Rng(1))
+        perm = Rng(1).permutation(40)
+        assert np.mean(y[perm[:32]] == 0) > 0.5
+        assert not w.any()
+        assert b[0, 0] > 0 > b[0, 1]
+        assert acc[0] == np.mean(y[perm[32:]] == 0) == 0.25
 
     def test_single_class_raises(self):
         x = Rng(1).gaussian_matrix(20, 3)
@@ -83,13 +90,18 @@ class TestLinearProbe:
         _w, _b, acc = linear_probe(ds.x[None], ds.y, ProbeConfig(), Rng(1))
         assert acc[0] >= 0.95
 
-    def test_one_constant_slice_is_named(self):
+    def test_one_constant_slice_leaves_the_others(self):
         rng = Rng(4)
-        x = np.stack([rng.gaussian_matrix(40, 4), np.ones((40, 4)),
-                      rng.gaussian_matrix(40, 4)])
+        a, c = rng.gaussian_matrix(40, 4), rng.gaussian_matrix(40, 4)
         y = np.array([0, 1] * 20)
-        with pytest.raises(CsslError, match="feature matrix 1 of 3"):
-            linear_probe(x, y, ProbeConfig(), Rng(1))
+        w, b, acc = linear_probe(np.stack([a, np.ones((40, 4)), c]), y,
+                                 ProbeConfig(), Rng(1))
+        w2, b2, acc2 = linear_probe(np.stack([a, c]), y, ProbeConfig(),
+                                    Rng(1))
+        assert np.array_equal(w[[0, 2]], w2)
+        assert np.array_equal(b[[0, 2]], b2)
+        assert np.array_equal(acc[[0, 2]], acc2)
+        assert not w[1].any() and acc[1] == 0.25
 
     @pytest.mark.parametrize("k", [2, 3, 8, 10])
     def test_row_max_matches_numpy_max(self, k):

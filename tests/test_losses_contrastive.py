@@ -210,16 +210,28 @@ class TestSetSemantics:
 
 
 class TestReductions:
-    def test_pn_empty_equals_cassle_bitwise(self):
+    def test_pn_empty_equals_cassle_bitwise(self, monkeypatch):
+        # CaSSLe's logits are PNR's with the pseudo-negative blocks (z rows
+        # x frozen block, g rows x current block) at -inf, bit for bit
+        seen = []
+        lse = losses.logsumexp_rows
+
+        def capture(m):
+            seen.append(m.copy())
+            return lse(m)
+
+        monkeypatch.setattr(losses, "logsumexp_rows", capture)
         v = random_views(Rng(106), 6, 8, queue_rows=5)
-        cfg_pnr_empty = PnrConfig(method=Method.MOCO, regime=Regime.PNR,
-                                  include_pseudo_negatives=False)
-        cfg_cassle = PnrConfig(method=Method.MOCO, regime=Regime.CASSLE)
-        a = cssl_total(v, cfg_pnr_empty)
-        b = cssl_total(v, cfg_cassle)
-        assert a.value == b.value
-        np.testing.assert_array_equal(a.grad_z, b.grad_z)
-        np.testing.assert_array_equal(a.grad_g, b.grad_g)
+        for regime in (Regime.PNR, Regime.CASSLE):
+            cssl_total(v, PnrConfig(method=Method.MOCO, regime=regime))
+        pnr, cassle = seen
+        m, c = 12, 17
+        assert pnr.shape == cassle.shape == (2 * m, 2 * c)
+        want = pnr.copy()
+        want[:m, c:] = want[m:, :c] = -np.inf
+        np.testing.assert_array_equal(cassle, want)
+        assert np.isfinite(pnr[:m, c:]).all()
+        assert np.isfinite(pnr[m:, :c]).sum() == m * c - m
 
     def test_cassle_equals_reference_composition(self):
         v = random_views(Rng(107), 4, 6)
