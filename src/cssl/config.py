@@ -145,10 +145,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
     return cfg
 
 
-# Comments in the generated default file: an enum key lists its choices.
-_CHOICES = {
-    "lambda_pnr": "null = per-method default (" + ", ".join(
+# Comments in the generated default file, by YAML path; an enum key lists
+# its choices.
+_NOTES = {
+    "loss.lambda_pnr": "null = per-method default (" + ", ".join(
         f"{m.value} {lam:g}" for m, lam in DEFAULT_LAMBDA_PNR.items()) + ")",
+    "probe.epochs": "cap on Newton iterations",
+    "probe.lr": "not read: the probe is solved to its minimum",
 }
 
 
@@ -173,7 +176,8 @@ def _default_config_yaml() -> str:
             default = _field_default(cls, key)
             line = f"{'  ' if section else ''}{key}: {_yaml_value(default)}"
             note = (" | ".join(m.value for m in type(default))
-                    if isinstance(default, enum.Enum) else _CHOICES.get(key))
+                    if isinstance(default, enum.Enum)
+                    else _NOTES.get(_path(section, key)))
             lines.append(f"{line:<28}# {note}" if note else line)
     return "\n".join(lines) + "\n"
 

@@ -364,8 +364,9 @@ def train_task(stack: EncoderStack, frozen_prev: EncoderStack | None,
     Runs ``epochs_per_task`` sweeps of two-view SGD steps; MoCo queues are
     created fresh for the task and BYOL's target starts as a copy of the
     online network. Raises DivergenceDetected, naming the task, epoch and
-    step, on a NaN/Inf loss or a collapsed Barlow batch; outputs that
-    overflow (see :func:`_overflowed`) count as a nan loss.
+    step, on a NaN/Inf loss, a projection row of norm zero or a collapsed
+    Barlow batch; outputs that overflow (see :func:`_overflowed`) count as a
+    nan loss.
     """
     loss_cfg = _effective_cfg(cfg.loss, frozen_prev)
     method = loss_cfg.method
@@ -402,11 +403,13 @@ def train_task(stack: EncoderStack, frozen_prev: EncoderStack | None,
         for epoch in range(1, cfg.epochs_per_task + 1):
             batch_losses: list[float] = []
             for step, (x, z_prev) in enumerate(plan, 1):
-                views, fwd = encode_views(
-                    stack, x, z_prev, loss_cfg, target=target,
-                    queue_cur=(cur_queue.snapshot() if cur_queue else None),
-                    queue_prev=(prev_queue.snapshot() if prev_queue else None))
                 try:
+                    views, fwd = encode_views(
+                        stack, x, z_prev, loss_cfg, target=target,
+                        queue_cur=(cur_queue.snapshot() if cur_queue
+                                   else None),
+                        queue_prev=(prev_queue.snapshot() if prev_queue
+                                    else None))
                     res = (LossResult(np.nan) if _overflowed(fwd)
                            else total_loss(views, loss_cfg))
                     if not np.isfinite(res.value):

@@ -23,5 +23,6 @@ class CorruptFile(CsslError):
 
 
 class DivergenceDetected(CsslError):
-    """Training loss, or a linear probe's fitted weights, became NaN or
-    Inf, or a Barlow Twins batch collapsed to a constant column."""
+    """Training loss became NaN or Inf, a projection row had norm zero, a
+    Barlow Twins batch collapsed to a constant column, or a linear probe
+    was handed features that are not finite or overflow."""

@@ -10,14 +10,10 @@ notation; the grid itself is 0-based.
 Every checkpoint of task i's row (and its FT reference) is probed on the
 same train/holdout split, so ``fill_accuracy_matrix`` makes one stacked
 ``linear_probe`` call per task over the T (or T + 1) feature matrices. The
-stacked fit is bit-identical to fitting each checkpoint on its own.
-
-The probe's descent loop is class-major: its logits and gradients are
-``(C, k, n)``, so every per-sample op runs over contiguous rows of n train
-samples rather than over rows of k classes (2 to 10 in the benchmarks).
-Its reductions take numpy's own order on that layout: the softmax's sum
-over classes adds the class rows in order, and the bias gradient's sum
-over samples is numpy's pairwise sum.
+probe solves each feature matrix's regularized logistic regression to its
+minimum with Newton's method, one slice at a time, so the stacked fit is
+bit-identical to fitting each checkpoint on its own and depends on no step
+size or epoch count.
 
 The metric functions sum with builtin ``sum``, which adds in index order,
 so they round exactly as the definitions' loops do.
@@ -37,8 +33,13 @@ from .numerics import Rng
 
 @dataclass
 class ProbeConfig:
-    """Full-batch gradient descent keeps probing deterministic: no minibatch
-    noise, zero-initialized weights, fixed iteration count."""
+    """The linear probe's settings. The fit is the minimum of mean
+    cross-entropy + ``l2_penalty``·‖W‖², found by Newton's method from zero,
+    so it is deterministic. ``epochs`` caps the Newton iterations (a fit
+    that reaches the cap returns its last iterate). ``lr`` is checked but
+    not read: the solver needs no step size, and configs still set it.
+    ``l2_penalty`` must be positive, because without it separable classes
+    have no minimum."""
 
     epochs: int = 500
     lr: float = 0.5
@@ -52,8 +53,8 @@ class ProbeConfig:
             raise CsslError("epochs must be >= 1")
         if self.lr <= 0:
             raise CsslError("lr must be positive")
-        if self.l2_penalty < 0:
-            raise CsslError("l2_penalty must be non-negative")
+        if self.l2_penalty <= 0:
+            raise CsslError("l2_penalty must be positive")
 
 
 @dataclass
@@ -86,36 +87,22 @@ def linear_probe(features: np.ndarray, labels: np.ndarray, cfg: ProbeConfig,
     ``features`` is ``(C, m, d)``: C feature matrices of the same m samples,
     which share ``labels`` and one train/holdout split drawn from ``rng``.
     Each slice is standardized by its own train-split statistics and fitted
-    as its own classifier. A column whose train-split standard deviation is
-    at most 1e-12 is centered but not scaled, so it adds (next to) nothing
-    to the logits: a slice without variance (a collapsed encoder) gets in
-    effect a bias-only fit, which predicts the train split's most frequent
-    class. The classifier starts at zero, so converged accuracy is exactly
-    invariant under feature column permutations. Returns the trained
-    weights ``(C, k, d)``, biases ``(C, k)`` and top-1 holdout accuracies
-    ``(C,)``. Raises :class:`DivergenceDetected`, naming the
-    slice and the probe settings, when the fitted weights are not finite
-    (for example when ``lr * l2_penalty`` is so large that the decay term
-    alone grows them every epoch).
-
-    The loop runs class-major: the logits and their gradient ``g`` are
-    ``(C, k, n)`` and the one-hot targets ``(k, n)``, so each per-sample op
-    (bias, max and sum over classes, softmax, targets) runs over contiguous
-    rows of n samples. Every op works on each slice alone (one gemm per
-    slice in each stacked ``matmul``, elementwise ops, reductions over the
-    slice's own axes), so a slice's stacked fit is bit-identical to fitting
-    it alone. Each reduction takes numpy's own order: the softmax
-    denominator, ``np.add.reduce`` over the middle (class) axis, adds the
-    class rows in order, and ``grad_b`` is numpy's pairwise sum over the
-    samples. Both gradients are divided by the train size after summing.
-    The sample-major 2-D fit that ``tests/reference.py`` keeps spells these
-    orders out and matches bit for bit, up to BLAS: each gemm hands BLAS
-    the transpose of its sample-major product. OpenBLAS 0.3.31's SkylakeX
-    kernels round the two alike for the tests' and the benchmark's shapes,
-    but not for all: a feature width d with ``d % 8`` in 1..4
-    (``grad_w``), or 12 or more classes over more than 192 train samples
-    that are not a multiple of 8 (the logits), moves the weights' last
-    bits.
+    as its own classifier, solved to the minimum of its objective (see
+    :func:`_newton_fit`); slices share no arithmetic, so a stacked call
+    equals one call per slice bit for bit. A column whose train-split
+    standard deviation is at most 1e-12 is centered but not scaled, so it
+    adds nothing to the logits: a slice without variance (a collapsed
+    encoder) gets a bias-only fit, which predicts the train split's most
+    frequent class. A class that the train split lacks has no finite
+    minimizer (its bias runs to -inf), so it is not fitted: its weights are
+    0 and its bias -inf, and it is never predicted. Returns the weights
+    ``(C, k, d)``, biases ``(C, k)`` and top-1 holdout accuracies ``(C,)``.
+    Raises :class:`DivergenceDetected`, naming the slice and
+    ``probe.l2_penalty``, when a slice's features are not finite or their
+    squares overflow in the standardization, or when its Hessian is
+    singular: a penalty too small to register next to the curvature, with
+    duplicate feature columns or with separable classes whose softmax
+    saturates.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -128,55 +115,133 @@ def linear_probe(features: np.ndarray, labels: np.ndarray, cfg: ProbeConfig,
     n_train = min(max(int(cfg.train_fraction * m), 1), m - 1)
     perm = rng.permutation(m)
     tr, ho = perm[:n_train], perm[n_train:]
-    x_tr, x_ho = features[:, tr], features[:, ho]
-
-    mu = x_tr.mean(axis=-2, keepdims=True)
-    sd = x_tr.std(axis=-2, keepdims=True)
-    sd = np.where(sd <= 1e-12, 1.0, sd)
-    for x in (x_tr, x_ho):  # fancy-indexed copies, standardized in place
-        x -= mu
-        x /= sd
-
+    y_tr = np.searchsorted(classes, labels[tr])
+    fitted = np.unique(y_tr)  # the classes the train split holds
     k = classes.size
-    onehot = np.zeros((k, n_train))
-    onehot[np.searchsorted(classes, labels[tr]), np.arange(n_train)] = 1.0
     w = np.zeros((C, k, d))
-    b = np.zeros((C, k))
-    g = np.empty((C, k, n_train))
-    row = np.empty((C, n_train))
-    grad_w = np.empty_like(w)
-    grad_b = np.empty_like(b)
-    decay = np.empty_like(w)
-    bias = b[..., None]
-    x_tr_t = x_tr.transpose(0, 2, 1)
-    l2 = 2.0 * cfg.l2_penalty
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(cfg.epochs):
-            # g becomes softmax(w x^T + b) - onehot in place
-            np.matmul(w, x_tr_t, out=g)
-            g += bias
-            g -= np.maximum.reduce(g, axis=1, out=row)[:, None]
-            np.exp(g, out=g)
-            g /= np.add.reduce(g, axis=1, out=row)[:, None]
-            g -= onehot
-            np.matmul(g, x_tr, out=grad_w)
-            grad_w /= n_train
-            grad_w += np.multiply(l2, w, out=decay)
-            grad_w *= cfg.lr
-            w -= grad_w
-            np.add.reduce(g, axis=-1, out=grad_b)
-            grad_b /= n_train
-            grad_b *= cfg.lr
-            b -= grad_b
-    finite = np.isfinite(w).all(axis=(1, 2)) & np.isfinite(b).all(axis=1)
-    if not finite.all():
-        raise DivergenceDetected(
-            f"probe of feature matrix {int(np.argmin(finite))} of {C} "
-            f"diverged (probe.lr {cfg.lr}, probe.l2_penalty "
-            f"{cfg.l2_penalty})")
-    pred = classes[np.argmax(x_ho @ w.transpose(0, 2, 1) + b[:, None],
-                             axis=-1)]
-    return w, b, np.mean(pred == labels[ho], axis=-1)
+    b = np.full((C, k), -np.inf)
+    acc = np.empty(C)
+    for c in range(C):
+        where = (f"probe of feature matrix {c} of {C} "
+                 f"(probe.l2_penalty {cfg.l2_penalty})")
+        with np.errstate(over="ignore", invalid="ignore"):
+            x_tr, x_ho = features[c, tr], features[c, ho]
+            mu = x_tr.mean(axis=0)
+            sd = x_tr.std(axis=0)
+        if not (np.isfinite(x_tr).all() and np.isfinite(x_ho).all()):
+            raise DivergenceDetected(f"{where}: features are not finite")
+        if not np.isfinite(sd).all():
+            raise DivergenceDetected(
+                f"{where}: features overflow in the standardization")
+        sd = np.where(sd <= 1e-12, 1.0, sd)
+        for x in (x_tr, x_ho):  # fancy-indexed copies, standardized in place
+            x -= mu
+            x /= sd
+        try:
+            theta = _newton_fit(x_tr, np.searchsorted(fitted, y_tr),
+                                fitted.size, cfg.l2_penalty, cfg.epochs)
+        except np.linalg.LinAlgError as err:
+            raise DivergenceDetected(f"{where}: the Hessian is singular "
+                                     f"({err})") from err
+        w[c, fitted], b[c, fitted] = theta[:, :d], theta[:, d]
+        pred = classes[np.argmax(x_ho @ w[c].T + b[c], axis=1)]
+        acc[c] = np.mean(pred == labels[ho])
+    return w, b, acc
+
+
+# Elements of the per-chunk Hessian factor (64 KiB). OpenBLAS's syrk touches
+# packing buffers in proportion to the chunk, and they stay resident: 256 KiB
+# chunks raised the benchmark's peak RSS by about 0.5 MB more than these.
+_HESSIAN_CHUNK = 1 << 13
+
+
+def _newton_fit(x: np.ndarray, y: np.ndarray, k: int, l2_penalty: float,
+                max_iter: int) -> np.ndarray:
+    """Minimize mean cross-entropy + ``l2_penalty``·‖W‖² over ``(W, b)``.
+
+    ``x`` is ``(n, d)``, ``y`` the class index of each row in ``[0, k)``,
+    each class present. Returns ``theta = [W, b]`` as ``(k, d + 1)``.
+
+    Newton's method from zero, with a backtracking (Armijo) line search.
+    With ``xa = [x, 1]`` and ``p_s`` the softmax of sample s, the Hessian
+    is ``mean_s (diag(p_s) - p_s p_sᵀ) ⊗ xa_s xa_sᵀ`` (Böhning 1992) plus
+    ``2·l2_penalty`` on the weights. It is built over chunks of samples,
+    so no ``(n, k·(d + 1))`` temporary exists. The bias is not penalized,
+    so shifting every class's bias alike is a null direction; the rank-one
+    term ``u uᵀ`` on the bias block (u = 1/√k) makes the Hessian
+    invertible, and the gradient is orthogonal to u, so the term leaves
+    the step alone. The loop stops when the Newton decrement ``gᵀH⁻¹g``
+    is at most ``1e-14·(1 + f)``, when the line search cannot decrease f,
+    or after ``max_iter`` steps. The rule is relative because at a few
+    thousand samples the gradient's rounding floor can sit above 1e-10,
+    where an absolute tolerance never fires.
+    """
+    n, d = x.shape
+    p = d + 1
+    xa = np.empty((n, p))
+    xa[:, :d] = x
+    xa[:, d] = 1.0
+    # sum_s (p_s - onehot_s) xa_s = prob^T xa - target: no residual array
+    target = np.stack([xa[y == j].sum(axis=0) for j in range(k)])
+    theta = np.zeros((k, p))
+    decay = np.zeros((k, p))
+    decay[:, :d] = 2.0 * l2_penalty
+    chunk = max(1, _HESSIAN_CHUNK // (k * p))
+    # Work buffers, allocated once per fit: fresh arrays every iteration
+    # fragmented the heap, and peak RSS grew with the number of fits.
+    prob, trial = np.empty((n, k)), np.empty((n, k))
+    top, picked, total = np.empty(n), np.empty(n), np.empty(n)
+    at_y = np.arange(n) * k + y  # flat indices of the true classes' logits
+    z = np.empty((chunk, k, p))
+    hess = np.empty((k, p, k, p))
+    flat = hess.reshape(k * p, k * p)
+    cross = np.empty((k * p, k * p))
+    blocks, part = np.empty((k * p, p)), np.empty((k * p, p))
+
+    def objective(theta, out):
+        """f(theta); writes the softmax into ``out``."""
+        np.matmul(xa, theta.T, out=out)
+        np.max(out, axis=1, out=top)
+        np.take(out, at_y, out=picked)
+        out -= top[:, None]
+        np.exp(out, out=out)
+        np.sum(out, axis=1, out=total)
+        out /= total[:, None]
+        # f = mean(top + log(total) - picked), in place
+        np.subtract(np.add(np.log(total, out=total), top, out=total), picked,
+                    out=total)
+        return np.mean(total) + l2_penalty * np.sum(theta[:, :d] ** 2)
+
+    f = objective(theta, prob)
+    for _ in range(max_iter):
+        grad = (prob.T @ xa - target) / n + decay * theta
+        hess.fill(0.0)
+        blocks.fill(0.0)
+        for lo in range(0, n, chunk):
+            xc = xa[lo:lo + chunk]
+            zc = np.multiply(prob[lo:lo + chunk, :, None], xc[:, None, :],
+                             out=z[:len(xc)]).reshape(len(xc), k * p)
+            flat -= np.matmul(zc.T, zc, out=cross)
+            blocks += np.matmul(zc.T, xc, out=part)
+        hess[np.arange(k), :, np.arange(k)] += blocks.reshape(k, p, p)
+        flat /= n
+        flat[np.diag_indices(k * p)] += decay.ravel()
+        hess[:, d, :, d] += 1.0 / k
+        step = -np.linalg.solve(flat, grad.ravel()).reshape(k, p)
+        dec = -np.vdot(grad, step)
+        if not dec > 1e-14 * (1.0 + f):
+            break
+        t = 1.0
+        while t > 1e-10:
+            f_new = objective(theta + t * step, trial)
+            if f_new <= f - 0.25 * t * dec:
+                break
+            t *= 0.5
+        else:
+            break
+        theta = theta + t * step
+        f, prob, trial = f_new, trial, prob
+    return theta
 
 
 def fill_accuracy_matrix(checkpoints: list[EncoderStack],

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CsslError
+from .errors import CsslError, DivergenceDetected
 
 EPS_NORM = 1e-12
 # How far a row norm may stray from 1 where unit rows are required.
@@ -69,11 +69,13 @@ def check_unit_rows(m: np.ndarray, name: str) -> None:
 
 
 def row_l2_normalize(m: np.ndarray) -> np.ndarray:
-    """Scale every row to unit L2 norm; a norm <= EPS_NORM is rejected."""
+    """Scale every row to unit L2 norm. A norm <= EPS_NORM has no direction
+    (in training, a projection whose ReLU path is dead), so it raises
+    :class:`DivergenceDetected`."""
     norms = row_norms(m)
     if m.shape[0] and np.min(norms) <= EPS_NORM:
         bad = int(np.argmin(norms))
-        raise CsslError(
+        raise DivergenceDetected(
             f"row {bad} has norm {norms[bad]:.3e} <= {EPS_NORM:.0e}")
     return m / norms[:, None]
 

@@ -3,14 +3,11 @@
 Everything here is deliberately written in the most naive style possible
 (scalar loops, a tiny tape-based autodiff) and shares no code with the
 package implementations it checks. :func:`fisher_yates` takes its draws
-from the package's SplitMix64 stream, which it does not check. Two
-exceptions check a restructured package function bit for bit, so they keep
-its arithmetic:
-:func:`train_task_redraw` checks how ``train_task`` draws and replays a
-task's batches, so it reuses the package's step pieces and differs from
-``train_task`` only in its drawing; :func:`per_checkpoint_probe` is the
-2-D probe of one feature matrix that the stacked ``linear_probe`` must
-match slice by slice.
+from the package's SplitMix64 stream, which it does not check. One
+exception checks a restructured package function bit for bit, so it keeps
+its arithmetic: :func:`train_task_redraw` checks how ``train_task`` draws
+and replays a task's batches, so it reuses the package's step pieces and
+differs from ``train_task`` only in its drawing.
 """
 
 from __future__ import annotations
@@ -273,51 +270,45 @@ def brute_force_plasticity(a, ft):
     return total / (T - 1)
 
 
-def per_checkpoint_probe(features, labels, cfg, rng):
-    """The linear probe of one ``(m, d)`` feature matrix, fitted alone:
-    returns the trained weights ``(k, d)``, biases ``(k,)`` and holdout
-    accuracy.
+def probe_gradient(features, labels, cfg, rng, w, b):
+    """First-order check of a linear probe of one ``(m, d)`` feature matrix.
 
-    The loop is sample-major, ``(n, k)``, and spells out the orders of the
-    package's class-major sums: the softmax denominator adds the classes one
-    by one, in order; the bias gradient is numpy's pairwise sum over a
-    contiguous ``(k, n)`` copy; and both gradients are divided by the train
-    size after summing, not before."""
+    Redraws the probe's split from ``rng``, standardizes the features by
+    the train split's statistics and returns the gradient of mean
+    cross-entropy + ``l2_penalty``·‖W‖² at the given weights ``(k, d)`` and
+    biases ``(k,)``, summed one sample at a time, together with the holdout
+    accuracy of ``(w, b)``. Classes whose bias is -inf (absent from the
+    train split) drop out of the softmax, and their gradient rows are
+    zero. At the minimum every gradient entry is (next to) zero."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    classes = np.unique(labels)
+    classes = sorted(set(labels.tolist()))
     m = features.shape[0]
     n_train = min(max(int(cfg.train_fraction * m), 1), m - 1)
     perm = rng.permutation(m)
     tr, ho = perm[:n_train], perm[n_train:]
-    x_tr, y_tr = features[tr], labels[tr]
-    x_ho, y_ho = features[ho], labels[ho]
-
-    mu = x_tr.mean(axis=0)
-    sd = x_tr.std(axis=0)
+    mu = features[tr].mean(axis=0)
+    sd = features[tr].std(axis=0)
     sd = np.where(sd <= 1e-12, 1.0, sd)
-    x_tr = (x_tr - mu) / sd
-    x_ho = (x_ho - mu) / sd
-
-    remap = {int(c): k for k, c in enumerate(classes)}
-    y_idx = np.array([remap[int(c)] for c in y_tr], dtype=np.int64)
-    k = classes.size
-    w = np.zeros((k, x_tr.shape[1]))
-    b = np.zeros(k)
-    onehot = np.zeros((n_train, k))
-    onehot[np.arange(n_train), y_idx] = 1.0
-    for _ in range(cfg.epochs):
-        logits = x_tr @ w.T + b
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        denom = e[:, 0].copy()
-        for j in range(1, k):
-            denom += e[:, j]
-        g = e / denom[:, None] - onehot
-        w -= cfg.lr * ((g.T @ x_tr) / n_train + 2.0 * cfg.l2_penalty * w)
-        b -= cfg.lr * (np.ascontiguousarray(g.T).sum(axis=-1) / n_train)
-    pred = classes[np.argmax(x_ho @ w.T + b, axis=1)]
-    return w, b, float(np.mean(pred == y_ho))
+    live = [j for j in range(len(classes)) if np.isfinite(b[j])]
+    grad_w = 2.0 * cfg.l2_penalty * w
+    grad_b = np.zeros(len(classes))
+    for s in tr:
+        x = (features[s] - mu) / sd
+        logits = {j: float(w[j] @ x + b[j]) for j in live}
+        top = max(logits.values())
+        denom = sum(math.exp(v - top) for v in logits.values())
+        for j in live:
+            r = (math.exp(logits[j] - top) / denom
+                 - (classes[j] == labels[s]))
+            grad_w[j] += r * x / n_train
+            grad_b[j] += r / n_train
+    hits = 0
+    for s in ho:
+        x = (features[s] - mu) / sd
+        scores = [w[j] @ x + b[j] for j in range(len(classes))]
+        hits += classes[int(np.argmax(scores))] == labels[s]
+    return grad_w, grad_b, hits / len(ho)
 
 
 def fnv1a64_loop(data):

@@ -131,6 +131,8 @@ class TestConfigParsing:
         # gen_synthetic and domain_il need two input dims
         ({"dataset": {"input_dim": 1}, "model": {"encoder_dims": [1, 32, 8]}},
          "dataset.input_dim"),
+        # without a penalty separable classes have no minimum
+        ({"probe": {"l2_penalty": 0.0}}, "probe.l2_penalty must be positive"),
     ])
     def test_invalid_fields_named(self, patch, field):
         raw = yaml.safe_load(DEFAULT_CONFIG_YAML)

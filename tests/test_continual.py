@@ -368,6 +368,18 @@ class TestTrainTask:
             train_task(stack, init_stack(Rng(2), **SMALL_MODEL), task, cfg,
                        task_index=2)
 
+    def test_zero_projection_row_names_task_epoch_and_step(self):
+        # Biases start at zero, so a one-unit hidden layer whose ReLU is off
+        # for a sample maps it to a zero projection, which has no direction
+        # on the sphere; at lr 0 nothing can revive it.
+        task = build_class_il(toy_dataset(), 5).tasks[0]
+        dims = dict(SMALL_MODEL, encoder_dims=[8, 1, 6])
+        with pytest.raises(DivergenceDetected, match=(
+                r"^row 0 has norm 0\.000e\+00 <= 1e-12 at task 1, epoch 1 "
+                r"of 2, step 1 of the epoch$")):
+            train_task(init_stack(Rng(1), **dims), None, task,
+                       small_cfg(lr=0.0, **dims), task_index=1)
+
 
 class TestRunSequence:
     def test_checkpoint_counts(self):

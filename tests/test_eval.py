@@ -22,8 +22,12 @@ from cssl.numerics import Rng
 from reference import (
     brute_force_plasticity,
     brute_force_stability,
-    per_checkpoint_probe,
+    probe_gradient,
 )
+
+# The largest gradient entry a converged probe may leave (see
+# evaluate._newton_fit's stop rule); the fits below reach about 1e-8.
+GRAD_TOL = 1e-6
 
 
 def blobs(n=100, margin=5.0, seed=3):
@@ -105,9 +109,10 @@ class TestLinearProbe:
 
     @pytest.mark.parametrize("k", [2, 3, 8, 10])
     def test_row_max_matches_numpy_max(self, k):
-        # linear_probe takes the max over the classes, the middle axis of
-        # its (C, k, n) logits, with np.maximum.reduce; the rows of the
-        # sample-major (C, n, k) logits are that buffer's columns
+        # A numpy fact the earlier class-major probe relied on; no package
+        # code does now (ROADMAP item 11 lists its deletion). The max over
+        # the middle axis of (C, k, n) logits, with np.maximum.reduce,
+        # equals the row max of the sample-major (C, n, k) logits.
         rng = Rng(k)
         logits = rng.gaussian_matrix(3 * 16, k).reshape(3, 16, k)
         logits[0, 0] = 0.0
@@ -131,11 +136,9 @@ class TestLinearProbe:
 
     @pytest.mark.parametrize("k", [2, 3, 7, 8, 9, 10, 15, 16, 17, 24, 25])
     def test_class_sum_matches_numpy_row_sum(self, k):
-        # linear_probe's softmax denominator is np.add.reduce over the
-        # middle axis of its (C, k, n) buffer, and tests/reference.py
-        # spells that out as adding the classes in order. numpy reduces a
-        # middle axis one class row at a time; a numpy that reorders it
-        # fails here, and the probe's weights then move in their last bits
+        # A numpy fact the earlier class-major probe relied on; no package
+        # code does now (ROADMAP item 11 lists its deletion). numpy reduces
+        # the middle axis of a (C, k, n) buffer one class row at a time.
         rng = Rng(100 + k)
         rows = np.exp(3.0 * rng.gaussian_matrix(3 * 40, k)).reshape(3, 40, k)
         rows[0, 0] = rng.gaussian_matrix(1, k)[0]  # signs mixed
@@ -152,24 +155,87 @@ class TestLinearProbe:
             "numpy no longer adds the middle axis in order")
 
     def test_diverging_probe_raises(self):
-        # lr * 2 * l2_penalty = 1000: the decay term alone multiplies the
-        # weights by -999 every epoch, so they overflow to inf and then NaN
+        # Features of a diverged encoder (the 1e229 of an overflowing run)
+        # square to inf in the standardization; NaN features are not
+        # finite. Either raises, naming the slice.
         x, y = blobs(margin=5.0)
-        cfg = ProbeConfig(l2_penalty=1000.0)
-        x2 = np.stack([x, x[:, ::-1]])
+        for bad, why in ((1e229, "overflow in the standardization"),
+                         (np.nan, "are not finite")):
+            x2 = np.stack([x, x.copy()])
+            x2[1, 7, 0] = bad
+            with pytest.raises(DivergenceDetected, match=(
+                    rf"^probe of feature matrix 1 of 2 \(probe.l2_penalty "
+                    rf"0.0001\): features {why}$")):
+                linear_probe(x2, y, ProbeConfig(), Rng(1))
+        assert linear_probe(np.stack([x, x]), y, ProbeConfig(),
+                            Rng(1))[2].min() >= 0.99
+
+    def test_singular_hessian_names_the_penalty(self):
+        # A duplicated feature column makes two weight directions equal;
+        # a penalty of 1e-20 vanishes next to their curvature, so the
+        # Newton system is singular. The default penalty keeps it regular.
+        x = Rng(3).gaussian_matrix(100, 2)
+        x = np.hstack([x, x[:, :1]])
+        y = (x[:, 0] + 0.3 * x[:, 1] > 0).astype(int)
         with pytest.raises(DivergenceDetected, match=(
-                r"feature matrix 0 of 2 diverged \(probe.lr 0.5, "
-                r"probe.l2_penalty 1000.0\)")):
-            linear_probe(x2, y, cfg, Rng(1))
-        assert linear_probe(x2, y, ProbeConfig(), Rng(1))[2].min() >= 0.99
+                r"^probe of feature matrix 0 of 1 \(probe.l2_penalty "
+                r"1e-20\): the Hessian is singular")):
+            linear_probe(x[None], y, ProbeConfig(l2_penalty=1e-20), Rng(1))
+        assert linear_probe(x[None], y, ProbeConfig(), Rng(1))[2][0] == 1.0
+
+    def test_heavy_penalty_fits_bias_only(self):
+        # A penalty of 1000 pins the weights near zero, so the fit is in
+        # effect all bias: the bias gap is the log-odds of the train
+        # split's class counts and every holdout sample gets the majority
+        x, y = blobs(margin=5.0)
+        w, b, acc = linear_probe(x[None], y, ProbeConfig(l2_penalty=1000.0),
+                                 Rng(1))
+        perm = Rng(1).permutation(200)
+        ones = np.sum(y[perm[:160]])
+        assert np.abs(w).max() < 1e-3
+        assert b[0, 1] - b[0, 0] == pytest.approx(
+            np.log(ones / (160 - ones)), abs=1e-3)
+        majority = int(ones > 80)
+        assert acc[0] == np.mean(y[perm[160:]] == majority)
+
+    def test_class_missing_from_train_split(self):
+        # A class whose only sample lands in the holdout has no finite
+        # minimizer: it is left out of the fit (weights 0, bias -inf) and
+        # never predicted, and the other classes converge
+        x = Rng(9).gaussian_matrix(41, 3)
+        y = (x[:, 0] > 0).astype(int)
+        held = Rng(2).permutation(41)[-1]
+        y[held] = 2
+        x2 = np.stack([x, x[:, ::-1]])
+        cfg = ProbeConfig(epochs=30)
+        w, b, acc = linear_probe(x2, y, cfg, Rng(2))
+        assert np.all(b[:, 2] == -np.inf) and not w[:, 2].any()
+        for c in range(2):
+            gw, gb, racc = probe_gradient(x2[c], y, cfg, Rng(2), w[c], b[c])
+            assert max(np.abs(gw).max(), np.abs(gb).max()) < GRAD_TOL
+            assert acc[c] == racc < 1.0  # the held-out class-2 sample misses
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_stacked_probe_equals_alone(self, d):
+        rng = Rng(30 + d)
+        feats = rng.gaussian_matrix(3 * 150, d).reshape(3, 150, d)
+        feats[1] *= 1e3
+        y = np.arange(150) % 3
+        feats[2, :, 0] += 0.8 * y
+        w, b, acc = linear_probe(feats, y, ProbeConfig(), Rng(4))
+        for c in range(3):
+            w1, b1, acc1 = linear_probe(feats[c:c + 1], y, ProbeConfig(),
+                                        Rng(4))
+            assert np.array_equal(w[c], w1[0]) and np.array_equal(b[c], b1[0])
+            assert acc[c] == acc1[0]
 
     @pytest.mark.parametrize("scenario",
                              ["class_il", "domain_il", "domain_il_25"])
     @pytest.mark.parametrize("with_ft", [False, True])
     def test_stacked_probe_equals_per_checkpoint(self, scenario, with_ft):
-        # class-IL: 5 tasks of 2 classes; domain-IL: 3 tasks of 10 classes,
-        # whose class sums take numpy's 8-accumulator row sum, or of 25
-        # classes, whose accumulators hold three terms each
+        # class-IL: 5 tasks of 2 classes; domain-IL: 3 tasks of 10 or 25
+        # classes. Every slice of the stacked probe equals that checkpoint
+        # probed alone, bit for bit, and is the minimum of its objective.
         T = 5 if scenario == "class_il" else 3
         classes = 25 if scenario == "domain_il_25" else 10
         ds = gen_synthetic(classes, 8, 12, 1.0, 0.5, seed=2)
@@ -191,10 +257,14 @@ class TestLinearProbe:
                                               root.derive(split))
             assert w.shape[0] == b.shape[0] == acc.shape[0] == len(probed)
             for c, x in enumerate(feats):
-                rw, rb, racc = per_checkpoint_probe(x, task.y, cfg,
-                                                    root.derive(split))
-                assert np.array_equal(w[c], rw) and np.array_equal(b[c], rb)
-                assert acc[c] == racc
+                w1, b1, acc1 = evaluate.linear_probe(x[None], task.y, cfg,
+                                                     root.derive(split))
+                assert np.array_equal(w[c], w1[0])
+                assert np.array_equal(b[c], b1[0])
+                gw, gb, racc = probe_gradient(x, task.y, cfg,
+                                              root.derive(split), w[c], b[c])
+                assert max(np.abs(gw).max(), np.abs(gb).max()) < GRAD_TOL
+                assert acc[c] == acc1[0] == racc
                 if c < T:
                     assert am.a[i, c] == racc
                 else:

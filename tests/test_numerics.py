@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cssl.errors import CsslError
+from cssl.errors import CsslError, DivergenceDetected
 from cssl.numerics import (
     _FNV_CHUNK,
     Rng,
@@ -50,7 +50,7 @@ class TestRowNormalize:
         np.testing.assert_allclose(cos, 1.0, atol=1e-12)
 
     def test_zero_row_raises(self):
-        with pytest.raises(CsslError, match="row 0 has norm 0.000e"):
+        with pytest.raises(DivergenceDetected, match="row 0 has norm 0.000e"):
             row_l2_normalize(np.array([[0.0, 0.0], [1.0, 0.0]]))
 
     def test_idempotent_bitwise(self):
