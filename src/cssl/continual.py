@@ -291,8 +291,12 @@ def _maybe_normalize(m: np.ndarray, normalized: bool) -> np.ndarray:
 def frozen_embedding(frozen: EncoderStack, x: np.ndarray,
                      method: Method) -> np.ndarray:
     """z_prev: the frozen model's projection of the stacked views ``x``, as
-    the method's loss reads it."""
-    return _maybe_normalize(forward(frozen, x).proj, on_sphere(method))
+    the method's loss reads it. A projection that overflows (see
+    :func:`_overflowed`) raises :class:`DivergenceDetected`."""
+    fwd = forward(frozen, x)
+    if _overflowed(fwd):
+        raise DivergenceDetected("projection overflows")
+    return _maybe_normalize(fwd.proj, on_sphere(method))
 
 
 def encode_views(stack: EncoderStack, x: np.ndarray,
@@ -387,19 +391,24 @@ def train_task(stack: EncoderStack, frozen_prev: EncoderStack | None,
     M = task.num_samples
     order = rng.permutation(M)
     plan = []
-    for lo in range(0, M, cfg.batch_size):
-        idx = order[lo:lo + cfg.batch_size]
-        if idx.size < 2 and method in (Method.VICREG, Method.BARLOW):
-            continue
-        x = two_views(task.x[idx], cfg.augment, rng)
-        z_prev = (None if loss_cfg.regime == Regime.FT
-                  else frozen_embedding(frozen_prev, x, method))
-        plan.append((x, z_prev))
     epoch_losses: list[float] = []
     steps = 0
-    # A diverging step overflows before its loss turns non-finite; the checks
-    # below, not numpy's warnings, report that.
+    # A diverging model overflows before its loss turns non-finite; the
+    # checks below, not numpy's warnings, report that.
     with np.errstate(over="ignore", invalid="ignore"):
+        for batch, lo in enumerate(range(0, M, cfg.batch_size), 1):
+            idx = order[lo:lo + cfg.batch_size]
+            if idx.size < 2 and method in (Method.VICREG, Method.BARLOW):
+                continue
+            x = two_views(task.x[idx], cfg.augment, rng)
+            try:
+                z_prev = (None if loss_cfg.regime == Regime.FT
+                          else frozen_embedding(frozen_prev, x, method))
+            except DivergenceDetected as err:
+                raise DivergenceDetected(
+                    f"frozen model: {err} at task {task_index}, batch "
+                    f"{batch}") from err
+            plan.append((x, z_prev))
         for epoch in range(1, cfg.epochs_per_task + 1):
             batch_losses: list[float] = []
             for step, (x, z_prev) in enumerate(plan, 1):

@@ -7,13 +7,11 @@ accuracy of the independent single-task reference model for task i.
 Task indices in the public metric functions are 1-based to match the usual
 notation; the grid itself is 0-based.
 
-Every checkpoint of task i's row (and its FT reference) is probed on the
-same train/holdout split, so ``fill_accuracy_matrix`` makes one stacked
-``linear_probe`` call per task over the T (or T + 1) feature matrices. The
-probe solves each feature matrix's regularized logistic regression to its
-minimum with Newton's method, one slice at a time, so the stacked fit is
-bit-identical to fitting each checkpoint on its own and depends on no step
-size or epoch count.
+Each task draws one train/holdout split, and ``fill_accuracy_matrix``
+probes every checkpoint, and the task's FT reference, on it: one
+``linear_probe`` call per (task, checkpoint) pair. The probe solves the
+regularized logistic regression of one feature matrix to its minimum with
+Newton's method, so it depends on no step size or epoch count.
 
 The metric functions sum with builtin ``sum``, which adds in index order,
 so they round exactly as the definitions' loops do.
@@ -80,73 +78,66 @@ class AccuracyMatrix:
         return self.a.shape[0]
 
 
-def linear_probe(features: np.ndarray, labels: np.ndarray, cfg: ProbeConfig,
-                 rng: Rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Multinomial logistic regression on C stacked frozen feature matrices.
+def linear_probe(features: np.ndarray, labels: np.ndarray, order: np.ndarray,
+                 cfg: ProbeConfig) -> tuple[np.ndarray, np.ndarray, float]:
+    """Multinomial logistic regression on one frozen feature matrix.
 
-    ``features`` is ``(C, m, d)``: C feature matrices of the same m samples,
-    which share ``labels`` and one train/holdout split drawn from ``rng``.
-    Each slice is standardized by its own train-split statistics and fitted
-    as its own classifier, solved to the minimum of its objective (see
-    :func:`_newton_fit`); slices share no arithmetic, so a stacked call
-    equals one call per slice bit for bit. A column whose train-split
-    standard deviation is at most 1e-12 is centered but not scaled, so it
-    adds nothing to the logits: a slice without variance (a collapsed
-    encoder) gets a bias-only fit, which predicts the train split's most
-    frequent class. A class that the train split lacks has no finite
-    minimizer (its bias runs to -inf), so it is not fitted: its weights are
-    0 and its bias -inf, and it is never predicted. Returns the weights
-    ``(C, k, d)``, biases ``(C, k)`` and top-1 holdout accuracies ``(C,)``.
-    Raises :class:`DivergenceDetected`, naming the slice and
-    ``probe.l2_penalty``, when a slice's features are not finite or their
-    squares overflow in the standardization, or when its Hessian is
-    singular: a penalty too small to register next to the curvature, with
-    duplicate feature columns or with separable classes whose softmax
-    saturates.
+    ``features`` is ``(m, d)`` with one label per row; the first ``n_train``
+    entries of ``order``, a permutation of the m rows, are the train split
+    and the rest the holdout. The features are standardized by the train
+    split's statistics and the fit is solved to the minimum of its
+    objective (see :func:`_newton_fit`). A column whose train-split standard
+    deviation is at most 1e-12 is centered but not scaled, so it adds
+    nothing to the logits: a collapsed encoder gets a bias-only fit, which
+    predicts the train split's most frequent class. A class that the train
+    split lacks has no finite minimizer (its bias runs to -inf), so it is
+    not fitted: its weights are 0 and its bias -inf, and it is never
+    predicted. Returns the weights ``(k, d)``, biases ``(k,)`` and top-1
+    holdout accuracy. Raises :class:`DivergenceDetected`, naming
+    ``probe.l2_penalty``, when the features are not finite or their squares
+    overflow in the standardization, or when the Hessian is singular: a
+    penalty too small to register next to the curvature, with duplicate
+    feature columns or with separable classes whose softmax saturates.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    if features.ndim != 3 or labels.shape != (features.shape[1],):
-        raise CsslError("features must be (C, m, d) with m labels")
+    if (features.ndim != 2 or labels.shape != features.shape[:1]
+            or np.shape(order) != labels.shape):
+        raise CsslError("features must be (m, d), with m labels and an "
+                        "order of the m rows")
+    m, d = features.shape
     classes = np.unique(labels)
     if classes.size < 2:
         raise CsslError("probing needs at least two classes")
-    C, m, d = features.shape
     n_train = min(max(int(cfg.train_fraction * m), 1), m - 1)
-    perm = rng.permutation(m)
-    tr, ho = perm[:n_train], perm[n_train:]
+    tr, ho = order[:n_train], order[n_train:]
     y_tr = np.searchsorted(classes, labels[tr])
     fitted = np.unique(y_tr)  # the classes the train split holds
-    k = classes.size
-    w = np.zeros((C, k, d))
-    b = np.full((C, k), -np.inf)
-    acc = np.empty(C)
-    for c in range(C):
-        where = (f"probe of feature matrix {c} of {C} "
-                 f"(probe.l2_penalty {cfg.l2_penalty})")
-        with np.errstate(over="ignore", invalid="ignore"):
-            x_tr, x_ho = features[c, tr], features[c, ho]
-            mu = x_tr.mean(axis=0)
-            sd = x_tr.std(axis=0)
-        if not (np.isfinite(x_tr).all() and np.isfinite(x_ho).all()):
-            raise DivergenceDetected(f"{where}: features are not finite")
-        if not np.isfinite(sd).all():
-            raise DivergenceDetected(
-                f"{where}: features overflow in the standardization")
-        sd = np.where(sd <= 1e-12, 1.0, sd)
-        for x in (x_tr, x_ho):  # fancy-indexed copies, standardized in place
-            x -= mu
-            x /= sd
-        try:
-            theta = _newton_fit(x_tr, np.searchsorted(fitted, y_tr),
-                                fitted.size, cfg.l2_penalty, cfg.epochs)
-        except np.linalg.LinAlgError as err:
-            raise DivergenceDetected(f"{where}: the Hessian is singular "
-                                     f"({err})") from err
-        w[c, fitted], b[c, fitted] = theta[:, :d], theta[:, d]
-        pred = classes[np.argmax(x_ho @ w[c].T + b[c], axis=1)]
-        acc[c] = np.mean(pred == labels[ho])
-    return w, b, acc
+    where = f"probe (probe.l2_penalty {cfg.l2_penalty})"
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_tr, x_ho = features[tr], features[ho]
+        mu = x_tr.mean(axis=0)
+        sd = x_tr.std(axis=0)
+    if not (np.isfinite(x_tr).all() and np.isfinite(x_ho).all()):
+        raise DivergenceDetected(f"{where}: features are not finite")
+    if not np.isfinite(sd).all():
+        raise DivergenceDetected(
+            f"{where}: features overflow in the standardization")
+    sd = np.where(sd <= 1e-12, 1.0, sd)
+    for x in (x_tr, x_ho):  # fancy-indexed copies, standardized in place
+        x -= mu
+        x /= sd
+    try:
+        theta = _newton_fit(x_tr, np.searchsorted(fitted, y_tr), fitted.size,
+                            cfg.l2_penalty, cfg.epochs)
+    except np.linalg.LinAlgError as err:
+        raise DivergenceDetected(f"{where}: the Hessian is singular "
+                                 f"({err})") from err
+    w = np.zeros((classes.size, d))
+    b = np.full(classes.size, -np.inf)
+    w[fitted], b[fitted] = theta[:, :d], theta[:, d]
+    pred = classes[np.argmax(x_ho @ w.T + b, axis=1)]
+    return w, b, float(np.mean(pred == labels[ho]))
 
 
 # Elements of the per-chunk Hessian factor (64 KiB). OpenBLAS's syrk touches
@@ -250,9 +241,10 @@ def fill_accuracy_matrix(checkpoints: list[EncoderStack],
                          seed: int) -> AccuracyMatrix:
     """Probe every task's holdout after every checkpoint.
 
-    The train/holdout split of task i derives from the seed and i alone, so
-    all entries of row i (and its FT baseline) share one split, and one
-    stacked probe per task fits them all.
+    The train/holdout split of task i derives from the seed and i alone,
+    and is drawn once: every entry of row i, and its FT baseline, is probed
+    on it. A :class:`DivergenceDetected` from a probe is re-raised naming
+    the task and the checkpoint.
     """
     T = stream.T
     if len(checkpoints) != T:
@@ -263,15 +255,21 @@ def fill_accuracy_matrix(checkpoints: list[EncoderStack],
     a = np.zeros((T, T))
     ft = None if ft_checkpoints is None else np.zeros(T)
     for i, task in enumerate(stream.tasks):
-        probed = list(checkpoints)
+        order = root.derive(f"probe-split-{i}").permutation(task.num_samples)
+
+        def accuracy(stack: EncoderStack, name: str) -> float:
+            try:
+                return linear_probe(encoder_features(stack, task.x), task.y,
+                                    order, cfg)[2]
+            except DivergenceDetected as err:
+                raise DivergenceDetected(
+                    f"{err}, probing task {i + 1} with {name}") from err
+
+        for j, stack in enumerate(checkpoints):
+            a[i, j] = accuracy(stack, f"the checkpoint after task {j + 1}")
         if ft is not None:
-            probed.append(ft_checkpoints[i])
-        feats = np.stack([encoder_features(c, task.x) for c in probed])
-        acc = linear_probe(feats, task.y, cfg,
-                           root.derive(f"probe-split-{i}"))[2]
-        a[i] = acc[:T]
-        if ft is not None:
-            ft[i] = acc[T]
+            ft[i] = accuracy(ft_checkpoints[i],
+                             f"task {i + 1}'s FT reference")
     return AccuracyMatrix(a, ft)
 
 

@@ -270,11 +270,12 @@ def brute_force_plasticity(a, ft):
     return total / (T - 1)
 
 
-def probe_gradient(features, labels, cfg, rng, w, b):
+def probe_gradient(features, labels, order, cfg, w, b):
     """First-order check of a linear probe of one ``(m, d)`` feature matrix.
 
-    Redraws the probe's split from ``rng``, standardizes the features by
-    the train split's statistics and returns the gradient of mean
+    Splits the rows as the probe does (the first ``n_train`` entries of
+    ``order`` train), standardizes the features by the train split's
+    statistics and returns the gradient of mean
     cross-entropy + ``l2_penalty``·‖W‖² at the given weights ``(k, d)`` and
     biases ``(k,)``, summed one sample at a time, together with the holdout
     accuracy of ``(w, b)``. Classes whose bias is -inf (absent from the
@@ -285,8 +286,7 @@ def probe_gradient(features, labels, cfg, rng, w, b):
     classes = sorted(set(labels.tolist()))
     m = features.shape[0]
     n_train = min(max(int(cfg.train_fraction * m), 1), m - 1)
-    perm = rng.permutation(m)
-    tr, ho = perm[:n_train], perm[n_train:]
+    tr, ho = order[:n_train], order[n_train:]
     mu = features[tr].mean(axis=0)
     sd = features[tr].std(axis=0)
     sd = np.where(sd <= 1e-12, 1.0, sd)

@@ -230,6 +230,29 @@ class TestCli:
         assert after["ft"][0] == before["ft"][0]
         assert 0.0 <= after["ft"][1] <= 1.0
 
+    def test_probe_failure_names_task_and_checkpoint(self, workdir, capsys):
+        # Encoder weights scaled by 1e100 give features whose squares
+        # overflow in the probe's standardization.
+        tmp, cfg = workdir
+        data = str(tmp / "data.bin")
+        out_dir = tmp / "run"
+        assert cli_main(["gen-data", "--config", cfg, "--out", data]) == 0
+        assert cli_main(["train", "--config", cfg, "--data", data,
+                         "--out-dir", str(out_dir)]) == 0
+        path = str(out_dir / "seed1_seq_task2.ckpt")
+        stack = load_checkpoint(path)
+        for weights in stack.encoder.weights:
+            weights *= 1e100
+        save_checkpoint(stack, path)
+        capsys.readouterr()
+        assert cli_main(["probe", "--config", cfg, "--data", data,
+                         "--checkpoints", str(out_dir),
+                         "--out", str(tmp / "m")]) == 1
+        err = capsys.readouterr().err
+        assert "(probe.l2_penalty 0.0001)" in err
+        assert "probing task 1 with the checkpoint after task 2" in err
+        assert not list(tmp.glob("m_*"))
+
     def test_probe_single_task_grid(self, tmp_path):
         cfg_text = FAST_CONFIG.replace("num_tasks: 2", "num_tasks: 1")
         cfg_path = tmp_path / "cfg1.yaml"

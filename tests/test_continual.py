@@ -381,6 +381,30 @@ class TestTrainTask:
                        small_cfg(lr=0.0, **dims), task_index=1)
 
 
+    def test_zero_frozen_projection_names_task_and_batch(self):
+        # A zeroed last projector layer maps every view to a zero frozen
+        # projection, which has no direction on the sphere; the plan
+        # reports it before the first step.
+        task = build_class_il(toy_dataset(), 5).tasks[1]
+        frozen = init_stack(Rng(2), **SMALL_MODEL)
+        frozen.projector.weights[-1][...] = 0.0
+        with pytest.raises(DivergenceDetected, match=(
+                r"^frozen model: row 0 has norm 0\.000e\+00 <= 1e-12 at "
+                r"task 2, batch 1$")):
+            train_task(init_stack(Rng(1), **SMALL_MODEL), frozen, task,
+                       small_cfg(), task_index=2)
+
+    def test_overflowing_frozen_projection_names_task_and_batch(self):
+        # A frozen model scaled by 1e120 overflows in its forward pass;
+        # the plan reports that instead of a numpy warning.
+        task = build_class_il(toy_dataset(), 5).tasks[1]
+        frozen = init_stack(Rng(2), **SMALL_MODEL)
+        frozen.flat *= 1e120
+        with pytest.raises(DivergenceDetected, match=(
+                r"^frozen model: projection overflows at task 2, batch 1$")):
+            train_task(init_stack(Rng(1), **SMALL_MODEL), frozen, task,
+                       small_cfg(), task_index=2)
+
 class TestRunSequence:
     def test_checkpoint_counts(self):
         stream = build_class_il(toy_dataset(), 5)

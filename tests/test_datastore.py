@@ -66,8 +66,9 @@ class TestGenSynthetic:
 
     def test_separability_oracle(self):
         ds = gen_synthetic(10, 32, 200, 1.0, 0.3, seed=42)
-        _w, _b, acc = linear_probe(ds.x[None], ds.y, ProbeConfig(), Rng(1))
-        assert acc[0] >= 0.95
+        _w, _b, acc = linear_probe(ds.x, ds.y, Rng(1).permutation(2000),
+                                   ProbeConfig())
+        assert acc >= 0.95
 
 
 class TestDatasetFile:

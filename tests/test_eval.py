@@ -42,7 +42,7 @@ def blobs(n=100, margin=5.0, seed=3):
 class TestLinearProbe:
     def test_separable_blobs(self):
         x, y = blobs(margin=5.0)
-        acc = linear_probe(x[None], y, ProbeConfig(), Rng(1))[2][0]
+        acc = linear_probe(x, y, Rng(1).permutation(200), ProbeConfig())[2]
         assert acc >= 0.99
 
     def test_shuffled_labels_near_chance(self):
@@ -51,7 +51,7 @@ class TestLinearProbe:
         for seed in (1, 2, 3):
             perm = Rng(seed).permutation(500)
             y = np.repeat(np.arange(10), 50)[perm]
-            acc = linear_probe(x[None], y, ProbeConfig(), Rng(seed))[2][0]
+            acc = linear_probe(x, y, perm, ProbeConfig())[2]
             assert 0.05 <= acc <= 0.2
 
     def test_identical_features_fit_bias_only(self):
@@ -60,23 +60,33 @@ class TestLinearProbe:
         # split's most frequent class.
         x = np.ones((40, 4))
         y = np.array([0, 1] * 20)
-        w, b, acc = linear_probe(x[None], y, ProbeConfig(), Rng(1))
         perm = Rng(1).permutation(40)
+        w, b, acc = linear_probe(x, y, perm, ProbeConfig())
         assert np.mean(y[perm[:32]] == 0) > 0.5
         assert not w.any()
-        assert b[0, 0] > 0 > b[0, 1]
-        assert acc[0] == np.mean(y[perm[32:]] == 0) == 0.25
+        assert b[0] > 0 > b[1]
+        assert acc == np.mean(y[perm[32:]] == 0) == 0.25
 
     def test_single_class_raises(self):
         x = Rng(1).gaussian_matrix(20, 3)
         with pytest.raises(CsslError, match="at least two classes"):
-            linear_probe(x[None], np.zeros(20, dtype=int), ProbeConfig(),
-                         Rng(1))
+            linear_probe(x, np.zeros(20, dtype=int), Rng(1).permutation(20),
+                         ProbeConfig())
+
+    def test_shapes_checked(self):
+        x = Rng(1).gaussian_matrix(20, 3)
+        y = np.arange(20) % 2
+        order = Rng(1).permutation(20)
+        for args in ((x[None], y, order), (x, y[:-1], order),
+                     (x, y, order[:-1])):
+            with pytest.raises(CsslError, match=r"must be \(m, d\)"):
+                linear_probe(*args, ProbeConfig())
 
     def test_deterministic(self):
         x, y = blobs(margin=1.0)
-        a = linear_probe(x[None], y, ProbeConfig(), Rng(5))[2][0]
-        b = linear_probe(x[None], y, ProbeConfig(), Rng(5))[2][0]
+        order = Rng(5).permutation(200)
+        a = linear_probe(x, y, order, ProbeConfig())[2]
+        b = linear_probe(x, y, order, ProbeConfig())[2]
         assert a == b
 
     def test_column_permutation_invariance(self):
@@ -84,91 +94,31 @@ class TestLinearProbe:
         x = rng.gaussian_matrix(200, 6)
         y = (x[:, 0] + 0.3 * x[:, 3] > 0).astype(int)
         perm = Rng(7).permutation(6)
-        a = linear_probe(x[None], y, ProbeConfig(), Rng(8))[2][0]
-        b = linear_probe(x[None][..., perm], y, ProbeConfig(),
-                         Rng(8))[2][0]
+        order = Rng(8).permutation(200)
+        a = linear_probe(x, y, order, ProbeConfig())[2]
+        b = linear_probe(x[:, perm], y, order, ProbeConfig())[2]
         assert a == b
 
     def test_generator_separability_example(self):
         ds = gen_synthetic(10, 32, 200, 1.0, 0.3, seed=42)
-        _w, _b, acc = linear_probe(ds.x[None], ds.y, ProbeConfig(), Rng(1))
-        assert acc[0] >= 0.95
-
-    def test_one_constant_slice_leaves_the_others(self):
-        rng = Rng(4)
-        a, c = rng.gaussian_matrix(40, 4), rng.gaussian_matrix(40, 4)
-        y = np.array([0, 1] * 20)
-        w, b, acc = linear_probe(np.stack([a, np.ones((40, 4)), c]), y,
-                                 ProbeConfig(), Rng(1))
-        w2, b2, acc2 = linear_probe(np.stack([a, c]), y, ProbeConfig(),
-                                    Rng(1))
-        assert np.array_equal(w[[0, 2]], w2)
-        assert np.array_equal(b[[0, 2]], b2)
-        assert np.array_equal(acc[[0, 2]], acc2)
-        assert not w[1].any() and acc[1] == 0.25
-
-    @pytest.mark.parametrize("k", [2, 3, 8, 10])
-    def test_row_max_matches_numpy_max(self, k):
-        # A numpy fact the earlier class-major probe relied on; no package
-        # code does now (ROADMAP item 11 lists its deletion). The max over
-        # the middle axis of (C, k, n) logits, with np.maximum.reduce,
-        # equals the row max of the sample-major (C, n, k) logits.
-        rng = Rng(k)
-        logits = rng.gaussian_matrix(3 * 16, k).reshape(3, 16, k)
-        logits[0, 0] = 0.0
-        logits[0, 1, ::2] = -0.0
-        logits[0, 2] = -0.0
-        logits[1, 0, :] = 1.5  # all tied
-        logits[1, 1, -2:] = 7.0  # tie at the maximum
-        logits[1, 2, 0] = 1e308
-        logits[1, 3, :] = -1e308
-        logits[2, 0, 1] = -1e300
-        out = np.empty((3, 16))
-        got = np.maximum.reduce(np.ascontiguousarray(
-            logits.transpose(0, 2, 1)), axis=1, out=out)
-        want = logits.max(axis=-1)
-        assert got is out
-        np.testing.assert_array_equal(got, want)
-        # a -0.0 in place of +0.0 cannot move the softmax: x - (+-0) == x
-        # and exp(+-0) == 1
-        assert np.array_equal(np.exp(logits - got[..., None]),
-                              np.exp(logits - want[..., None]))
-
-    @pytest.mark.parametrize("k", [2, 3, 7, 8, 9, 10, 15, 16, 17, 24, 25])
-    def test_class_sum_matches_numpy_row_sum(self, k):
-        # A numpy fact the earlier class-major probe relied on; no package
-        # code does now (ROADMAP item 11 lists its deletion). numpy reduces
-        # the middle axis of a (C, k, n) buffer one class row at a time.
-        rng = Rng(100 + k)
-        rows = np.exp(3.0 * rng.gaussian_matrix(3 * 40, k)).reshape(3, 40, k)
-        rows[0, 0] = rng.gaussian_matrix(1, k)[0]  # signs mixed
-        rows[1, 0, ::3] = 0.0
-        rows[2, 0, 0] = 1e300
-        g = np.ascontiguousarray(rows.transpose(0, 2, 1))
-        out = np.empty((3, 40))
-        got = np.add.reduce(g, axis=1, out=out)
-        want = g[:, 0].copy()
-        for j in range(1, k):
-            want += g[:, j]
-        assert got is out
-        assert np.array_equal(got, want), (
-            "numpy no longer adds the middle axis in order")
+        _w, _b, acc = linear_probe(ds.x, ds.y, Rng(1).permutation(2000),
+                                   ProbeConfig())
+        assert acc >= 0.95
 
     def test_diverging_probe_raises(self):
         # Features of a diverged encoder (the 1e229 of an overflowing run)
         # square to inf in the standardization; NaN features are not
-        # finite. Either raises, naming the slice.
+        # finite. Either raises, naming the penalty.
         x, y = blobs(margin=5.0)
+        order = Rng(1).permutation(200)
         for bad, why in ((1e229, "overflow in the standardization"),
                          (np.nan, "are not finite")):
-            x2 = np.stack([x, x.copy()])
-            x2[1, 7, 0] = bad
+            x2 = x.copy()
+            x2[7, 0] = bad
             with pytest.raises(DivergenceDetected, match=(
-                    rf"^probe of feature matrix 1 of 2 \(probe.l2_penalty "
-                    rf"0.0001\): features {why}$")):
-                linear_probe(x2, y, ProbeConfig(), Rng(1))
-        assert linear_probe(np.stack([x, x]), y, ProbeConfig(),
-                            Rng(1))[2].min() >= 0.99
+                    rf"^probe \(probe.l2_penalty 0.0001\): features {why}$")):
+                linear_probe(x2, y, order, ProbeConfig())
+        assert linear_probe(x, y, order, ProbeConfig())[2] >= 0.99
 
     def test_singular_hessian_names_the_penalty(self):
         # A duplicated feature column makes two weight directions equal;
@@ -177,26 +127,26 @@ class TestLinearProbe:
         x = Rng(3).gaussian_matrix(100, 2)
         x = np.hstack([x, x[:, :1]])
         y = (x[:, 0] + 0.3 * x[:, 1] > 0).astype(int)
+        order = Rng(1).permutation(100)
         with pytest.raises(DivergenceDetected, match=(
-                r"^probe of feature matrix 0 of 1 \(probe.l2_penalty "
-                r"1e-20\): the Hessian is singular")):
-            linear_probe(x[None], y, ProbeConfig(l2_penalty=1e-20), Rng(1))
-        assert linear_probe(x[None], y, ProbeConfig(), Rng(1))[2][0] == 1.0
+                r"^probe \(probe.l2_penalty 1e-20\): the Hessian is "
+                r"singular")):
+            linear_probe(x, y, order, ProbeConfig(l2_penalty=1e-20))
+        assert linear_probe(x, y, order, ProbeConfig())[2] == 1.0
 
     def test_heavy_penalty_fits_bias_only(self):
         # A penalty of 1000 pins the weights near zero, so the fit is in
         # effect all bias: the bias gap is the log-odds of the train
         # split's class counts and every holdout sample gets the majority
         x, y = blobs(margin=5.0)
-        w, b, acc = linear_probe(x[None], y, ProbeConfig(l2_penalty=1000.0),
-                                 Rng(1))
         perm = Rng(1).permutation(200)
+        w, b, acc = linear_probe(x, y, perm, ProbeConfig(l2_penalty=1000.0))
         ones = np.sum(y[perm[:160]])
         assert np.abs(w).max() < 1e-3
-        assert b[0, 1] - b[0, 0] == pytest.approx(
-            np.log(ones / (160 - ones)), abs=1e-3)
+        assert b[1] - b[0] == pytest.approx(np.log(ones / (160 - ones)),
+                                            abs=1e-3)
         majority = int(ones > 80)
-        assert acc[0] == np.mean(y[perm[160:]] == majority)
+        assert acc == np.mean(y[perm[160:]] == majority)
 
     def test_class_missing_from_train_split(self):
         # A class whose only sample lands in the holdout has no finite
@@ -204,72 +154,31 @@ class TestLinearProbe:
         # never predicted, and the other classes converge
         x = Rng(9).gaussian_matrix(41, 3)
         y = (x[:, 0] > 0).astype(int)
-        held = Rng(2).permutation(41)[-1]
-        y[held] = 2
-        x2 = np.stack([x, x[:, ::-1]])
+        order = Rng(2).permutation(41)
+        y[order[-1]] = 2
         cfg = ProbeConfig(epochs=30)
-        w, b, acc = linear_probe(x2, y, cfg, Rng(2))
-        assert np.all(b[:, 2] == -np.inf) and not w[:, 2].any()
-        for c in range(2):
-            gw, gb, racc = probe_gradient(x2[c], y, cfg, Rng(2), w[c], b[c])
+        for feats in (x, x[:, ::-1]):
+            w, b, acc = linear_probe(feats, y, order, cfg)
+            assert b[2] == -np.inf and not w[2].any()
+            gw, gb, racc = probe_gradient(feats, y, order, cfg, w, b)
             assert max(np.abs(gw).max(), np.abs(gb).max()) < GRAD_TOL
-            assert acc[c] == racc < 1.0  # the held-out class-2 sample misses
+            assert acc == racc < 1.0  # the held-out class-2 sample misses
 
     @pytest.mark.parametrize("d", [1, 2, 5])
-    def test_stacked_probe_equals_alone(self, d):
+    def test_fit_is_first_order_optimal(self, d):
+        # Noise, the same noise at a 1e3 scale, and noise with a label
+        # signal in column 0: each fit is the minimum of its objective.
         rng = Rng(30 + d)
         feats = rng.gaussian_matrix(3 * 150, d).reshape(3, 150, d)
         feats[1] *= 1e3
         y = np.arange(150) % 3
         feats[2, :, 0] += 0.8 * y
-        w, b, acc = linear_probe(feats, y, ProbeConfig(), Rng(4))
-        for c in range(3):
-            w1, b1, acc1 = linear_probe(feats[c:c + 1], y, ProbeConfig(),
-                                        Rng(4))
-            assert np.array_equal(w[c], w1[0]) and np.array_equal(b[c], b1[0])
-            assert acc[c] == acc1[0]
-
-    @pytest.mark.parametrize("scenario",
-                             ["class_il", "domain_il", "domain_il_25"])
-    @pytest.mark.parametrize("with_ft", [False, True])
-    def test_stacked_probe_equals_per_checkpoint(self, scenario, with_ft):
-        # class-IL: 5 tasks of 2 classes; domain-IL: 3 tasks of 10 or 25
-        # classes. Every slice of the stacked probe equals that checkpoint
-        # probed alone, bit for bit, and is the minimum of its objective.
-        T = 5 if scenario == "class_il" else 3
-        classes = 25 if scenario == "domain_il_25" else 10
-        ds = gen_synthetic(classes, 8, 12, 1.0, 0.5, seed=2)
-        stream = (build_class_il(ds, T) if scenario == "class_il"
-                  else build_domain_il(ds, T, 2))
-        dims = dict(encoder_dims=[8, 10, 6], projector_dims=[6, 6],
-                    predictor_dims=[6, 6])
-        seq = [init_stack(Rng(10 + j), **dims) for j in range(T)]
-        ft = [init_stack(Rng(20 + j), **dims) for j in range(T)]
-        cfg = ProbeConfig(epochs=200)
-        am = fill_accuracy_matrix(seq, ft if with_ft else None, stream, cfg,
-                                  seed=3)
-        root = Rng(3)
-        for i, task in enumerate(stream.tasks):
-            probed = seq + ([ft[i]] if with_ft else [])
-            feats = np.stack([encoder_features(c, task.x) for c in probed])
-            split = f"probe-split-{i}"
-            w, b, acc = evaluate.linear_probe(feats, task.y, cfg,
-                                              root.derive(split))
-            assert w.shape[0] == b.shape[0] == acc.shape[0] == len(probed)
-            for c, x in enumerate(feats):
-                w1, b1, acc1 = evaluate.linear_probe(x[None], task.y, cfg,
-                                                     root.derive(split))
-                assert np.array_equal(w[c], w1[0])
-                assert np.array_equal(b[c], b1[0])
-                gw, gb, racc = probe_gradient(x, task.y, cfg,
-                                              root.derive(split), w[c], b[c])
-                assert max(np.abs(gw).max(), np.abs(gb).max()) < GRAD_TOL
-                assert acc[c] == acc1[0] == racc
-                if c < T:
-                    assert am.a[i, c] == racc
-                else:
-                    assert am.ft[i] == racc
-        assert (am.ft is not None) == with_ft
+        order = Rng(4).permutation(150)
+        for x in feats:
+            w, b, acc = linear_probe(x, y, order, ProbeConfig())
+            gw, gb, racc = probe_gradient(x, y, order, ProbeConfig(), w, b)
+            assert max(np.abs(gw).max(), np.abs(gb).max()) < GRAD_TOL
+            assert acc == racc
 
 
 class TestAccuracyMatrix:
@@ -290,6 +199,59 @@ class TestAccuracyMatrix:
         am2 = fill_accuracy_matrix(res.checkpoints, res.ft_checkpoints, stream,
                                    ProbeConfig(), seed=1)
         np.testing.assert_array_equal(am.a, am2.a)
+
+    @pytest.mark.parametrize("scenario",
+                             ["class_il", "domain_il", "domain_il_25"])
+    @pytest.mark.parametrize("with_ft", [False, True])
+    def test_entries_are_optimal_probes(self, scenario, with_ft):
+        # class-IL: 5 tasks of 2 classes; domain-IL: 3 tasks of 10 or 25
+        # classes. Every entry is the oracle's holdout accuracy of a fit at
+        # the minimum of its objective, on the task's one split.
+        T = 5 if scenario == "class_il" else 3
+        classes = 25 if scenario == "domain_il_25" else 10
+        ds = gen_synthetic(classes, 8, 12, 1.0, 0.5, seed=2)
+        stream = (build_class_il(ds, T) if scenario == "class_il"
+                  else build_domain_il(ds, T, 2))
+        dims = dict(encoder_dims=[8, 10, 6], projector_dims=[6, 6],
+                    predictor_dims=[6, 6])
+        seq = [init_stack(Rng(10 + j), **dims) for j in range(T)]
+        ft = [init_stack(Rng(20 + j), **dims) for j in range(T)]
+        cfg = ProbeConfig(epochs=200)
+        am = fill_accuracy_matrix(seq, ft if with_ft else None, stream, cfg,
+                                  seed=3)
+        assert (am.ft is not None) == with_ft
+        for i, task in enumerate(stream.tasks):
+            order = Rng(3).derive(f"probe-split-{i}").permutation(
+                task.num_samples)
+            probed = list(zip(seq, am.a[i]))
+            if with_ft:
+                probed.append((ft[i], am.ft[i]))
+            for stack, entry in probed:
+                x = encoder_features(stack, task.x)
+                w, b, acc = linear_probe(x, task.y, order, cfg)
+                gw, gb, racc = probe_gradient(x, task.y, order, cfg, w, b)
+                assert max(np.abs(gw).max(), np.abs(gb).max()) < GRAD_TOL
+                assert entry == acc == racc
+
+    @pytest.mark.parametrize("ft_fails", [False, True])
+    def test_probe_failure_names_task_and_checkpoint(self, ft_fails):
+        # Encoder weights scaled by 1e100 give features whose squares
+        # overflow; the error names the task and the checkpoint probed.
+        ds = gen_synthetic(4, 8, 10, 1.0, 0.5, seed=1)
+        stream = build_class_il(ds, 2)
+        dims = dict(encoder_dims=[8, 6, 4], projector_dims=[4, 4],
+                    predictor_dims=[4, 4])
+        seq = [init_stack(Rng(j), **dims) for j in range(2)]
+        ft = [init_stack(Rng(5 + j), **dims) for j in range(2)]
+        bad = ft[1] if ft_fails else seq[1]
+        for weights in bad.encoder.weights:
+            weights *= 1e100
+        where = ("task 2 with task 2's FT reference" if ft_fails
+                 else "task 1 with the checkpoint after task 2")
+        with pytest.raises(DivergenceDetected, match=(
+                r"^probe \(probe.l2_penalty 0.0001\): features overflow in "
+                rf"the standardization, probing {where}$")):
+            fill_accuracy_matrix(seq, ft, stream, ProbeConfig(), seed=1)
 
     def test_ft_count_checked_before_probing(self, monkeypatch):
         ds = gen_synthetic(4, 8, 10, 1.0, 0.5, seed=1)
