@@ -370,7 +370,9 @@ def train_task(stack: EncoderStack, frozen_prev: EncoderStack | None,
     online network. Raises DivergenceDetected, naming the task, epoch and
     step, on a NaN/Inf loss, a projection row of norm zero or a collapsed
     Barlow batch; outputs that overflow (see :func:`_overflowed`) count as a
-    nan loss.
+    nan loss. After the last step a forward of the task's samples through
+    the trained stack applies the same rule, so weights that the last update
+    made overflow raise DivergenceDetected naming the task.
     """
     loss_cfg = _effective_cfg(cfg.loss, frozen_prev)
     method = loss_cfg.method
@@ -440,6 +442,16 @@ def train_task(stack: EncoderStack, frozen_prev: EncoderStack | None,
                 batch_losses.append(res.value)
                 steps += 1
             epoch_losses.append(float(np.mean(batch_losses)))
+        # No loss reads the last step's update, so a forward of the task's
+        # samples checks it: a task never hands on weights that overflow.
+        # Blocks of a step's row count keep its memory within a step's.
+        rows = 2 * cfg.batch_size
+        for lo in range(0, M, rows):
+            if _overflowed(forward(stack, task.x[lo:lo + rows],
+                                   want_pred=True)):
+                raise DivergenceDetected(
+                    f"projection overflows at task {task_index}, after the "
+                    f"last step")
     return stack, TrainLog(epoch_losses, steps)
 
 

@@ -30,6 +30,13 @@ masks the anchors' own rows, ``cassle`` also the pseudo-negative blocks;
 anchors is the average of the (A, B) and (B, A) orderings, as in SimCLR's
 NT-Xent (Chen et al. 2020).
 
+The anchors x pool matrix is the largest object of a step (2m x 2304 with
+MoCo's 1024-row queues), so it gets only the gemm, a row max, one
+subtraction, one ``exp`` and a row sum. The temperature scales the anchors
+before the gemm, the positive logit is read out instead of subtracted, and
+the softmax's row sums divide the small products of the gradient after
+their gemms, never the matrix itself.
+
 Non-contrastive side
 --------------------
 The native loss (BYOL / VICReg / Barlow Twins) runs on the current views;
@@ -190,26 +197,31 @@ def _keys(v: ContrastiveViews, frozen: bool) -> tuple[np.ndarray, int]:
 
 def _info_nce(anchors: np.ndarray, pool: np.ndarray, pos_col: np.ndarray,
               m: int, tau: float, mask_pn_at: int | None = None
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-anchor InfoNCE losses logsumexp(logits_i - logits_i[pos_col[i]])
-    and the softmax, for anchors stacked as m z rows, then any g rows.
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-anchor InfoNCE losses logsumexp(logits_i) - logits_i[pos_col[i]]
+    for anchors stacked as m z rows, then any g rows, with the unnormalized
+    softmax: returns (losses, e, total), where e / total[:, None] is the
+    softmax.
 
-    Anchor i never sees its own current row, column i mod m. With
-    ``mask_pn_at`` = c, the z anchors also lose the frozen block (columns
-    c:) and the g anchors the current block (:c): CaSSLe's masks. Shifting
-    by the positive logit from the same row keeps uniform-similarity inputs
-    exactly at log(pool cardinality). The softmax overwrites the logits, so
-    one anchors x pool matrix is alive.
+    The logits are (anchors / tau) @ pool.T, so the division touches the
+    anchors, not the anchors x pool matrix. Anchor i never sees its own
+    current row, column i mod m. With ``mask_pn_at`` = c, the z anchors also
+    lose the frozen block (columns c:) and the g anchors the current block
+    (:c): CaSSLe's masks. The positive logit is read before the softmax
+    overwrites the logits (see :func:`logsumexp_rows`), so one anchors x
+    pool matrix is alive. A row's loss is log(total) + (max - positive):
+    with uniform similarity the max is the positive, which keeps the loss
+    exactly at log(pool cardinality).
     """
     rows = np.arange(anchors.shape[0])
-    logits = anchors @ pool.T
-    logits /= tau
+    logits = (anchors / tau) @ pool.T
     logits[rows, rows % m] = -np.inf
     if mask_pn_at is not None:
         logits[:m, mask_pn_at:] = -np.inf
         logits[m:, :mask_pn_at] = -np.inf
-    logits -= logits[rows, pos_col][:, None]
-    return logsumexp_rows(logits), logits
+    pos = logits[rows, pos_col]
+    mx, total = logsumexp_rows(logits)
+    return np.log(total) + (mx - pos), logits, total
 
 
 def cssl_total(v: ContrastiveViews, cfg: PnrConfig, *,
@@ -219,6 +231,10 @@ def cssl_total(v: ContrastiveViews, cfg: PnrConfig, *,
     ``ft``, that of the m anchors g (positive: z_prev[i], column c + i).
     Unit norms are validated once, here; ``check_norms=False`` skips that
     so finite-difference probes can evaluate at perturbed points.
+
+    The softmax is never formed: its row sums divide the small products of
+    the unnormalized softmax (e @ pool, and the anchors that e[:, :m].T
+    weights), not the anchors x pool matrix.
     """
     if check_norms:
         v.validate_norms()
@@ -233,13 +249,14 @@ def cssl_total(v: ContrastiveViews, cfg: PnrConfig, *,
     anchors, pos_col = ((v.z, partner(rows)) if ft else
                         (np.concatenate([v.z, v.g]),
                          np.concatenate([partner(rows), c + rows])))
-    per_anchor, probs = _info_nce(anchors, pool, pos_col, m, cfg.tau,
-                                  None if cfg.regime == Regime.PNR else c)
+    per_anchor, e, total = _info_nce(anchors, pool, pos_col, m, cfg.tau,
+                                     None if cfg.regime == Regime.PNR else c)
     # Row i is an anchor (positive: its partner), the positive of its
     # partner, and, as a pool column, weighted by every anchor's softmax.
     inv = 1.0 / (m * cfg.tau)
-    repel = probs @ pool
-    grad_z = (repel[:m] + probs[:, :m].T @ anchors - 2.0 * partner(v.z)) * inv
+    repel = (e @ pool) / total[:, None]
+    grad_z = (repel[:m] + e[:, :m].T @ (anchors / total[:, None])
+              - 2.0 * partner(v.z)) * inv
     if ft:
         return LossResult(float(np.mean(per_anchor)), grad_z=grad_z)
     return LossResult(
@@ -255,13 +272,16 @@ def closed_form_parts(v: ContrastiveViews, tau: float
     Returns (attract, repel, mass_sums) for the anchors z[:N]: the attract
     part is (z[N:] + z_prev[:N])/2 per anchor; the repel part is the
     softmax-weighted center of mass of the shared pool, whose mass sums to 1
-    per anchor (returned for verification). With the identity predictor the
+    per anchor (returned for verification). The softmax is formed here
+    explicitly, e / total, so that its row sums carry the rounding of the
+    division and the check tests something. With the identity predictor the
     plasticity and distillation denominators coincide, so each term carries
     half of the same softmax.
     """
     n = v.batch_size
     pool, _ = _keys(v, frozen=True)
-    _, probs = _info_nce(v.z[:n], pool, n + np.arange(n), n, tau)
+    _, e, total = _info_nce(v.z[:n], pool, n + np.arange(n), n, tau)
+    probs = e / total[:, None]
     attract = 0.5 * (v.z[n:] + v.z_prev[:n])
     return attract, probs @ pool, probs.sum(axis=1)
 

@@ -95,17 +95,18 @@ def row_l2_normalize_backward(raw: np.ndarray, grad_normalized: np.ndarray) -> n
     return (grad_normalized - y * inner) / norms
 
 
-def logsumexp_rows(m: np.ndarray) -> np.ndarray:
-    """Row-wise logsumexp for matrices; tolerates -inf entries (masked
-    columns). Overwrites ``m`` with its row softmax (a masked entry becomes
-    0), so every entry is exponentiated once."""
+def logsumexp_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise logsumexp for matrices, in two parts; tolerates -inf entries
+    (masked columns). Returns (mx, total): the row maximum and the row sum of
+    exp(m - mx), so a row's logsumexp is mx + log(total). Overwrites ``m``
+    with exp(m - mx) (a masked entry becomes 0, each row's maximum exactly
+    1), so every entry is exponentiated once; a caller that needs the
+    softmax divides by ``total`` where that is cheapest."""
     if m.shape[1] == 0:
         raise CsslError("logsumexp over zero columns")
     mx = np.max(m, axis=1)
     m -= mx[:, None]
-    total = np.sum(np.exp(m, out=m), axis=1)
-    m /= total[:, None]
-    return mx + np.log(total)
+    return mx, np.sum(np.exp(m, out=m), axis=1)
 
 
 def finite_difference_gradient(f: Callable[[np.ndarray], float],

@@ -161,8 +161,14 @@ def per_anchor_cssl_grad(zA, zB, zpA, zpB, i, tau,
     return np.array([a.grad for a in anchor])
 
 
-def reference_simclr(zA, zB, tau):
-    """Textbook NT-Xent over 2N embeddings, anchor view A, mean reduction."""
+def _queue_terms(anchor, queue, tau):
+    """The logits of one anchor against a MoCo queue (none without one)."""
+    return [] if queue is None else [float(anchor @ q) / tau for q in queue]
+
+
+def reference_simclr(zA, zB, tau, queue_cur=None):
+    """Textbook NT-Xent over 2N embeddings, anchor view A, mean reduction;
+    MoCo's current-key queue joins the negatives."""
     n = zA.shape[0]
     total = 0.0
     for i in range(n):
@@ -173,15 +179,17 @@ def reference_simclr(zA, zB, tau):
                 terms.append(float(zA[i] @ zA[j]) / tau)
         for j in range(n):
             terms.append(float(zA[i] @ zB[j]) / tau)
+        terms += _queue_terms(zA[i], queue_cur, tau)
         m = max(terms)
         denom = sum(math.exp(t - m) for t in terms)
         total += -(pos - (m + math.log(denom)))
     return total / n
 
 
-def reference_cassle_distill(gA, zpA, zpB, tau):
+def reference_cassle_distill(gA, zpA, zpB, tau, queue_prev=None):
     """Contrastive distillation: anchor g(zA[i]), positive zpA[i], negatives
-    the full previous batch (both views, positive included)."""
+    the full previous batch (both views, positive included) and MoCo's
+    previous-key queue."""
     n = gA.shape[0]
     total = 0.0
     for i in range(n):
@@ -191,14 +199,17 @@ def reference_cassle_distill(gA, zpA, zpB, tau):
             terms.append(float(gA[i] @ zpA[j]) / tau)
         for j in range(n):
             terms.append(float(gA[i] @ zpB[j]) / tau)
+        terms += _queue_terms(gA[i], queue_prev, tau)
         m = max(terms)
         denom = sum(math.exp(t - m) for t in terms)
         total += -(pos - (m + math.log(denom)))
     return total / n
 
 
-def reference_pnr_l1(zA, zB, zpA, zpB, tau):
-    """Plasticity loss with the full previous batch appended as negatives."""
+def reference_pnr_l1(zA, zB, zpA, zpB, tau, queue_cur=None,
+                     queue_prev=None):
+    """Plasticity loss with the full previous batch appended as negatives;
+    MoCo's two queues join the negatives."""
     n = zA.shape[0]
     total = 0.0
     for i in range(n):
@@ -213,17 +224,20 @@ def reference_pnr_l1(zA, zB, zpA, zpB, tau):
             terms.append(float(zA[i] @ zpA[j]) / tau)
         for j in range(n):
             terms.append(float(zA[i] @ zpB[j]) / tau)
+        terms += _queue_terms(zA[i], queue_cur, tau)
+        terms += _queue_terms(zA[i], queue_prev, tau)
         m = max(terms)
         denom = sum(math.exp(t - m) for t in terms)
         total += -(pos - (m + math.log(denom)))
     return total / n
 
 
-def reference_pnr_l2(gA, zA, zB, zpA, zpB, tau):
+def reference_pnr_l2(gA, zA, zB, zpA, zpB, tau, queue_cur=None,
+                     queue_prev=None):
     """Contrastive distillation with current-model pseudo-negatives: anchor
     gA[i], positive zpA[i], negatives the full previous batch (both views,
     positive included) plus the current batch minus the anchor's own row
-    zA[i]."""
+    zA[i]; MoCo's two queues join the negatives."""
     n = gA.shape[0]
     total = 0.0
     for i in range(n):
@@ -238,6 +252,8 @@ def reference_pnr_l2(gA, zA, zB, zpA, zpB, tau):
                 terms.append(float(gA[i] @ zA[j]) / tau)
         for j in range(n):
             terms.append(float(gA[i] @ zB[j]) / tau)
+        terms += _queue_terms(gA[i], queue_cur, tau)
+        terms += _queue_terms(gA[i], queue_prev, tau)
         m = max(terms)
         denom = sum(math.exp(t - m) for t in terms)
         total += -(pos - (m + math.log(denom)))

@@ -1,6 +1,7 @@
 """Scenario builders, augmentation, and the training loop."""
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from cssl.continual import (
 from cssl.datastore import gen_synthetic, stack_bytes
 from cssl.errors import CsslError, DivergenceDetected
 from cssl.losses import Method, PnrConfig, Regime
-from cssl.model import forward, init_stack
+from cssl.model import forward, init_stack, sgd_step
 from cssl.numerics import Rng, row_l2_normalize
 from reference import train_task_redraw
 
@@ -404,6 +405,34 @@ class TestTrainTask:
                 r"^frozen model: projection overflows at task 2, batch 1$")):
             train_task(init_stack(Rng(1), **SMALL_MODEL), frozen, task,
                        small_cfg(), task_index=2)
+
+    def test_overflow_after_last_step_names_task(self, monkeypatch):
+        # No loss check follows the last SGD step; weights it scales past
+        # float range must still end the task as a located divergence, not
+        # a numpy warning in the next task's frozen forward.
+        task = build_class_il(toy_dataset(), 5).tasks[0]
+        cfg = small_cfg()
+        _, log = train_task(init_stack(Rng(1), **SMALL_MODEL), None, task,
+                            cfg)
+        calls = []
+
+        def last_step_blows_up(stack, *args):
+            out = sgd_step(stack, *args)
+            calls.append(None)
+            if len(calls) == log.steps:
+                stack.flat *= 1e200
+            return out
+
+        monkeypatch.setattr(continual, "sgd_step", last_step_blows_up)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceDetected, match=(
+                    r"^projection overflows at task 4, after the last "
+                    r"step$")):
+                train_task(init_stack(Rng(1), **SMALL_MODEL), None, task,
+                           cfg, task_index=4)
+        assert len(calls) == log.steps
+
 
 class TestRunSequence:
     def test_checkpoint_counts(self):

@@ -80,6 +80,26 @@ def distillation_term(v, tau, pseudo_negatives=True):
                       grad_g=both.grad_g)
 
 
+def reference_total(v, regime, tau):
+    """cssl_total's value composed from the scalar-loop references: each
+    term averages the (A, B) and (B, A) orderings."""
+    (zA, zB), (zpA, zpB) = halves(v.z), halves(v.z_prev)
+    qc, qp = v.queue_cur, v.queue_prev
+    if regime == Regime.FT:
+        return 0.5 * (reference_simclr(zA, zB, tau, qc)
+                      + reference_simclr(zB, zA, tau, qc))
+    gA, gB = halves(v.g)
+    if regime == Regime.CASSLE:
+        return 0.5 * (reference_simclr(zA, zB, tau, qc)
+                      + reference_cassle_distill(gA, zpA, zpB, tau, qp)
+                      + reference_simclr(zB, zA, tau, qc)
+                      + reference_cassle_distill(gB, zpB, zpA, tau, qp))
+    return 0.5 * (reference_pnr_l1(zA, zB, zpA, zpB, tau, qc, qp)
+                  + reference_pnr_l2(gA, zA, zB, zpA, zpB, tau, qc, qp)
+                  + reference_pnr_l1(zB, zA, zpB, zpA, tau, qc, qp)
+                  + reference_pnr_l2(gB, zB, zA, zpB, zpA, tau, qc, qp))
+
+
 class TestHandValues:
     def test_l1_uniform_n1_ln3(self):
         assert plasticity_term(uniform_views(), 0.2).value == np.log(3.0)
@@ -237,13 +257,7 @@ class TestReductions:
         v = random_views(Rng(107), 4, 6)
         cfg = PnrConfig(method=Method.SIMCLR, regime=Regime.CASSLE, tau=0.2)
         got = cssl_total(v, cfg).value
-        (zA, zB), (zpA, zpB), (gA, gB) = (halves(v.z), halves(v.z_prev),
-                                          halves(v.g))
-        want = 0.5 * (
-            reference_simclr(zA, zB, 0.2)
-            + reference_cassle_distill(gA, zpA, zpB, 0.2)
-            + reference_simclr(zB, zA, 0.2)
-            + reference_cassle_distill(gB, zpB, zpA, 0.2))
+        want = reference_total(v, Regime.CASSLE, 0.2)
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_ft_has_no_previous_model_terms(self):
@@ -311,6 +325,29 @@ class TestGradients:
     def test_total_fd(self, regime, seed):
         v = random_views(Rng(350 + seed), 4, 6, queue_rows=2)
         _assert_fd(lambda vv: total(vv, regime), v, total(v, regime))
+
+
+class TestSmallTau:
+    """At small temperatures the logits span hundreds of units (±1/tau), so
+    every exp must run on the row-max-shifted logits."""
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    def test_tau_0_01_matches_references(self, regime):
+        for seed in range(3):
+            v = random_views(Rng(900 + seed), 3, 5, queue_rows=4)
+            res = total(v, regime, tau=0.01)
+            assert res.value == pytest.approx(
+                reference_total(v, regime, 0.01), rel=1e-12)
+            _assert_fd(lambda vv: LossResult(reference_total(vv, regime,
+                                                             0.01)), v, res)
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    def test_tau_1e_3_stays_finite(self, regime):
+        v = random_views(Rng(903), 3, 5, queue_rows=4)
+        res = total(v, regime, tau=1e-3)
+        assert np.isfinite(res.value)
+        assert np.isfinite(res.grad_z).all()
+        assert regime == Regime.FT or np.isfinite(res.grad_g).all()
 
 
 class TestClosedForm:

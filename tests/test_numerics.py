@@ -73,11 +73,12 @@ class TestRowNormalize:
 
 
 class TestLogsumexp:
-    """The row-wise logsumexp on single rows."""
+    """The row-wise logsumexp on single rows, read as mx + log(total)."""
 
     @staticmethod
     def lse(values) -> float:
-        return float(logsumexp_rows(np.array([values], dtype=np.float64))[0])
+        mx, total = logsumexp_rows(np.array([values], dtype=np.float64))
+        return float(mx[0] + np.log(total[0]))
 
     def test_two_zeros(self):
         assert self.lse([0.0, 0.0]) == pytest.approx(np.log(2), abs=1e-15)
@@ -94,17 +95,20 @@ class TestLogsumexp:
         with pytest.raises(CsslError, match="logsumexp over zero columns"):
             logsumexp_rows(np.zeros((1, 0)))
 
-    def test_leaves_row_softmax_in_place(self):
+    def test_leaves_shifted_exp_in_place(self):
         m = Rng(3).gaussian_matrix(4, 7)
         m[1, 2] = -np.inf
         mx = np.max(m, axis=1, keepdims=True)
         want = mx + np.log(np.sum(np.exp(m - mx), axis=1, keepdims=True))
-        probs = np.exp(m - want)  # the two-pass softmax
-        out = logsumexp_rows(m)
-        assert np.max(np.abs(out - want[:, 0])) <= 1e-15
-        assert np.max(np.abs(m - probs)) <= 1e-15
+        shifted = np.exp(m - mx)
+        got_mx, total = logsumexp_rows(m)
+        assert np.max(np.abs(got_mx + np.log(total) - want[:, 0])) <= 1e-15
+        assert np.max(np.abs(m - shifted)) <= 1e-15
         assert m[1, 2] == 0.0
-        assert np.max(np.abs(m.sum(axis=1) - 1.0)) <= 1e-15
+        assert np.all(np.max(m, axis=1) == 1.0)
+        np.testing.assert_array_equal(total, m.sum(axis=1))
+        probs = m / total[:, None]
+        assert np.max(np.abs(probs.sum(axis=1) - 1.0)) <= 1e-15
         single = np.array([[-3.5], [1234.5678]])
         logsumexp_rows(single)
         assert np.all(single == 1.0)
