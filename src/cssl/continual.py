@@ -41,7 +41,8 @@ from .model import (
     mlp_forward,
     sgd_step,
 )
-from .numerics import Rng, as_matrix, row_l2_normalize, row_l2_normalize_backward
+from .numerics import (Rng, as_matrix, row_l2_normalize,
+                       row_l2_normalize_backward, row_norms)
 
 logger = logging.getLogger(__name__)
 
@@ -284,8 +285,26 @@ def on_sphere(method: Method) -> bool:
     return method in CONTRASTIVE_METHODS or method == Method.BYOL
 
 
-def _maybe_normalize(m: np.ndarray, normalized: bool) -> np.ndarray:
-    return row_l2_normalize(m) if normalized else m
+def _maybe_normalize(fwd: ForwardResult, out: str,
+                     normalized: bool) -> np.ndarray:
+    """``fwd``'s output ``out`` ("proj" or "pred"), row-normalized when
+    ``normalized``. The error for a zero row also names the first hidden
+    layer on the row's path whose ReLUs are all off for it (a dead path)."""
+    m = getattr(fwd, out)
+    if not normalized:
+        return m
+    try:
+        return row_l2_normalize(m)
+    except DivergenceDetected as err:
+        row = int(np.argmin(row_norms(m)))  # the row the error names
+        mlps = ["encoder", "projector", "predictor"][:3 if out == "pred"
+                                                     else 2]
+        dead = next((f"{name} layer {k}: no ReLU active for this row"
+                     for name in mlps
+                     for k, (_, pre) in enumerate(fwd._caches[name][:-1], 1)
+                     if not (pre[row] > 0.0).any()),
+                    "every hidden layer has a ReLU active for this row")
+        raise DivergenceDetected(f"{err} ({dead})") from err
 
 
 def frozen_embedding(frozen: EncoderStack, x: np.ndarray,
@@ -296,7 +315,7 @@ def frozen_embedding(frozen: EncoderStack, x: np.ndarray,
     fwd = forward(frozen, x)
     if _overflowed(fwd):
         raise DivergenceDetected("projection overflows")
-    return _maybe_normalize(fwd.proj, on_sphere(method))
+    return _maybe_normalize(fwd, "proj", on_sphere(method))
 
 
 def encode_views(stack: EncoderStack, x: np.ndarray,
@@ -318,8 +337,8 @@ def encode_views(stack: EncoderStack, x: np.ndarray,
     # plain fine-tuning of the other methods never reads it.
     need_pred = cfg.method == Method.BYOL or cfg.regime != Regime.FT
     fwd = forward(stack, x, want_pred=need_pred)
-    z = _maybe_normalize(fwd.proj, normalized)
-    g = _maybe_normalize(fwd.pred, normalized) if need_pred else None
+    z = _maybe_normalize(fwd, "proj", normalized)
+    g = _maybe_normalize(fwd, "pred", normalized) if need_pred else None
     # Without z_prev z stands in: FT never reads it or sends gradients there.
     z_prev = z if z_prev is None else z_prev
     z_target = None

@@ -140,10 +140,82 @@ def linear_probe(features: np.ndarray, labels: np.ndarray, order: np.ndarray,
     return w, b, float(np.mean(pred == labels[ho]))
 
 
-# Elements of the per-chunk Hessian factor (64 KiB). OpenBLAS's syrk touches
-# packing buffers in proportion to the chunk, and they stay resident: 256 KiB
-# chunks raised the benchmark's peak RSS by about 0.5 MB more than these.
-_HESSIAN_CHUNK = 1 << 13
+# Elements of the Hessian's block of pair weights (256 KiB). Unchunked, the
+# (k(k - 1)/2, n) weights raised the benchmark's peak RSS by about 0.9 MB
+# (n = 3200, k = 10); blocks of this size leave it where it was.
+_PAIR_WEIGHTS = 1 << 15
+
+
+def _hessian_builder(xa: np.ndarray, k: int, l2_penalty: float):
+    """Return ``hessian(prob)``, the Newton system of :func:`_newton_fit`
+    at the class-major softmax ``prob`` ``(k, n)`` of the rows of ``xa``
+    ``(n, p)``: a ``(k·p, k·p)`` view of one buffer that each call rewrites.
+
+    Entry ``(a, r), (b, s)`` of ``n·H`` is ``sum_i w_iab·xa_ir·xa_is``, with
+    ``w_iab = -p_ia·p_ib`` for a ≠ b and ``w_iaa = p_ia·(1 - p_ia)``, so only
+    the class pairs a ≤ b and the products r ≤ s are distinct. ``gram``
+    holds each row's ``p(p+1)/2`` products ``xa_r·xa_s``, formed once per
+    fit. A call forms the ``k(k-1)/2`` pair weights ``p_a·p_b`` (a < b),
+    about ``2^15 / (k(k-1)/2)`` samples at a time, and a gemm against
+    ``gram`` sums every off-diagonal block: ``n·k(k-1)/2·p(p+1)/2``
+    multiply-adds. A diagonal block is the sum of its row's off-diagonal
+    ones, since ``p_a·(1 - p_a) = sum_{b≠a} p_a·p_b``; unlike
+    ``p_a - p_a²`` it keeps a saturated class's small curvature exact. One
+    precomputed gather unpacks the sums into ``(k, p, k, p)``, and one
+    divide applies ``1/n`` and the off-diagonal sign. The temporaries are
+    ``gram`` ``(n, p(p+1)/2)``, the weights' block and the ``(k·p)²``
+    Hessian.
+    """
+    n, p = xa.shape
+    r, s = np.triu_indices(p)
+    gram = np.empty((n, r.size))
+    for c in range(p):  # columns (c, c), (c, c + 1), ..., (c, p - 1)
+        lo = c * p - c * (c - 1) // 2
+        np.multiply(xa[:, c:], xa[:, c, None], out=gram[:, lo:lo + p - c])
+    a, b = np.triu_indices(k, 1)
+    pairs = a.size
+    rows = max(1, min(n, _PAIR_WEIGHTS // max(pairs, 1)))
+    wts = np.empty((pairs, rows))
+    # sums[:pairs] holds -n·H_ab for a < b, sums[pairs + a] n·H_aa
+    sums = np.empty((pairs + k, r.size))
+    part = np.empty((pairs, r.size))
+    rowsum = np.zeros((k, pairs))
+    rowsum[a, np.arange(pairs)] = rowsum[b, np.arange(pairs)] = 1.0
+    block = np.empty((k, k), dtype=np.int64)
+    block[a, b] = block[b, a] = np.arange(pairs)
+    block[np.arange(k), np.arange(k)] = pairs + np.arange(k)
+    sym = np.empty((p, p), dtype=np.int64)
+    sym[r, s] = sym[s, r] = np.arange(r.size)
+    unpack = block[:, None, :, None] * r.size + sym[None, :, None, :]
+    # n on the diagonal blocks, -n off them: one divide scales and signs
+    scale = np.where(np.eye(k, dtype=bool), n, -n)[:, None, :, None]
+    hess = np.empty((k, p, k, p))
+    flat = hess.reshape(k * p, k * p)
+    diagonal = flat.reshape(-1)[::k * p + 1]
+    decay = np.tile(np.append(np.full(p - 1, 2.0 * l2_penalty), 0.0), k)
+
+    def hessian(prob: np.ndarray) -> np.ndarray:
+        off = sums[:pairs]
+        for lo in range(0, n, rows):
+            m = min(rows, n - lo)
+            w = wts[:, :m]
+            at = 0
+            for c in range(k - 1):
+                np.multiply(prob[c, lo:lo + m], prob[c + 1:, lo:lo + m],
+                            out=w[at:at + k - 1 - c])
+                at += k - 1 - c
+            if lo == 0:
+                np.matmul(w, gram[lo:lo + m], out=off)
+            else:
+                off += np.matmul(w, gram[lo:lo + m], out=part)
+        np.matmul(rowsum, off, out=sums[pairs:])
+        np.take(sums, unpack, out=hess)
+        np.divide(hess, scale, out=hess)
+        np.add(diagonal, decay, out=diagonal)
+        hess[:, p - 1, :, p - 1] += 1.0 / k
+        return flat
+
+    return hessian
 
 
 def _newton_fit(x: np.ndarray, y: np.ndarray, k: int, l2_penalty: float,
@@ -156,48 +228,44 @@ def _newton_fit(x: np.ndarray, y: np.ndarray, k: int, l2_penalty: float,
     Newton's method from zero, with a backtracking (Armijo) line search.
     With ``xa = [x, 1]`` and ``p_s`` the softmax of sample s, the Hessian
     is ``mean_s (diag(p_s) - p_s p_sᵀ) ⊗ xa_s xa_sᵀ`` (Böhning 1992) plus
-    ``2·l2_penalty`` on the weights. It is built over chunks of samples,
-    so no ``(n, k·(d + 1))`` temporary exists. The bias is not penalized,
-    so shifting every class's bias alike is a null direction; the rank-one
-    term ``u uᵀ`` on the bias block (u = 1/√k) makes the Hessian
-    invertible, and the gradient is orthogonal to u, so the term leaves
-    the step alone. The loop stops when the Newton decrement ``gᵀH⁻¹g``
-    is at most ``1e-14·(1 + f)``, when the line search cannot decrease f,
-    or after ``max_iter`` steps. The rule is relative because at a few
-    thousand samples the gradient's rounding floor can sit above 1e-10,
-    where an absolute tolerance never fires.
+    ``2·l2_penalty`` on the weights; :func:`_hessian_builder` forms it from
+    its distinct entries. The bias is not penalized, so shifting every
+    class's bias alike is a null direction; the rank-one term ``u uᵀ`` on
+    the bias block (u = 1/√k) makes the Hessian invertible, and the
+    gradient is orthogonal to u, so the term leaves the step alone. The
+    loop stops when the Newton decrement ``gᵀH⁻¹g`` is at most
+    ``1e-14·(1 + f)``, when the line search cannot decrease f, or after
+    ``max_iter`` steps. The rule is relative because at a few thousand
+    samples the gradient's rounding floor can sit above 1e-10, where an
+    absolute tolerance never fires. The softmax is class-major, ``(k, n)``,
+    so its max, sum and take run over contiguous rows of n.
     """
     n, d = x.shape
     p = d + 1
     xa = np.empty((n, p))
     xa[:, :d] = x
     xa[:, d] = 1.0
-    # sum_s (p_s - onehot_s) xa_s = prob^T xa - target: no residual array
+    # sum_s (p_s - onehot_s) xa_s = prob xa - target: no residual array
     target = np.stack([xa[y == j].sum(axis=0) for j in range(k)])
     theta = np.zeros((k, p))
     decay = np.zeros((k, p))
     decay[:, :d] = 2.0 * l2_penalty
-    chunk = max(1, _HESSIAN_CHUNK // (k * p))
+    hessian = _hessian_builder(xa, k, l2_penalty)
     # Work buffers, allocated once per fit: fresh arrays every iteration
     # fragmented the heap, and peak RSS grew with the number of fits.
-    prob, trial = np.empty((n, k)), np.empty((n, k))
+    prob, trial = np.empty((k, n)), np.empty((k, n))
     top, picked, total = np.empty(n), np.empty(n), np.empty(n)
-    at_y = np.arange(n) * k + y  # flat indices of the true classes' logits
-    z = np.empty((chunk, k, p))
-    hess = np.empty((k, p, k, p))
-    flat = hess.reshape(k * p, k * p)
-    cross = np.empty((k * p, k * p))
-    blocks, part = np.empty((k * p, p)), np.empty((k * p, p))
+    at_y = y * n + np.arange(n)  # flat indices of the true classes' logits
 
     def objective(theta, out):
         """f(theta); writes the softmax into ``out``."""
-        np.matmul(xa, theta.T, out=out)
-        np.max(out, axis=1, out=top)
+        np.matmul(theta, xa.T, out=out)
+        np.max(out, axis=0, out=top)
         np.take(out, at_y, out=picked)
-        out -= top[:, None]
+        out -= top
         np.exp(out, out=out)
-        np.sum(out, axis=1, out=total)
-        out /= total[:, None]
+        np.sum(out, axis=0, out=total)
+        out /= total
         # f = mean(top + log(total) - picked), in place
         np.subtract(np.add(np.log(total, out=total), top, out=total), picked,
                     out=total)
@@ -205,20 +273,8 @@ def _newton_fit(x: np.ndarray, y: np.ndarray, k: int, l2_penalty: float,
 
     f = objective(theta, prob)
     for _ in range(max_iter):
-        grad = (prob.T @ xa - target) / n + decay * theta
-        hess.fill(0.0)
-        blocks.fill(0.0)
-        for lo in range(0, n, chunk):
-            xc = xa[lo:lo + chunk]
-            zc = np.multiply(prob[lo:lo + chunk, :, None], xc[:, None, :],
-                             out=z[:len(xc)]).reshape(len(xc), k * p)
-            flat -= np.matmul(zc.T, zc, out=cross)
-            blocks += np.matmul(zc.T, xc, out=part)
-        hess[np.arange(k), :, np.arange(k)] += blocks.reshape(k, p, p)
-        flat /= n
-        flat[np.diag_indices(k * p)] += decay.ravel()
-        hess[:, d, :, d] += 1.0 / k
-        step = -np.linalg.solve(flat, grad.ravel()).reshape(k, p)
+        grad = (prob @ xa - target) / n + decay * theta
+        step = -np.linalg.solve(hessian(prob), grad.ravel()).reshape(k, p)
         dec = -np.vdot(grad, step)
         if not dec > 1e-14 * (1.0 + f):
             break

@@ -14,6 +14,7 @@ independent of how far the parent stream has advanced.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable
 
 import numpy as np
@@ -184,6 +185,18 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> _U64(31))
 
 
+# Distinct tags whose hash Rng.derive keeps: a run derives a few per task and
+# epoch, and repeats them across tasks, seeds and passes.
+_TAG_HASHES = 1024
+
+
+@functools.lru_cache(maxsize=_TAG_HASHES)
+def _tag_hash(tag: str) -> int:
+    """fnv1a64 of the tag's UTF-8 bytes, which costs tens of microseconds
+    for a short tag."""
+    return fnv1a64(tag.encode("utf-8"))
+
+
 class Rng:
     """SplitMix64 stream: counter advances by a golden-ratio gamma, outputs
     are a bijective bit mix of the counter. The integer stream is identical
@@ -197,7 +210,7 @@ class Rng:
 
     def derive(self, tag: str) -> "Rng":
         """Child stream keyed by (seed, tag); ignores this stream's position."""
-        key = self.seed ^ fnv1a64(tag.encode("utf-8"))
+        key = self.seed ^ _tag_hash(tag)
         return Rng(int(_mix64(np.array([key], dtype=_U64))[0]))
 
     def _next_block(self, n: int) -> np.ndarray:

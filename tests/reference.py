@@ -327,6 +327,33 @@ def probe_gradient(features, labels, order, cfg, w, b):
     return grad_w, grad_b, hits / len(ho)
 
 
+def probe_hessian(x, prob, l2_penalty):
+    """The linear probe's Newton system, summed one sample at a time.
+
+    ``x`` is the ``(n, d)`` standardized train features and ``prob`` the
+    ``(n, k)`` softmax of each sample over the fitted classes. Returns the
+    ``(k·(d+1), k·(d+1))`` Hessian of mean cross-entropy
+    + ``l2_penalty``·‖W‖² in ``theta = [W, b]`` flattened class by class,
+    ``mean_s (diag(p_s) - p_s p_sᵀ) ⊗ xa_s xa_sᵀ`` with ``xa_s = [x_s, 1]``,
+    plus ``2·l2_penalty`` on every weight and ``1/k`` on every pair of
+    biases: the rank-one term that pins the all-classes bias shift."""
+    n, d = x.shape
+    k = prob.shape[1]
+    p = d + 1
+    h = np.zeros((k * p, k * p))
+    for s in range(n):
+        xa = np.append(x[s], 1.0)
+        ps = prob[s]
+        h += np.kron(np.diag(ps) - np.outer(ps, ps), np.outer(xa, xa))
+    h /= n
+    for a in range(k):
+        for r in range(d):
+            h[a * p + r, a * p + r] += 2.0 * l2_penalty
+        for b in range(k):
+            h[a * p + d, b * p + d] += 1.0 / k
+    return h
+
+
 def fnv1a64_loop(data):
     """64-bit FNV-1a, one byte at a time."""
     h = 0xCBF29CE484222325

@@ -376,22 +376,38 @@ class TestTrainTask:
         task = build_class_il(toy_dataset(), 5).tasks[0]
         dims = dict(SMALL_MODEL, encoder_dims=[8, 1, 6])
         with pytest.raises(DivergenceDetected, match=(
-                r"^row 0 has norm 0\.000e\+00 <= 1e-12 at task 1, epoch 1 "
-                r"of 2, step 1 of the epoch$")):
+                r"^row 0 has norm 0\.000e\+00 <= 1e-12 \(encoder layer 1: no "
+                r"ReLU active for this row\) at task 1, epoch 1 of 2, step 1 "
+                r"of the epoch$")):
             train_task(init_stack(Rng(1), **dims), None, task,
                        small_cfg(lr=0.0, **dims), task_index=1)
+
+    def test_zero_projection_row_names_the_dead_layer(self):
+        # Biases of -100 switch off every ReLU of encoder layer 1 for every
+        # sample; at lr 0 the first step's projections are all zero, and
+        # the error names that layer, not a later one.
+        task = build_class_il(toy_dataset(), 5).tasks[0]
+        stack = init_stack(Rng(1), **SMALL_MODEL)
+        stack.encoder.biases[0][...] = -100.0
+        with pytest.raises(DivergenceDetected, match=(
+                r"^row 0 has norm 0\.000e\+00 <= 1e-12 \(encoder layer 1: no "
+                r"ReLU active for this row\) at task 1, epoch 1 of 2, step 1 "
+                r"of the epoch$")):
+            train_task(stack, None, task, small_cfg(lr=0.0), task_index=1)
 
 
     def test_zero_frozen_projection_names_task_and_batch(self):
         # A zeroed last projector layer maps every view to a zero frozen
         # projection, which has no direction on the sphere; the plan
-        # reports it before the first step.
+        # reports it before the first step. The row's ReLUs are live, so
+        # no layer is named dead.
         task = build_class_il(toy_dataset(), 5).tasks[1]
         frozen = init_stack(Rng(2), **SMALL_MODEL)
         frozen.projector.weights[-1][...] = 0.0
         with pytest.raises(DivergenceDetected, match=(
-                r"^frozen model: row 0 has norm 0\.000e\+00 <= 1e-12 at "
-                r"task 2, batch 1$")):
+                r"^frozen model: row 0 has norm 0\.000e\+00 <= 1e-12 \(every "
+                r"hidden layer has a ReLU active for this row\) at task 2, "
+                r"batch 1$")):
             train_task(init_stack(Rng(1), **SMALL_MODEL), frozen, task,
                        small_cfg(), task_index=2)
 

@@ -23,6 +23,7 @@ from reference import (
     brute_force_plasticity,
     brute_force_stability,
     probe_gradient,
+    probe_hessian,
 )
 
 # The largest gradient entry a converged probe may leave (see
@@ -173,6 +174,84 @@ class TestLinearProbe:
             gw, gb, racc = probe_gradient(x, y, order, ProbeConfig(), w, b)
             assert max(np.abs(gw).max(), np.abs(gb).max()) < GRAD_TOL
             assert acc == racc
+
+
+    @pytest.mark.parametrize("k, d, n", [(2, 8, 320), (10, 8, 3200),
+                                         (2, 1, 320), (10, 1, 3200)])
+    def test_newton_converges_within_twelve_iterations(self, k, d, n):
+        # Random encoders' features of synthetic tasks, at the benchmark's
+        # probe shapes: Newton's method stops on its own rule within 12
+        # iterations, so the fit equals the 500-cap fit bit for bit. A
+        # Hessian that is positive definite but wrong converges slower and
+        # reaches the cap instead.
+        ds = gen_synthetic(k, 8, n * 5 // (4 * k), 1.0, 0.5, seed=k + d)
+        x = encoder_features(init_stack(Rng(d), [8, 16, d], [d, d], [d, d]),
+                             ds.x)
+        order = Rng(k).permutation(ds.num_samples)
+        assert int(ProbeConfig().train_fraction * ds.num_samples) == n
+        w, b, acc = linear_probe(x, ds.y, order, ProbeConfig(epochs=12))
+        w_cap, b_cap, acc_cap = linear_probe(x, ds.y, order, ProbeConfig())
+        np.testing.assert_array_equal(w, w_cap)
+        np.testing.assert_array_equal(b, b_cap)
+        assert acc == acc_cap
+
+
+def _relative_gap(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+class TestProbeHessian:
+    @pytest.mark.parametrize("pair_weights", [None, 50])
+    @pytest.mark.parametrize("d", [1, 8])
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    def test_matches_per_sample_sum(self, k, d, pair_weights, monkeypatch):
+        # Softmaxes from logits of scale 3, some near saturation. A block
+        # of 50 pair weights splits the samples unevenly at every k.
+        if pair_weights is not None:
+            monkeypatch.setattr(evaluate, "_PAIR_WEIGHTS", pair_weights)
+        rng = Rng(50 + 10 * k + d)
+        n = 203
+        x = rng.gaussian_matrix(n, d)
+        logits = 3.0 * rng.gaussian_matrix(k, n)
+        prob = np.exp(logits - logits.max(axis=0))
+        prob /= prob.sum(axis=0)
+        xa = np.hstack([x, np.ones((n, 1))])
+        hessian = evaluate._hessian_builder(xa, k, 1e-4)
+        want = probe_hessian(x, prob.T, 1e-4)
+        assert _relative_gap(hessian(prob), want) <= 1e-12
+        # a second call on the same buffers reads nothing of the first
+        assert _relative_gap(hessian(prob[::-1].copy()),
+                             probe_hessian(x, prob[::-1].T, 1e-4)) <= 1e-12
+
+    def test_every_newton_step_of_a_fit_lacking_a_class(self, monkeypatch):
+        # Class 4 is moved out of the train split into the holdout, so the
+        # fit has 9 classes; every Hessian it solves with matches the
+        # per-sample sum at the softmax it was built for.
+        x = Rng(11).gaussian_matrix(400, 8)
+        y = np.argmax(x @ Rng(12).gaussian_matrix(8, 10), axis=1)
+        order = Rng(13).permutation(400)
+        tr = order[:320]
+        y[tr[y[tr] == 4]] = 5
+        assert 4 in y[order[320:]]
+        build = evaluate._hessian_builder
+        gaps = []
+
+        def checked(xa, k, l2_penalty):
+            assert k == 9
+            hessian = build(xa, k, l2_penalty)
+
+            def check(prob):
+                got = hessian(prob)
+                gaps.append(_relative_gap(
+                    got, probe_hessian(xa[:, :-1], prob.T, l2_penalty)))
+                return got
+
+            return check
+
+        monkeypatch.setattr(evaluate, "_hessian_builder", checked)
+        w, b, _ = linear_probe(x, y, order, ProbeConfig())
+        assert b[4] == -np.inf and np.isfinite(np.delete(b, 4)).all()
+        assert len(gaps) >= 3 and max(gaps) <= 1e-12
 
 
 class TestAccuracyMatrix:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from cssl.errors import CsslError, DivergenceDetected
 from cssl.numerics import (
     _FNV_CHUNK,
+    _TAG_HASHES,
     Rng,
     as_matrix,
     finite_difference_gradient,
@@ -174,6 +175,16 @@ class TestRng:
         assert Rng(1).derive("init").seed == 0xEFA899DF6E17081B
         assert Rng(42).derive("synthetic-data").seed == 0xF23F0D421BD3F7CE
         assert Rng(2**64 - 1).derive("task-3").seed == 0x6369535BF56C1850
+
+    def test_derive_pinned_through_the_tag_cache(self):
+        # Rng.derive memoizes its tag hashes in a bounded cache: a tag
+        # read from it, one it evicted and one it never held all derive
+        # the pinned seeds.
+        self.test_derive_pinned()
+        self.test_derive_pinned()
+        for i in range(_TAG_HASHES + 1):
+            Rng(0).derive(f"filler-{i}")
+        self.test_derive_pinned()
 
     def test_derive_distinct_tags(self):
         root = Rng(5)
