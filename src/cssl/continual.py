@@ -285,12 +285,18 @@ def on_sphere(method: Method) -> bool:
     return method in CONTRASTIVE_METHODS or method == Method.BYOL
 
 
-def _maybe_normalize(fwd: ForwardResult, out: str,
-                     normalized: bool) -> np.ndarray:
-    """``fwd``'s output ``out`` ("proj" or "pred"), row-normalized when
-    ``normalized``. The error for a zero row also names the first hidden
-    layer on the row's path whose ReLUs are all off for it (a dead path)."""
+def _embed(fwd: ForwardResult, out: str, normalized: bool) -> np.ndarray:
+    """``fwd``'s output ``out`` ("proj" or "pred") as a loss reads it:
+    row-normalized when ``normalized``. An output that holds NaN/Inf or a
+    squared norm beyond float range has no loss, so it raises
+    :class:`DivergenceDetected`; so does a zero row on the sphere, whose
+    error also names the first hidden layer on the row's path whose ReLUs
+    are all off for it (a dead path)."""
     m = getattr(fwd, out)
+    flat = m.ravel()
+    if not np.isfinite(flat @ flat):
+        raise DivergenceDetected(
+            f"{'projection' if out == 'proj' else 'prediction'} overflows")
     if not normalized:
         return m
     try:
@@ -310,12 +316,8 @@ def _maybe_normalize(fwd: ForwardResult, out: str,
 def frozen_embedding(frozen: EncoderStack, x: np.ndarray,
                      method: Method) -> np.ndarray:
     """z_prev: the frozen model's projection of the stacked views ``x``, as
-    the method's loss reads it. A projection that overflows (see
-    :func:`_overflowed`) raises :class:`DivergenceDetected`."""
-    fwd = forward(frozen, x)
-    if _overflowed(fwd):
-        raise DivergenceDetected("projection overflows")
-    return _maybe_normalize(fwd, "proj", on_sphere(method))
+    the method's loss reads it (see :func:`_embed`)."""
+    return _embed(forward(frozen, x), "proj", on_sphere(method))
 
 
 def encode_views(stack: EncoderStack, x: np.ndarray,
@@ -326,21 +328,17 @@ def encode_views(stack: EncoderStack, x: np.ndarray,
                  ) -> tuple[ContrastiveViews, ForwardResult]:
     """Forward the stacked views once through the live stack (and once
     through the EMA target where the method needs it). Returns the loss
-    inputs, with the frozen model's ``z_prev`` (see :func:`frozen_embedding`),
-    and the live forward for :func:`backprop_views`.
-
-    Without ``z_prev`` ``cfg`` must be the fine-tuning config (see
-    :func:`train_task`).
+    inputs, with the frozen model's ``z_prev`` (see :func:`frozen_embedding`;
+    ``None`` in regime ``ft``, which never reads it), and the live forward
+    for :func:`backprop_views`. Every embedding passes :func:`_embed`.
     """
     normalized = on_sphere(cfg.method)
     # The predictor feeds the distillation term (and BYOL's native loss);
     # plain fine-tuning of the other methods never reads it.
     need_pred = cfg.method == Method.BYOL or cfg.regime != Regime.FT
     fwd = forward(stack, x, want_pred=need_pred)
-    z = _maybe_normalize(fwd, "proj", normalized)
-    g = _maybe_normalize(fwd, "pred", normalized) if need_pred else None
-    # Without z_prev z stands in: FT never reads it or sends gradients there.
-    z_prev = z if z_prev is None else z_prev
+    z = _embed(fwd, "proj", normalized)
+    g = _embed(fwd, "pred", normalized) if need_pred else None
     z_target = None
     if cfg.method == Method.BYOL:
         if target is None:
@@ -365,20 +363,15 @@ def backprop_views(stack: EncoderStack, fwd: ForwardResult, cfg: PnrConfig,
     return backward(stack, fwd, grad_proj, grad_pred)
 
 
-def _overflowed(fwd: ForwardResult) -> bool:
-    """Whether a raw projection or prediction holds NaN/Inf or a squared
-    norm beyond float range: normalizing it would yield zero or NaN rows
-    instead of unit ones, so no loss of it is defined."""
-    return any(not np.isfinite(m.ravel() @ m.ravel())
-               for m in (fwd.proj, fwd.pred) if m is not None)
-
-
 def _effective_cfg(cfg: PnrConfig, frozen: EncoderStack | None) -> PnrConfig:
     if frozen is None and cfg.regime != Regime.FT:
         return replace(cfg, regime=Regime.FT)
     return cfg
 
 
+# A diverging model overflows before its loss turns non-finite; the checks
+# in train_task, not numpy's warnings, report that.
+@np.errstate(over="ignore", invalid="ignore")
 def train_task(stack: EncoderStack, frozen_prev: EncoderStack | None,
                task: LabeledDataset, cfg: TrainConfig, *,
                task_index: int = 1) -> tuple[EncoderStack, TrainLog]:
@@ -386,12 +379,13 @@ def train_task(stack: EncoderStack, frozen_prev: EncoderStack | None,
 
     Runs ``epochs_per_task`` sweeps of two-view SGD steps; MoCo queues are
     created fresh for the task and BYOL's target starts as a copy of the
-    online network. Raises DivergenceDetected, naming the task, epoch and
-    step, on a NaN/Inf loss, a projection row of norm zero or a collapsed
-    Barlow batch; outputs that overflow (see :func:`_overflowed`) count as a
-    nan loss. After the last step a forward of the task's samples through
-    the trained stack applies the same rule, so weights that the last update
-    made overflow raise DivergenceDetected naming the task.
+    online network. Raises DivergenceDetected, naming the frozen model's
+    batch, the epoch and step, or "after the last step", when an embedding
+    (live, EMA target or frozen) fails :func:`_embed` (it overflows, or a
+    row on the sphere is zero), a Barlow batch has a constant column, or a
+    loss is NaN/Inf. After the last step the task's samples pass
+    :func:`_embed` through the trained stack, so a task never hands on
+    weights that overflow.
     """
     loss_cfg = _effective_cfg(cfg.loss, frozen_prev)
     method = loss_cfg.method
@@ -414,41 +408,28 @@ def train_task(stack: EncoderStack, frozen_prev: EncoderStack | None,
     plan = []
     epoch_losses: list[float] = []
     steps = 0
-    # A diverging model overflows before its loss turns non-finite; the
-    # checks below, not numpy's warnings, report that.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # Where the task is, for the error: epoch 0 while the plan is drawn,
+    # step 0 after the last step.
+    batch = epoch = step = 0
+    try:
         for batch, lo in enumerate(range(0, M, cfg.batch_size), 1):
             idx = order[lo:lo + cfg.batch_size]
             if idx.size < 2 and method in (Method.VICREG, Method.BARLOW):
                 continue
             x = two_views(task.x[idx], cfg.augment, rng)
-            try:
-                z_prev = (None if loss_cfg.regime == Regime.FT
-                          else frozen_embedding(frozen_prev, x, method))
-            except DivergenceDetected as err:
-                raise DivergenceDetected(
-                    f"frozen model: {err} at task {task_index}, batch "
-                    f"{batch}") from err
-            plan.append((x, z_prev))
+            plan.append((x, None if loss_cfg.regime == Regime.FT
+                         else frozen_embedding(frozen_prev, x, method)))
         for epoch in range(1, cfg.epochs_per_task + 1):
             batch_losses: list[float] = []
             for step, (x, z_prev) in enumerate(plan, 1):
-                try:
-                    views, fwd = encode_views(
-                        stack, x, z_prev, loss_cfg, target=target,
-                        queue_cur=(cur_queue.snapshot() if cur_queue
-                                   else None),
-                        queue_prev=(prev_queue.snapshot() if prev_queue
-                                    else None))
-                    res = (LossResult(np.nan) if _overflowed(fwd)
-                           else total_loss(views, loss_cfg))
-                    if not np.isfinite(res.value):
-                        raise DivergenceDetected(f"loss {res.value}")
-                except DivergenceDetected as err:
-                    raise DivergenceDetected(
-                        f"{err} at task {task_index}, epoch {epoch} of "
-                        f"{cfg.epochs_per_task}, step {step} of the "
-                        f"epoch") from err
+                views, fwd = encode_views(
+                    stack, x, z_prev, loss_cfg, target=target,
+                    queue_cur=cur_queue.snapshot() if cur_queue else None,
+                    queue_prev=prev_queue.snapshot() if prev_queue else None)
+                res = total_loss(views, loss_cfg)
+                # Finite embeddings can still give a non-finite loss.
+                if not np.isfinite(res.value):
+                    raise DivergenceDetected(f"loss {res.value}")
                 sgd_step(stack, backprop_views(stack, fwd, loss_cfg, res),
                          velocity, cfg.lr, cfg.momentum, cfg.weight_decay)
                 if method == Method.MOCO:
@@ -462,15 +443,21 @@ def train_task(stack: EncoderStack, frozen_prev: EncoderStack | None,
                 steps += 1
             epoch_losses.append(float(np.mean(batch_losses)))
         # No loss reads the last step's update, so a forward of the task's
-        # samples checks it: a task never hands on weights that overflow.
-        # Blocks of a step's row count keep its memory within a step's.
+        # samples checks it. Blocks of a step's row count keep its memory
+        # within a step's.
+        step = 0
         rows = 2 * cfg.batch_size
         for lo in range(0, M, rows):
-            if _overflowed(forward(stack, task.x[lo:lo + rows],
-                                   want_pred=True)):
-                raise DivergenceDetected(
-                    f"projection overflows at task {task_index}, after the "
-                    f"last step")
+            fwd = forward(stack, task.x[lo:lo + rows], want_pred=True)
+            _embed(fwd, "proj", False)
+            _embed(fwd, "pred", False)
+    except DivergenceDetected as err:
+        where = (f"batch {batch}" if not epoch else
+                 f"epoch {epoch} of {cfg.epochs_per_task}, step {step} of "
+                 f"the epoch" if step else "after the last step")
+        raise DivergenceDetected(
+            f"{'' if epoch else 'frozen model: '}{err} at task {task_index}, "
+            f"{where}") from err
     return stack, TrainLog(epoch_losses, steps)
 
 

@@ -23,6 +23,9 @@ class CorruptFile(CsslError):
 
 
 class DivergenceDetected(CsslError):
-    """Training loss became NaN or Inf, a projection row had norm zero, a
-    Barlow Twins batch collapsed to a constant column, or a linear probe
-    was handed features that are not finite or overflow."""
+    """Training diverged: a projection or prediction (live, EMA target or
+    frozen) holds NaN/Inf or overflows its squared norm, a row to normalize
+    has norm zero, a Barlow Twins batch collapsed to a constant column, or
+    the loss is NaN or Inf. A linear probe raises it too, when handed
+    features that are not finite or overflow, or when its Newton Hessian
+    is singular."""

@@ -154,9 +154,9 @@ def _embedding_trial(name: str, rng: Rng) -> float:
         else:
             cfg = PnrConfig(method=Method.BARLOW, regime=Regime.FT)
             za, zb = rng.gaussian_matrix(n + 3, d), rng.gaussian_matrix(n + 3, d)
-        z = np.concatenate([za, zb])  # the two raw views; z_prev is unused
+        z = np.concatenate([za, zb])  # the two raw views
         return _check_views_loss(lambda vv: noncontrastive_pnr_total(vv, cfg),
-                                 ContrastiveViews(z, z), {"z": "grad_z"})
+                                 ContrastiveViews(z), {"z": "grad_z"})
     if name in ("pnr_regularizer", "noncontrastive_pnr_total"):
         loss_fn = (pnr_regularizer if name == "pnr_regularizer"
                    else noncontrastive_pnr_total)

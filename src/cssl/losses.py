@@ -147,14 +147,15 @@ class ContrastiveViews:
     """One training step's embeddings. Every field but the queues is a
     (2N, D) batch: view A's rows, then view B's in the same sample order.
 
-    ``z``: current-model projections. ``z_prev``: frozen previous-task model.
-    ``g``: predictor outputs. ``z_target``: EMA target projections (BYOL
-    only). ``queue_cur``/``queue_prev``: queue snapshots of past
-    current-model and past previous-model keys (MoCo only).
+    ``z``: current-model projections. ``z_prev``: frozen previous-task model
+    (``None`` in regime ``ft``, which never reads it). ``g``: predictor
+    outputs. ``z_target``: EMA target projections (BYOL only).
+    ``queue_cur``/``queue_prev``: queue snapshots of past current-model and
+    past previous-model keys (MoCo only).
     """
 
     z: np.ndarray
-    z_prev: np.ndarray
+    z_prev: np.ndarray | None = None
     g: np.ndarray | None = None
     z_target: np.ndarray | None = None
     queue_cur: np.ndarray | None = None
@@ -244,6 +245,8 @@ def cssl_total(v: ContrastiveViews, cfg: PnrConfig, *,
     ft = cfg.regime == Regime.FT
     if not ft and v.g is None:
         raise CsslError("distillation needs predictor outputs g")
+    if not ft and v.z_prev is None:
+        raise CsslError("distillation needs z_prev")
     pool, c = _keys(v, frozen=not ft)
     rows = np.arange(m)
     anchors, pos_col = ((v.z, partner(rows)) if ft else
@@ -435,6 +438,8 @@ def pnr_regularizer(v: ContrastiveViews, cfg: PnrConfig) -> LossResult:
     """
     if v.g is None:
         raise CsslError(f"{cfg.method.value} distillation needs g outputs")
+    if v.z_prev is None:
+        raise CsslError(f"{cfg.method.value} distillation needs z_prev")
     lam = cfg.lambda_pnr if cfg.regime == Regime.PNR else 0.0
     if cfg.method == Method.BARLOW:
         n = v.batch_size

@@ -62,10 +62,11 @@ def row_norms(m: np.ndarray) -> np.ndarray:
 
 
 def check_unit_rows(m: np.ndarray, name: str) -> None:
-    """Reject rows whose L2 norm strays from 1 by more than NORM_TOL."""
+    """Reject rows whose L2 norm strays from 1 by more than NORM_TOL or is
+    NaN."""
     if m.shape[0]:
         dev = float(np.max(np.abs(row_norms(m) - 1.0)))
-        if dev > NORM_TOL:
+        if not dev <= NORM_TOL:
             raise CsslError(f"{name}: row norm off unit by {dev:.3e}")
 
 

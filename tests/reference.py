@@ -19,7 +19,7 @@ import numpy as np
 from cssl import continual
 from cssl.embedding_queue import EmbeddingQueue
 from cssl.errors import DivergenceDetected
-from cssl.losses import LossResult, Method, Regime, total_loss
+from cssl.losses import Method, Regime, total_loss
 from cssl.model import ema_update, sgd_step
 from cssl.numerics import Rng
 
@@ -424,18 +424,26 @@ def train_task_redraw(stack, frozen_prev, task, cfg, *, task_index=1):
             if idx.size < 2 and method in (Method.VICREG, Method.BARLOW):
                 continue
             x = continual.two_views(task.x[idx], cfg.augment, rng)
-            z_prev = (None if frozen_prev is None else
-                      continual.frozen_embedding(frozen_prev, x, method))
-            views, fwd = continual.encode_views(
-                stack, x, z_prev, loss_cfg, target=target,
-                queue_cur=(cur_queue.snapshot() if cur_queue else None),
-                queue_prev=(prev_queue.snapshot() if prev_queue else None))
-            res = (LossResult(np.nan) if continual._overflowed(fwd)
-                   else total_loss(views, loss_cfg))
-            if not np.isfinite(res.value):
+            try:
+                z_prev = (None if loss_cfg.regime == Regime.FT else
+                          continual.frozen_embedding(frozen_prev, x, method))
+            except DivergenceDetected as err:
                 raise DivergenceDetected(
-                    f"loss {res.value} at task {task_index}, epoch {epoch} "
-                    f"of {cfg.epochs_per_task}, step {step} of the epoch")
+                    f"frozen model: {err} at task {task_index}, batch "
+                    f"{step}") from err
+            try:
+                views, fwd = continual.encode_views(
+                    stack, x, z_prev, loss_cfg, target=target,
+                    queue_cur=(cur_queue.snapshot() if cur_queue else None),
+                    queue_prev=(prev_queue.snapshot() if prev_queue
+                                else None))
+                res = total_loss(views, loss_cfg)
+                if not np.isfinite(res.value):
+                    raise DivergenceDetected(f"loss {res.value}")
+            except DivergenceDetected as err:
+                raise DivergenceDetected(
+                    f"{err} at task {task_index}, epoch {epoch} of "
+                    f"{cfg.epochs_per_task}, step {step} of the epoch") from err
             sgd_step(stack, continual.backprop_views(stack, fwd, loss_cfg,
                                                      res),
                      velocity, cfg.lr, cfg.momentum, cfg.weight_decay)

@@ -5,8 +5,10 @@ per-criterion lines as they complete). Tolerances are pinned here and never
 loosened at runtime.
 """
 
+import io
 import os
 import time
+from contextlib import redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 import yaml
 
-from cssl import losses
+from cssl import cli, losses
 from cssl.cli import cli_main
 from cssl.config import DEFAULT_CONFIG_YAML
 from cssl.continual import TrainConfig, build_class_il, run_sequence
@@ -29,10 +31,10 @@ from cssl.evaluate import (
     stability,
 )
 from cssl.gradcheck import (
+    EMBEDDING_LOSSES,
     check_closed_form,
-    check_embedding_gradients,
-    check_param_gradients,
     random_views,
+    run_gradcheck,
 )
 from cssl.losses import (
     ContrastiveViews,
@@ -62,14 +64,38 @@ def _report(num: int, text: str) -> None:
     print(f"[ACCEPTANCE {num}] PASS: {text}")
 
 
-def test_criterion_1_gradient_suite():
-    """Analytic vs central finite differences, rel err < 1e-6, 20+ points."""
-    t0 = time.perf_counter()
-    reports = check_embedding_gradients(trials=20, seed=2024)
-    reports += check_param_gradients(trials=4, seed=2025)
-    elapsed = time.perf_counter() - t0
+@pytest.fixture(scope="module")
+def gradcheck_run():
+    """One run of `cssl gradcheck --trials 20`, shared by criteria 1 and 10:
+    its exit code, its standard output, and the reports that
+    :func:`cssl.cli.run_gradcheck` returned to it."""
+    recorded = []
+
+    def run_and_record(*args, **kwargs):
+        reports = run_gradcheck(*args, **kwargs)
+        recorded.append(reports)
+        return reports
+
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, redirect_stdout(out):
+        mp.setattr(cli, "run_gradcheck", run_and_record)
+        code = cli_main(["gradcheck", "--trials", "20"])
+    (reports,) = recorded
+    return code, out.getvalue(), reports
+
+
+def test_criterion_1_gradient_suite(gradcheck_run):
+    """Analytic vs central finite differences, rel err < 1e-6, 20+ points:
+    the embedding checks (20 trials, seed 2024) and the parameter checks
+    (4 trials, seed 2025) of the gradcheck run."""
+    reports = [r for r in gradcheck_run[2]
+               if r.name.startswith(("embedding/", "params/"))]
+    assert sorted((r.name, r.trials) for r in reports) == sorted(
+        [(f"embedding/{name}", 20) for name in EMBEDDING_LOSSES]
+        + [(f"params/{m.value}", 4) for m in Method])
     for r in reports:
         assert r.passed, f"{r.name}: max err {r.max_err:.3e} >= {r.tol}"
+    elapsed = sum(r.elapsed for r in reports)
     assert elapsed < 120.0, f"gradient suite took {elapsed:.1f}s (limit 120s)"
     worst = max(r.max_err for r in reports)
     _report(1, f"{len(reports)} gradient checks, worst rel err "
@@ -321,10 +347,9 @@ def test_criterion_9_analytic_zeros():
 
 
 @pytest.mark.slow
-def test_criterion_10_gradcheck_cli_gate(capsys):
+def test_criterion_10_gradcheck_cli_gate(gradcheck_run):
     """`cssl gradcheck --trials 20` exits 0 on a correct build."""
-    code = cli_main(["gradcheck", "--trials", "20"])
-    out = capsys.readouterr().out
+    code, out, _ = gradcheck_run
     assert code == 0, f"gradcheck exited {code}:\n{out}"
     assert "all gradient checks passed" in out
     _report(10, "gradcheck CLI exit code 0")

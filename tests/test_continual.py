@@ -23,7 +23,7 @@ from cssl.continual import (
 )
 from cssl.datastore import gen_synthetic, stack_bytes
 from cssl.errors import CsslError, DivergenceDetected
-from cssl.losses import Method, PnrConfig, Regime
+from cssl.losses import Method, PnrConfig, Regime, total_loss
 from cssl.model import forward, init_stack, sgd_step
 from cssl.numerics import Rng, row_l2_normalize
 from reference import train_task_redraw
@@ -211,6 +211,24 @@ class TestEncodeViews:
                 np.testing.assert_allclose(got[half], want, rtol=1e-12,
                                            atol=1e-14)
 
+    def test_no_previous_model_outside_ft_raises(self):
+        # Regime ft carries no z_prev; any other regime without one has
+        # nothing to distill toward and must not stand in the live model.
+        x2 = two_views(Rng(1).gaussian_matrix(4, 8), AugmentConfig(), Rng(2))
+        stack = init_stack(Rng(3), **SMALL_MODEL)
+        for method in Method:
+            ft = PnrConfig(method=method, regime=Regime.FT)
+            target = stack.clone() if method == Method.BYOL else None
+            views, _ = encode_views(stack, x2, None, ft, target=target)
+            assert views.z_prev is None
+            assert np.isfinite(total_loss(views, ft).value)
+            for regime in (Regime.CASSLE, Regime.PNR):
+                cfg = PnrConfig(method=method, regime=regime)
+                views, _ = encode_views(stack, x2, None, cfg, target=target)
+                with pytest.raises(CsslError,
+                                   match="distillation needs z_prev$"):
+                    total_loss(views, cfg)
+
 
 class TestTrainTask:
     def test_lr_zero_fixed_point_and_constant_trace(self):
@@ -345,15 +363,28 @@ class TestTrainTask:
         # normalize, so at lr 1e30 their overflowing projections must be
         # caught before the loss validates unit norms.
         task = build_class_il(toy_dataset(), 5).tasks[0]
-        pattern = (r"^loss -?(nan|inf) at task 3, epoch [12] of 2, "
-                   r"step [12] of the epoch$")
         for method, lr in ((Method.VICREG, 1e3), (Method.SIMCLR, 1e30),
                            (Method.MOCO, 1e30)):
             cfg = small_cfg(lr=lr, loss=PnrConfig(method=method,
                                                   regime=Regime.FT))
             stack = init_stack(Rng(1), **SMALL_MODEL)
-            with pytest.raises(DivergenceDetected, match=pattern):
+            with pytest.raises(DivergenceDetected, match=(
+                    r"^projection overflows at task 3, epoch 2 of 2, step 1 "
+                    r"of the epoch$")):
                 train_task(stack, None, task, cfg, task_index=3)
+
+    def test_overflowing_prediction_names_task_epoch_and_step(self):
+        # Only the predictor's last layer is scaled past float range, so the
+        # projection is finite and the prediction that the distillation
+        # term reads is what the error names.
+        task = build_class_il(toy_dataset(), 5).tasks[1]
+        stack = init_stack(Rng(1), **SMALL_MODEL)
+        stack.predictor.weights[-1][...] *= 1e200
+        with pytest.raises(DivergenceDetected, match=(
+                r"^prediction overflows at task 2, epoch 1 of 2, step 1 of "
+                r"the epoch$")):
+            train_task(stack, init_stack(Rng(2), **SMALL_MODEL), task,
+                       small_cfg(lr=0.0), task_index=2)
 
     def test_collapsed_barlow_batch_names_task_epoch_and_step(self):
         # A zero last projector row makes a constant projection column,

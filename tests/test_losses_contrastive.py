@@ -199,6 +199,17 @@ class TestSetSemantics:
             with pytest.raises(CsslError, match="needs predictor outputs g"):
                 total(v, regime)
 
+    def test_missing_previous_model_raises(self):
+        # Only regime ft may go without z_prev, and it reads none.
+        v = random_views(Rng(104), 3, 5)
+        without = replace(v, z_prev=None)
+        for regime in (Regime.CASSLE, Regime.PNR):
+            with pytest.raises(CsslError, match="^distillation needs z_prev$"):
+                total(without, regime)
+        got, want = total(without, Regime.FT), total(v, Regime.FT)
+        assert got.value == want.value
+        np.testing.assert_array_equal(got.grad_z, want.grad_z)
+
     def test_empty_batch_raises(self):
         z = np.zeros((0, 4))
         v = ContrastiveViews(z, z.copy(), g=z.copy())
@@ -210,6 +221,15 @@ class TestSetSemantics:
         bad = replace(v, z=v.z * 1.5)
         with pytest.raises(CsslError, match="z: row norm off unit"):
             cssl_total(bad, PnrConfig(method=Method.SIMCLR, regime=Regime.PNR))
+
+    def test_nan_row_raises(self):
+        v = random_views(Rng(105), 3, 5)
+        for name in ("z", "z_prev", "g"):
+            m = getattr(v, name).copy()
+            m[2, 1] = np.nan
+            with pytest.raises(CsslError, match=(
+                    f"^{name}: row norm off unit by nan$")):
+                replace(v, **{name: m}).validate_norms()
 
     @pytest.mark.parametrize("regime", list(Regime))
     def test_one_softmax_per_call(self, regime, monkeypatch):

@@ -247,6 +247,22 @@ class TestTotals:
 
     @pytest.mark.parametrize("method",
                              [Method.BYOL, Method.VICREG, Method.BARLOW])
+    def test_missing_previous_model_raises(self, method):
+        # Only regime ft may go without z_prev, and it reads none.
+        v = self._views(Rng(16), method)
+        without = replace(v, z_prev=None)
+        for regime in (Regime.CASSLE, Regime.PNR):
+            cfg = PnrConfig(method=method, regime=regime)
+            for loss in (pnr_regularizer, noncontrastive_pnr_total):
+                with pytest.raises(CsslError, match=(
+                        f"^{method.value} distillation needs z_prev$")):
+                    loss(without, cfg)
+        cfg = PnrConfig(method=method, regime=Regime.FT)
+        assert (noncontrastive_pnr_total(without, cfg).value
+                == noncontrastive_pnr_total(v, cfg).value)
+
+    @pytest.mark.parametrize("method",
+                             [Method.BYOL, Method.VICREG, Method.BARLOW])
     def test_total_fd(self, method):
         v = self._views(Rng(15), method)
         cfg = PnrConfig(method=method, regime=Regime.PNR)

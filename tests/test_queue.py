@@ -69,6 +69,15 @@ class TestBasics:
         with pytest.raises(CsslError, match="enqueued batch: row norm off unit by"):
             q.enqueue(np.ones((2, 3)))
 
+    def test_nan_row_rejected(self):
+        q = EmbeddingQueue(4, 3)
+        batch = unit_batch(Rng(6), 2, 3)
+        batch[1, 0] = np.nan
+        with pytest.raises(CsslError, match=(
+                "^enqueued batch: row norm off unit by nan$")):
+            q.enqueue(batch)
+        assert len(q) == 0
+
     def test_oversized_batch_keeps_tail(self):
         q = EmbeddingQueue(3, 2)
         batch = row_l2_normalize(Rng(5).gaussian_matrix(7, 2))
