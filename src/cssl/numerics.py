@@ -58,14 +58,17 @@ def check_finite(m: np.ndarray, name: str) -> None:
 
 
 def row_norms(m: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(m * m, axis=1))
+    # The ndarray method, here and in check_unit_rows: the same reduction
+    # as np.sum without numpy's Python-level dispatch, which costs more than
+    # the sum itself at these sizes.
+    return np.sqrt((m * m).sum(axis=1))
 
 
 def check_unit_rows(m: np.ndarray, name: str) -> None:
     """Reject rows whose L2 norm strays from 1 by more than NORM_TOL or is
     NaN."""
     if m.shape[0]:
-        dev = float(np.max(np.abs(row_norms(m) - 1.0)))
+        dev = float(np.abs(row_norms(m) - 1.0).max())
         if not dev <= NORM_TOL:
             raise CsslError(f"{name}: row norm off unit by {dev:.3e}")
 
@@ -97,18 +100,26 @@ def row_l2_normalize_backward(raw: np.ndarray, grad_normalized: np.ndarray) -> n
     return (grad_normalized - y * inner) / norms
 
 
-def logsumexp_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise logsumexp for matrices, in two parts; tolerates -inf entries
-    (masked columns). Returns (mx, total): the row maximum and the row sum of
-    exp(m - mx), so a row's logsumexp is mx + log(total). Overwrites ``m``
-    with exp(m - mx) (a masked entry becomes 0, each row's maximum exactly
-    1), so every entry is exponentiated once; a caller that needs the
-    softmax divides by ``total`` where that is cheapest."""
+def logsumexp_rows(m: np.ndarray, shift: bool) -> np.ndarray:
+    """The in-place half of a row-wise logsumexp over a block of logits rows.
+
+    Receives masked logits (-inf at masked cells) and overwrites ``m`` with
+    exp(m - mx), so every entry is exponentiated once and a masked entry
+    becomes 0. With ``shift``, mx is each row's maximum (the row's maximum
+    becomes exactly 1), so any range of logits is safe. Without it mx is 0:
+    the caller has already shifted the logits into a range where exp
+    neither overflows nor takes a whole row to 0. Returns mx; a row's
+    logsumexp is mx + log(the row sum of the overwritten ``m``), a sum the
+    caller forms where it is cheapest."""
     if m.shape[1] == 0:
         raise CsslError("logsumexp over zero columns")
-    mx = np.max(m, axis=1)
-    m -= mx[:, None]
-    return mx, np.sum(np.exp(m, out=m), axis=1)
+    if shift:
+        mx = m.max(axis=1)
+        m -= mx[:, None]
+    else:
+        mx = np.zeros(m.shape[0])
+    np.exp(m, out=m)
+    return mx
 
 
 def finite_difference_gradient(f: Callable[[np.ndarray], float],

@@ -236,9 +236,9 @@ class TestSetSemantics:
         calls = []
         lse = losses.logsumexp_rows
 
-        def counted(m):
+        def counted(m, *args):
             calls.append(m.shape)
-            return lse(m)
+            return lse(m, *args)
 
         monkeypatch.setattr(losses, "logsumexp_rows", counted)
         v = random_views(Rng(106), 3, 5, queue_rows=2)
@@ -256,9 +256,9 @@ class TestReductions:
         seen = []
         lse = losses.logsumexp_rows
 
-        def capture(m):
+        def capture(m, *args):
             seen.append(m.copy())
-            return lse(m)
+            return lse(m, *args)
 
         monkeypatch.setattr(losses, "logsumexp_rows", capture)
         v = random_views(Rng(106), 6, 8, queue_rows=5)
@@ -299,6 +299,13 @@ class TestSymmetry:
         assert abs(total.value - swapped.value) < 1e-12
         np.testing.assert_allclose(total.grad_z, partner(swapped.grad_z),
                                    atol=1e-15)
+
+    @pytest.mark.parametrize("shape", [(0,), (2,), (8,), (2, 3), (10, 4)])
+    def test_partner_is_half_a_roll(self, shape):
+        m = Rng(111).gaussian_matrix(1, int(np.prod(shape))).reshape(shape)
+        got = partner(m)
+        np.testing.assert_array_equal(got, np.roll(m, shape[0] // 2, axis=0))
+        assert got.dtype == m.dtype and got.shape == m.shape
 
     def test_symmetric_views_orderings_equal(self):
         rng = Rng(110)
@@ -368,6 +375,67 @@ class TestSmallTau:
         assert np.isfinite(res.value)
         assert np.isfinite(res.grad_z).all()
         assert regime == Regime.FT or np.isfinite(res.grad_g).all()
+
+
+class TestBlocks:
+    """The anchors x pool matrix runs in blocks of anchor rows; neither the
+    block size nor the temperature's path may move a value beyond
+    rounding."""
+
+    @staticmethod
+    def capture_blocks(monkeypatch):
+        blocks = []
+        lse = losses.logsumexp_rows
+
+        def capture(m, *args):
+            logits = m.copy()
+            shifts = lse(m, *args)
+            blocks.append((logits, shifts, m.max(axis=1)))
+            return shifts
+
+        monkeypatch.setattr(losses, "logsumexp_rows", capture)
+        return blocks
+
+    @pytest.mark.parametrize("rows", [1, 7, 13])
+    @pytest.mark.parametrize("regime", list(Regime))
+    def test_block_size_moves_nothing(self, regime, rows, monkeypatch):
+        # m = 12 anchors a term: blocks of 7 and 13 rows straddle row m,
+        # and the last block of each size is partial.
+        v = random_views(Rng(950), 6, 5, queue_rows=37)
+        want = total(v, regime)
+        pool = 12 + 37 if regime == Regime.FT else 2 * (12 + 37)
+        blocks = self.capture_blocks(monkeypatch)
+        monkeypatch.setattr(losses, "BLOCK_BYTES", rows * 8 * pool)
+        got = total(v, regime)
+        assert got.value == pytest.approx(want.value, abs=1e-12)
+        for g, w in ((got.grad_z, want.grad_z), (got.grad_g, want.grad_g)):
+            if w is None:
+                assert g is None
+            else:
+                assert np.max(np.abs(g - w)) <= 1e-12
+        anchors = 12 if regime == Regime.FT else 24
+        assert sum(b[0].shape[0] for b in blocks) == anchors
+        assert [b[0].shape for b in blocks] == [
+            (min(rows, anchors - lo), pool) for lo in range(0, anchors, rows)]
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    def test_temperature_picks_the_shift(self, regime, monkeypatch):
+        v = random_views(Rng(951), 4, 6, queue_rows=3)
+        blocks = self.capture_blocks(monkeypatch)
+        total(v, regime, tau=0.2)
+        (logits, shifts, exp_max), = blocks
+        # The gemm subtracts 1/tau, so no entry exceeds 0 beyond rounding,
+        # and exp runs on the logits as they come.
+        assert np.max(logits) <= 1e-12
+        np.testing.assert_array_equal(shifts, 0.0)
+        assert np.all(exp_max < 1.0)
+        blocks.clear()
+        total(v, regime, tau=1e-3)
+        (logits, shifts, exp_max), = blocks
+        # 2 / tau = 2000 would underflow whole rows: each is shifted by its
+        # max, which exp maps to 1 exactly.
+        np.testing.assert_array_equal(shifts, np.max(logits, axis=1))
+        np.testing.assert_array_equal(exp_max, 1.0)
 
 
 class TestClosedForm:

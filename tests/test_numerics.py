@@ -74,12 +74,13 @@ class TestRowNormalize:
 
 
 class TestLogsumexp:
-    """The row-wise logsumexp on single rows, read as mx + log(total)."""
+    """The row-wise logsumexp on single rows, read as mx + log(row sum)."""
 
     @staticmethod
     def lse(values) -> float:
-        mx, total = logsumexp_rows(np.array([values], dtype=np.float64))
-        return float(mx[0] + np.log(total[0]))
+        m = np.array([values], dtype=np.float64)
+        mx = logsumexp_rows(m, True)
+        return float(mx[0] + np.log(m.sum()))
 
     def test_two_zeros(self):
         assert self.lse([0.0, 0.0]) == pytest.approx(np.log(2), abs=1e-15)
@@ -93,26 +94,32 @@ class TestLogsumexp:
             1000.0 + np.log(2), abs=1e-12)
 
     def test_empty_raises(self):
-        with pytest.raises(CsslError, match="logsumexp over zero columns"):
-            logsumexp_rows(np.zeros((1, 0)))
+        for shift in (True, False):
+            with pytest.raises(CsslError, match="logsumexp over zero columns"):
+                logsumexp_rows(np.zeros((1, 0)), shift)
 
     def test_leaves_shifted_exp_in_place(self):
         m = Rng(3).gaussian_matrix(4, 7)
         m[1, 2] = -np.inf
         mx = np.max(m, axis=1, keepdims=True)
         want = mx + np.log(np.sum(np.exp(m - mx), axis=1, keepdims=True))
-        shifted = np.exp(m - mx)
-        got_mx, total = logsumexp_rows(m)
+        shifted, unshifted = np.exp(m - mx), np.exp(m)
+        m0 = m.copy()
+        got_mx = logsumexp_rows(m, True)
+        total = m.sum(axis=1)
         assert np.max(np.abs(got_mx + np.log(total) - want[:, 0])) <= 1e-15
         assert np.max(np.abs(m - shifted)) <= 1e-15
         assert m[1, 2] == 0.0
         assert np.all(np.max(m, axis=1) == 1.0)
-        np.testing.assert_array_equal(total, m.sum(axis=1))
         probs = m / total[:, None]
         assert np.max(np.abs(probs.sum(axis=1) - 1.0)) <= 1e-15
         single = np.array([[-3.5], [1234.5678]])
-        logsumexp_rows(single)
+        logsumexp_rows(single, True)
         assert np.all(single == 1.0)
+        # Unshifted, the entries are plain exp and the shift reads 0.
+        np.testing.assert_array_equal(logsumexp_rows(m0, False), 0.0)
+        np.testing.assert_array_equal(m0, unshifted)
+        assert m0[1, 2] == 0.0
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=30))
