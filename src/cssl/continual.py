@@ -5,10 +5,13 @@ the configured objective on the new task only. The first task always runs in
 the fine-tuning regime because no previous model exists yet.
 
 Randomness: every consumer derives its own stream from the root seed
-(``Rng(seed).derive(tag)``). Each task draws its plan once, from its own
-stream: per step, a shuffled batch's two views and the frozen model's
-embeddings of them. Every epoch replays the plan; with a zero learning
-rate the per-epoch loss trace is therefore exactly constant.
+(``Rng(seed).derive(tag)``). Each task's views are drawn once, from the
+task's own stream: a shuffle, then every batch's two views, drawn in groups
+of batches. The sequence's model and the task's single-task FT reference
+train on that one draw, one after the other. Training plans one step per
+batch: its views and the frozen model's embeddings of them. Every epoch
+replays the plan; with a zero learning rate the per-epoch loss trace is
+therefore exactly constant.
 """
 
 from __future__ import annotations
@@ -41,8 +44,8 @@ from .model import (
     mlp_forward,
     sgd_step,
 )
-from .numerics import (Rng, as_matrix, row_l2_normalize,
-                       row_l2_normalize_backward, row_norms)
+from .numerics import (Rng, as_matrix, box_muller, row_l2_normalize,
+                       row_l2_normalize_backward, row_norms, unit_doubles)
 
 logger = logging.getLogger(__name__)
 
@@ -253,30 +256,75 @@ def build_domain_il(ds: LabeledDataset, T: int, seed: int) -> TaskStream:
     return TaskStream(tasks)
 
 
-def _one_view(x: np.ndarray, cfg: AugmentConfig, rng: Rng) -> np.ndarray:
-    n, d = x.shape
-    lo, hi = cfg.scale_range
-    if (lo, hi) != (1.0, 1.0):
-        scale = rng.uniform(n) * (hi - lo) + lo
-        out = x * scale[:, None]
-    else:
-        out = x.copy()
-    if cfg.noise_std > 0:
-        out += rng.gaussian(n * d, cfg.noise_std).reshape(n, d)
-    if cfg.dropout_p > 0:
-        u = rng.uniform(n * d).reshape(n, d)
-        keep = u >= cfg.dropout_p
-        # A row keeps its largest draw, so no view row is all zero (a zero
-        # input row has no direction to normalize).
-        keep[np.arange(n), np.argmax(u, axis=1)] = True
-        out *= keep
-    return out
+# Rows a two_views call draws at a time. One call per batch spends more on
+# numpy call overhead than on arithmetic at these sizes; a group's
+# temporaries take about 44 bytes per drawn value (0.7 MB for 256 rows of 32
+# columns), and a task's draw time is flat from 256 to 2048 rows.
+VIEW_GROUP_ROWS = 256
 
 
 def two_views(x: np.ndarray, cfg: AugmentConfig, rng: Rng) -> np.ndarray:
-    """Two independent augmentations of the same batch, stacked as one
-    2N-row batch: view A's rows, then view B's."""
-    return np.concatenate([_one_view(x, cfg, rng), _one_view(x, cfg, rng)])
+    """Two independent augmentations of each batch of a stack of G equal-size
+    batches (G x n x d), returned as G stacked 2n-row batches: a batch's view
+    A rows, then its view B rows.
+
+    The whole group comes from one block of the stream, read as G calls of
+    one batch each would read it: per batch and view (A, then B), the
+    scales (n uniforms), the noise's Box-Muller pairs (first outputs, then
+    second outputs) and the dropout uniforms (n * d), each only when its
+    term is on. Every value is an elementwise function of its own outputs,
+    and numpy rounds those functions the same at any position, so a batch's
+    views do not depend on the group it is drawn in (the tests check this
+    bit for bit against one draw per batch).
+    """
+    G, n, d = x.shape
+    lo, hi = cfg.scale_range
+    scales = n if (lo, hi) != (1.0, 1.0) else 0
+    pairs = (n * d + 1) // 2 if cfg.noise_std > 0 else 0
+    drops = n * d if cfg.dropout_p > 0 else 0
+    per_view = scales + 2 * pairs + drops  # 0 reads nothing
+    bits = rng._next_block(G * 2 * per_view).reshape(G, 2, per_view)
+    if scales:
+        scale = unit_doubles(bits[..., :n]) * (hi - lo) + lo
+        out = x[:, None] * scale[..., None]
+    else:
+        out = np.repeat(x[:, None], 2, axis=1)
+    if pairs:
+        gauss = box_muller(bits[..., scales:scales + pairs],
+                           bits[..., scales + pairs:scales + 2 * pairs])
+        out += (cfg.noise_std * gauss[..., :n * d]).reshape(G, 2, n, d)
+    if drops:
+        u = unit_doubles(bits[..., -drops:]).reshape(G, 2, n, d)
+        keep = u >= cfg.dropout_p
+        # A row keeps its largest draw, so no view row is all zero (a zero
+        # input row has no direction to normalize).
+        np.put_along_axis(keep, u.argmax(axis=-1)[..., None], True, axis=-1)
+        out *= keep
+    return out.reshape(G, 2 * n, d)
+
+
+def draw_views(task: LabeledDataset, cfg: TrainConfig,
+               task_index: int) -> list[np.ndarray]:
+    """The task's stacked two-view batches in step order, drawn from its
+    stream ``Rng(seed).derive(f"task-{task_index}").derive("epoch-stream")``:
+    first the shuffle, then the views of its batches in groups of about
+    ``VIEW_GROUP_ROWS`` rows; a last, smaller batch is a group of its own.
+    A last batch of one is skipped for VICReg and Barlow (see TrainConfig),
+    before its views are drawn."""
+    rng = Rng(cfg.seed).derive(f"task-{task_index}").derive("epoch-stream")
+    M, size = task.num_samples, cfg.batch_size
+    order = rng.permutation(M)
+    views: list[np.ndarray] = []
+    lo = 0
+    while lo < M:
+        n = min(size, M - lo)
+        if n < 2 and cfg.loss.method in (Method.VICREG, Method.BARLOW):
+            break
+        G = min(max(1, VIEW_GROUP_ROWS // size), (M - lo) // n)
+        x = task.x[order[lo:lo + G * n]].reshape(G, n, -1)
+        views.extend(two_views(x, cfg.augment, rng))
+        lo += G * n
+    return views
 
 
 def on_sphere(method: Method) -> bool:
@@ -374,18 +422,21 @@ def _effective_cfg(cfg: PnrConfig, frozen: EncoderStack | None) -> PnrConfig:
 @np.errstate(over="ignore", invalid="ignore")
 def train_task(stack: EncoderStack, frozen_prev: EncoderStack | None,
                task: LabeledDataset, cfg: TrainConfig, *,
-               task_index: int = 1) -> tuple[EncoderStack, TrainLog]:
+               task_index: int = 1, views: list[np.ndarray] | None = None
+               ) -> tuple[EncoderStack, TrainLog]:
     """Train the live stack on one task; the frozen model is never touched.
 
-    Runs ``epochs_per_task`` sweeps of two-view SGD steps; MoCo queues are
-    created fresh for the task and BYOL's target starts as a copy of the
-    online network. Raises DivergenceDetected, naming the frozen model's
-    batch, the epoch and step, or "after the last step", when an embedding
-    (live, EMA target or frozen) fails :func:`_embed` (it overflows, or a
-    row on the sphere is zero), a Barlow batch has a constant column, or a
-    loss is NaN/Inf. After the last step the task's samples pass
-    :func:`_embed` through the trained stack, so a task never hands on
-    weights that overflow.
+    Runs ``epochs_per_task`` sweeps of two-view SGD steps over ``views``,
+    the task's batches as :func:`draw_views` returns them (drawn here when
+    ``None``; a caller that trains several models on one task passes one
+    draw to each). MoCo queues are created fresh for the task and BYOL's
+    target starts as a copy of the online network. Raises
+    DivergenceDetected, naming the frozen model's batch, the epoch and
+    step, or "after the last step", when an embedding (live, EMA target or
+    frozen) fails :func:`_embed` (it overflows, or a row on the sphere is
+    zero), a Barlow batch has a constant column, or a loss is NaN/Inf.
+    After the last step the task's samples pass :func:`_embed` through the
+    trained stack, so a task never hands on weights that overflow.
     """
     loss_cfg = _effective_cfg(cfg.loss, frozen_prev)
     method = loss_cfg.method
@@ -400,11 +451,10 @@ def train_task(stack: EncoderStack, frozen_prev: EncoderStack | None,
     if method == Method.BYOL:
         target = stack.clone()
 
-    # Plan: (stacked views, z_prev) per batch, drawn once. Only a last batch
-    # of one is skipped (see TrainConfig), so an entry's position is its step.
-    rng = Rng(cfg.seed).derive(f"task-{task_index}").derive("epoch-stream")
-    M = task.num_samples
-    order = rng.permutation(M)
+    # Plan: (stacked views, z_prev) per batch. Only a last batch of one is
+    # skipped (see draw_views), so an entry's position is its step.
+    if views is None:
+        views = draw_views(task, cfg, task_index)
     plan = []
     epoch_losses: list[float] = []
     steps = 0
@@ -412,11 +462,7 @@ def train_task(stack: EncoderStack, frozen_prev: EncoderStack | None,
     # step 0 after the last step.
     batch = epoch = step = 0
     try:
-        for batch, lo in enumerate(range(0, M, cfg.batch_size), 1):
-            idx = order[lo:lo + cfg.batch_size]
-            if idx.size < 2 and method in (Method.VICREG, Method.BARLOW):
-                continue
-            x = two_views(task.x[idx], cfg.augment, rng)
+        for batch, x in enumerate(views, 1):
             plan.append((x, None if loss_cfg.regime == Regime.FT
                          else frozen_embedding(frozen_prev, x, method)))
         for epoch in range(1, cfg.epochs_per_task + 1):
@@ -447,7 +493,7 @@ def train_task(stack: EncoderStack, frozen_prev: EncoderStack | None,
         # within a step's.
         step = 0
         rows = 2 * cfg.batch_size
-        for lo in range(0, M, rows):
+        for lo in range(0, task.num_samples, rows):
             fwd = forward(stack, task.x[lo:lo + rows], want_pred=True)
             _embed(fwd, "proj", False)
             _embed(fwd, "pred", False)
@@ -473,30 +519,40 @@ class SequenceResult:
 
 def run_sequence(stream: TaskStream, cfg: TrainConfig,
                  with_ft_refs: bool = True) -> SequenceResult:
-    """Train tasks 1..T sequentially, snapshotting at each boundary, then
-    train T independent single-task models for the FT_i baselines."""
+    """Train tasks 1..T sequentially, snapshotting at each boundary, and
+    with ``with_ft_refs`` an independent single-task FT_t model per task.
+
+    Each task's views are drawn once (:func:`draw_views`): task t trains
+    the sequence, then its FT reference (from ``ft-init-t``) on the same
+    views, which are dropped before task t + 1 is drawn. Both would draw
+    the same views on their own, and neither reads the other, so this
+    order gives the bits of training the whole sequence first. A run in
+    which both a sequence task and an FT reference diverge raises the
+    first error in this order."""
     root = Rng(cfg.seed)
     stack = init_stack(root.derive("init"), cfg.encoder_dims,
                        cfg.projector_dims, cfg.predictor_dims)
     frozen: EncoderStack | None = None
     checkpoints: list[EncoderStack] = []
     task_logs: list[TrainLog] = []
+    ft_checkpoints: list[EncoderStack] = []
+    ft_logs: list[TrainLog] = []
     for t, task in enumerate(stream.tasks, 1):
-        stack, log = train_task(stack, frozen, task, cfg, task_index=t)
+        views = draw_views(task, cfg, t)
+        stack, log = train_task(stack, frozen, task, cfg, task_index=t,
+                                views=views)
         frozen = stack.clone()
         checkpoints.append(frozen)
         task_logs.append(log)
-    ft_checkpoints: list[EncoderStack] = []
-    ft_logs: list[TrainLog] = []
-    if with_ft_refs:
-        for t, task in enumerate(stream.tasks, 1):
+        if with_ft_refs:
             ft_stack = init_stack(root.derive(f"ft-init-{t}"),
                                   cfg.encoder_dims, cfg.projector_dims,
                                   cfg.predictor_dims)
             ft_stack, log = train_task(ft_stack, None, task, cfg,
-                                       task_index=t)
+                                       task_index=t, views=views)
             ft_checkpoints.append(ft_stack.clone())
             ft_logs.append(log)
+        del views  # so task t + 1 is drawn with no other task's views alive
     return SequenceResult(checkpoints, ft_checkpoints, task_logs, ft_logs)
 
 

@@ -191,10 +191,15 @@ def fnv1a64(data: bytes) -> int:
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    """SplitMix64's bijective bit mix of a uint64 array (arithmetic wraps)."""
-    z = (z ^ (z >> _U64(30))) * _U64(_MIX_MUL_1)
-    z = (z ^ (z >> _U64(27))) * _U64(_MIX_MUL_2)
-    return z ^ (z >> _U64(31))
+    """SplitMix64's bijective bit mix of a uint64 array (arithmetic wraps),
+    done in place, so a block of outputs holds one temporary at a time;
+    returns ``z``."""
+    z ^= z >> _U64(30)
+    z *= _U64(_MIX_MUL_1)
+    z ^= z >> _U64(27)
+    z *= _U64(_MIX_MUL_2)
+    z ^= z >> _U64(31)
+    return z
 
 
 # Distinct tags whose hash Rng.derive keeps: a run derives a few per task and
@@ -207,6 +212,26 @@ def _tag_hash(tag: str) -> int:
     """fnv1a64 of the tag's UTF-8 bytes, which costs tens of microseconds
     for a short tag."""
     return fnv1a64(tag.encode("utf-8"))
+
+
+def unit_doubles(bits: np.ndarray) -> np.ndarray:
+    """Doubles in [0, 1) from the top 53 bits of each uint64 output."""
+    return (bits >> _U64(11)).astype(np.float64) * _TWO53_INV
+
+
+def box_muller(bits1: np.ndarray, bits2: np.ndarray) -> np.ndarray:
+    """Standard normals from two equal-shape uint64 arrays of P outputs along
+    the last axis: pair k gives entries 2k (cosine) and 2k + 1 (sine) of the
+    last axis, 2P long. Every entry is an elementwise function of its own
+    pair."""
+    # u1 in (0, 1] so log never sees zero
+    u1 = ((bits1 >> _U64(11)).astype(np.float64) + 1.0) * _TWO53_INV
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = (2.0 * np.pi) * unit_doubles(bits2)
+    out = np.empty(bits1.shape[:-1] + (2 * bits1.shape[-1],))
+    out[..., 0::2] = r * np.cos(theta)
+    out[..., 1::2] = r * np.sin(theta)
+    return out
 
 
 class Rng:
@@ -228,31 +253,22 @@ class Rng:
     def _next_block(self, n: int) -> np.ndarray:
         if n <= 0:
             return np.empty(0, dtype=_U64)
-        with np.errstate(over="ignore"):
-            counters = (np.arange(1, n + 1, dtype=_U64) * _U64(_SPLITMIX_GAMMA)
-                        + _U64(self._state))
+        counters = np.arange(1, n + 1, dtype=_U64)
+        counters *= _U64(_SPLITMIX_GAMMA)
+        counters += _U64(self._state)
         self._state = int(counters[-1])
         return _mix64(counters)
 
     def uniform(self, n: int) -> np.ndarray:
         """n doubles in [0, 1) using the top 53 bits of each output."""
-        bits = self._next_block(n)
-        return (bits >> _U64(11)).astype(np.float64) * _TWO53_INV
+        return unit_doubles(self._next_block(n))
 
     def gaussian(self, n: int, std: float = 1.0) -> np.ndarray:
         """n zero-mean Gaussian draws via Box-Muller."""
         pairs = (n + 1) // 2
         bits1 = self._next_block(pairs)
         bits2 = self._next_block(pairs)
-        # u1 in (0, 1] so log never sees zero
-        u1 = ((bits1 >> _U64(11)).astype(np.float64) + 1.0) * _TWO53_INV
-        u2 = (bits2 >> _U64(11)).astype(np.float64) * _TWO53_INV
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = (2.0 * np.pi) * u2
-        out = np.empty(2 * pairs, dtype=np.float64)
-        out[0::2] = r * np.cos(theta)
-        out[1::2] = r * np.sin(theta)
-        return std * out[:n]
+        return std * box_muller(bits1, bits2)[:n]
 
     def gaussian_matrix(self, rows: int, cols: int,
                         std: float = 1.0) -> np.ndarray:

@@ -2,12 +2,13 @@
 
 Everything here is deliberately written in the most naive style possible
 (scalar loops, a tiny tape-based autodiff) and shares no code with the
-package implementations it checks. :func:`fisher_yates` takes its draws
-from the package's SplitMix64 stream, which it does not check. One
-exception checks a restructured package function bit for bit, so it keeps
-its arithmetic: :func:`train_task_redraw` checks how ``train_task`` draws
-and replays a task's batches, so it reuses the package's step pieces and
-differs from ``train_task`` only in its drawing.
+package implementations it checks. :func:`fisher_yates` and
+:func:`two_views` take their draws from the package's SplitMix64 stream,
+which they do not check. One exception checks a restructured package
+function bit for bit, so it keeps its arithmetic: :func:`train_task_redraw`
+checks how ``train_task`` draws and replays a task's batches, so it reuses
+the package's step pieces and differs from ``train_task`` only in its
+drawing, which it does one batch at a time with :func:`two_views`.
 """
 
 from __future__ import annotations
@@ -392,6 +393,36 @@ def naive_fifo(capacity):
     return enqueue, snapshot
 
 
+def _one_view(x: np.ndarray, cfg: continual.AugmentConfig,
+              rng: Rng) -> np.ndarray:
+    n, d = x.shape
+    lo, hi = cfg.scale_range
+    if (lo, hi) != (1.0, 1.0):
+        scale = rng.uniform(n) * (hi - lo) + lo
+        out = x * scale[:, None]
+    else:
+        out = x.copy()
+    if cfg.noise_std > 0:
+        out += rng.gaussian(n * d, cfg.noise_std).reshape(n, d)
+    if cfg.dropout_p > 0:
+        u = rng.uniform(n * d).reshape(n, d)
+        keep = u >= cfg.dropout_p
+        # A row keeps its largest draw, so no view row is all zero (a zero
+        # input row has no direction to normalize).
+        keep[np.arange(n), np.argmax(u, axis=1)] = True
+        out *= keep
+    return out
+
+
+def two_views(x: np.ndarray, cfg: continual.AugmentConfig,
+              rng: Rng) -> np.ndarray:
+    """Two independent augmentations of the same batch, stacked as one
+    2N-row batch: view A's rows, then view B's. One batch per call, each
+    term drawn on its own: the per-batch loop that grouped drawing in
+    ``continual.two_views`` must reproduce bit for bit."""
+    return np.concatenate([_one_view(x, cfg, rng), _one_view(x, cfg, rng)])
+
+
 def train_task_redraw(stack, frozen_prev, task, cfg, *, task_index=1):
     """``train_task`` as a per-epoch redraw loop: every epoch re-seeds the
     task's stream, redraws the shuffle and the two-view batches, and pushes
@@ -423,7 +454,7 @@ def train_task_redraw(stack, frozen_prev, task, cfg, *, task_index=1):
             idx = order[lo:lo + cfg.batch_size]
             if idx.size < 2 and method in (Method.VICREG, Method.BARLOW):
                 continue
-            x = continual.two_views(task.x[idx], cfg.augment, rng)
+            x = two_views(task.x[idx], cfg.augment, rng)
             try:
                 z_prev = (None if loss_cfg.regime == Regime.FT else
                           continual.frozen_embedding(frozen_prev, x, method))

@@ -14,6 +14,7 @@ from cssl.continual import (
     build_class_il,
     build_data_il,
     build_domain_il,
+    draw_views,
     encode_views,
     frozen_embedding,
     random_orthogonal,
@@ -26,6 +27,7 @@ from cssl.errors import CsslError, DivergenceDetected
 from cssl.losses import Method, PnrConfig, Regime, total_loss
 from cssl.model import forward, init_stack, sgd_step
 from cssl.numerics import Rng, row_l2_normalize
+import reference
 from reference import train_task_redraw
 
 
@@ -149,23 +151,27 @@ class TestDomainIl:
 
 class TestTwoViews:
     def test_identity_augmentation(self):
-        x = Rng(1).gaussian_matrix(4, 6)
+        # With every term off a group of batches reads nothing.
+        x = Rng(1).gaussian_matrix(8, 6).reshape(2, 4, 6)
         cfg = AugmentConfig(0.0, 0.0, (1.0, 1.0))
-        x2 = two_views(x, cfg, Rng(2))
-        np.testing.assert_array_equal(x2[:4], x)
-        np.testing.assert_array_equal(x2[4:], x)
+        rng = Rng(2)
+        x2 = two_views(x, cfg, rng)
+        np.testing.assert_array_equal(x2[:, :4], x)
+        np.testing.assert_array_equal(x2[:, 4:], x)
+        assert rng._state == Rng(2)._state
 
     def test_deterministic_per_seed(self):
         x = Rng(1).gaussian_matrix(4, 6)
         cfg = AugmentConfig(0.3, 0.2, (0.7, 1.3))
-        a1 = two_views(x, cfg, Rng(7))
-        a2 = two_views(x, cfg, Rng(7))
+        a1 = two_views(x[None], cfg, Rng(7))[0]
+        a2 = two_views(x[None], cfg, Rng(7))[0]
         np.testing.assert_array_equal(a1[:4], a2[:4])
         np.testing.assert_array_equal(a1[4:], a2[4:])
 
     def test_views_differ(self):
         x = Rng(1).gaussian_matrix(4, 6)
-        x2 = two_views(x, AugmentConfig(0.3, 0.0, (1.0, 1.0)), Rng(7))
+        x2 = two_views(x[None], AugmentConfig(0.3, 0.0, (1.0, 1.0)),
+                       Rng(7))[0]
         assert np.max(np.abs(x2[:4] - x2[4:])) > 1e-6
 
     def test_full_dropout_rejected(self):
@@ -177,7 +183,8 @@ class TestTwoViews:
         # At p = 0.99 over 8 dims about 92% of rows would drop every
         # coordinate, and a zero input row has a zero projection at init.
         x = Rng(1).gaussian_matrix(64, 8)
-        views = two_views(x, AugmentConfig(0.0, 0.99, (1.0, 1.0)), Rng(3))
+        views = two_views(x[None], AugmentConfig(0.0, 0.99, (1.0, 1.0)),
+                          Rng(3))[0]
         assert np.all(np.any(views != 0.0, axis=1))
         stream = build_class_il(toy_dataset(), 5)
         for method in (Method.SIMCLR, Method.MOCO, Method.BYOL):
@@ -189,12 +196,58 @@ class TestTwoViews:
                 assert np.all(np.isfinite(log.epoch_losses))
 
 
+def per_batch_views(task, cfg, task_index=1):
+    """The task's views as one reference.two_views call per batch draws
+    them from the task's stream, after its shuffle."""
+    rng = Rng(cfg.seed).derive(f"task-{task_index}").derive("epoch-stream")
+    order = rng.permutation(task.num_samples)
+    out = []
+    for lo in range(0, task.num_samples, cfg.batch_size):
+        idx = order[lo:lo + cfg.batch_size]
+        if idx.size < 2 and cfg.loss.method in (Method.VICREG,
+                                                Method.BARLOW):
+            continue
+        out.append(reference.two_views(task.x[idx], cfg.augment, rng))
+    return out
+
+
+class TestDrawViews:
+    @pytest.mark.parametrize("augment", [
+        AugmentConfig(),
+        AugmentConfig(0.5, 0.3, (1.0, 1.0)),  # no scaling
+        AugmentConfig(0.0, 0.3, (0.6, 1.4)),  # no noise
+        AugmentConfig(0.5, 0.0, (0.6, 1.4)),  # no dropout
+        AugmentConfig(0.0, 0.0, (1.0, 1.0)),  # nothing drawn
+    ])
+    @pytest.mark.parametrize("group_rows", [11, 22, 1000])
+    def test_grouped_draw_equals_per_batch_draw(self, monkeypatch, augment,
+                                                group_rows):
+        # 34-sample tasks of 9 columns in batches of 11: n * d = 99 is odd,
+        # and the last batch holds one sample. Groups of one batch, of two
+        # (the last group holds one) and of more rows than the task holds.
+        monkeypatch.setattr(continual, "VIEW_GROUP_ROWS", group_rows)
+        stream = build_class_il(toy_dataset(C=4, n_per=17, D=9), 2)
+        for method, batches in ((Method.SIMCLR, 4), (Method.VICREG, 3),
+                                (Method.BARLOW, 3)):
+            cfg = small_cfg(batch_size=11, augment=augment,
+                            encoder_dims=[9, 12, 6],
+                            loss=PnrConfig(method=method))
+            for t, task in enumerate(stream.tasks, 1):
+                got = draw_views(task, cfg, t)
+                want = per_batch_views(task, cfg, t)
+                assert len(got) == len(want) == batches
+                for g, w in zip(got, want):
+                    assert g.shape == w.shape
+                    assert g.tobytes() == w.tobytes()
+
+
 class TestEncodeViews:
     def test_stacked_rows_equal_per_view_forward(self):
         # One forward per network over [xA; xB]; a gemm over 2N rows may
         # round differently from two over N, hence the 1e-12 tolerance.
         n = 4
-        x2 = two_views(Rng(1).gaussian_matrix(n, 8), AugmentConfig(), Rng(2))
+        x2 = two_views(Rng(1).gaussian_matrix(n, 8)[None], AugmentConfig(),
+                       Rng(2))[0]
         stack = init_stack(Rng(3), **SMALL_MODEL)
         frozen = init_stack(Rng(4), **SMALL_MODEL)
         cfg = PnrConfig(method=Method.SIMCLR, regime=Regime.PNR)
@@ -214,7 +267,8 @@ class TestEncodeViews:
     def test_no_previous_model_outside_ft_raises(self):
         # Regime ft carries no z_prev; any other regime without one has
         # nothing to distill toward and must not stand in the live model.
-        x2 = two_views(Rng(1).gaussian_matrix(4, 8), AugmentConfig(), Rng(2))
+        x2 = two_views(Rng(1).gaussian_matrix(4, 8)[None], AugmentConfig(),
+                       Rng(2))[0]
         stack = init_stack(Rng(3), **SMALL_MODEL)
         for method in Method:
             ft = PnrConfig(method=method, regime=Regime.FT)
@@ -509,6 +563,44 @@ class TestRunSequence:
         res_b = run_sequence(stream, cfg_b, with_ft_refs=False)
         for ca, cb in zip(res_a.checkpoints, res_b.checkpoints):
             assert stack_bytes(ca) == stack_bytes(cb)
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_ft_references_share_the_task_draw(self, monkeypatch, method):
+        # Each task is shuffled and drawn once for the sequence and its FT
+        # reference; the result is that of training the whole sequence
+        # first and then each reference on a draw of its own.
+        dims = dict(SMALL_MODEL, encoder_dims=[9, 12, 6])
+        stream = build_class_il(toy_dataset(C=6, n_per=17, D=9), 3)
+        lr = {Method.VICREG: 5e-4, Method.BARLOW: 0.01}.get(method, 0.05)
+        cfg = small_cfg(batch_size=11, lr=lr, queue_capacity=16, **dims,
+                        loss=PnrConfig(method=method, regime=Regime.CASSLE))
+        shuffles = []
+        permutation = Rng.permutation
+
+        def counted(rng, n):
+            shuffles.append(n)
+            return permutation(rng, n)
+
+        monkeypatch.setattr(Rng, "permutation", counted)
+        res = run_sequence(stream, cfg)
+        assert shuffles == [34] * stream.T
+
+        root = Rng(cfg.seed)
+        stack, frozen = init_stack(root.derive("init"), **dims), None
+        logs, ft_logs = [], []
+        for t, task in enumerate(stream.tasks, 1):
+            stack, log = train_task(stack, frozen, task, cfg, task_index=t)
+            frozen = stack.clone()
+            logs.append((stack_bytes(frozen), log))
+        for t, task in enumerate(stream.tasks, 1):
+            ft, log = train_task(init_stack(root.derive(f"ft-init-{t}"),
+                                            **dims), None, task, cfg,
+                                 task_index=t)
+            ft_logs.append((stack_bytes(ft), log))
+        assert [(stack_bytes(c), log) for c, log in
+                zip(res.checkpoints, res.task_logs)] == logs
+        assert [(stack_bytes(c), log) for c, log in
+                zip(res.ft_checkpoints, res.ft_logs)] == ft_logs
 
     def test_full_sequence_deterministic(self):
         stream = build_class_il(toy_dataset(), 5)
